@@ -15,7 +15,6 @@
 //!   from the named catalog.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hh_core::{AgentColumns, AgentColumnsMut};
 use hh_sim::registry::{self, Algorithm, ColonyMix, FaultSchedule, QualityProfile, Scenario};
 use hh_sim::{ConvergenceRule, EngineKind};
 use std::hint::black_box;
@@ -181,75 +180,15 @@ fn bench_round_threads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_draw_plane(c: &mut Criterion) {
-    // The round-level draw plane against the fused per-row path it
-    // replaced: both variants complete one choose pass over the same
-    // steady-state urn band (RNG-only mutation, so the band can be
-    // re-driven forever), differing only in how the recruit coins are
-    // drawn — a dense plane fill consumed branchlessly, vs. an inline
-    // draw inside each row's `choose`.
-    let mut group = c.benchmark_group("engine/draw_plane");
-    let n = 4096usize;
-    group.throughput(Throughput::Elements(n as u64));
-    // Reach the committed steady-state regime first: an all-search band
-    // draws no coins and would bench an empty plane.
-    let mut sim = steady_state_scenario(n).build(1).expect("valid");
-    sim.run_to_convergence(ConvergenceRule::all_final(), 100)
-        .expect("runs");
-    group.bench_function(BenchmarkId::from_parameter("plane_fill"), |b| {
-        let mut columns = AgentColumns::gather(sim.agents()).expect("uniform simple colony");
-        let AgentColumnsMut::Simple(mut band) = columns.as_band_mut() else {
-            unreachable!("simple colony gathers to the urn band");
-        };
-        let mut draws = Vec::with_capacity(n);
-        let mut round = 200u64;
-        b.iter(|| {
-            round += 2;
-            band.fill_draw_plane(round, &mut draws);
-            let mut actions = 0usize;
-            for (index, &draw) in draws.iter().enumerate() {
-                black_box(band.choose_with_draw(index, round, draw));
-                actions += 1;
-            }
-            black_box(actions)
-        });
-    });
-    group.bench_function(BenchmarkId::from_parameter("fused_choose"), |b| {
-        let mut columns = AgentColumns::gather(sim.agents()).expect("uniform simple colony");
-        let AgentColumnsMut::Simple(mut band) = columns.as_band_mut() else {
-            unreachable!("simple colony gathers to the urn band");
-        };
-        let mut round = 200u64;
-        b.iter(|| {
-            round += 2;
-            let mut actions = 0usize;
-            for index in 0..n {
-                black_box(band.choose(index, round));
-                actions += 1;
-            }
-            black_box(actions)
-        });
-    });
-    group.finish();
-}
-
-fn bench_columns_vs_scalar(c: &mut Criterion) {
-    // The batched agent-state table — fused per-row pass (the default)
-    // and the opt-in round-level draw planes — against the scalar
-    // oracle, at the two large scales. All three rows execute the
-    // bit-identical stochastic process. `with_table_min_rounds(1)`
-    // forces the table path even for the single-round convergence calls
-    // the pre-consensus reset discipline uses; the scalar rows take the
-    // match-per-ant oracle regardless.
-    let mut group = c.benchmark_group("engine/columns_vs_scalar");
+fn bench_fast_vs_scalar(c: &mut Criterion) {
+    // The default chunked fast path against the scalar oracle, at the
+    // two large scales. Both rows execute the bit-identical stochastic
+    // process, so they differ in wall clock only.
+    let mut group = c.benchmark_group("engine/fast_vs_scalar");
     for n in [4096usize, 16384] {
         group.throughput(Throughput::Elements(n as u64));
         group.sample_size(if n >= 16384 { 500 } else { 2000 });
-        for (label, engine, planes) in [
-            ("batched", EngineKind::Soa, false),
-            ("planes", EngineKind::Soa, true),
-            ("scalar", EngineKind::Scalar, false),
-        ] {
+        for (label, engine) in [("fast", EngineKind::Soa), ("scalar", EngineKind::Scalar)] {
             let scenario = steady_state_scenario(n).engine(engine);
             group.bench_with_input(
                 BenchmarkId::from_parameter(format!("n{n}/{label}")),
@@ -257,18 +196,12 @@ fn bench_columns_vs_scalar(c: &mut Criterion) {
                 |b, s| {
                     // Same pre-consensus regime discipline as
                     // `steady_state_round`.
-                    let fresh = |seed: u64| {
-                        s.build(seed)
-                            .expect("valid")
-                            .with_table_min_rounds(1)
-                            .with_draw_planes(planes)
-                    };
-                    let mut sim = fresh(1);
+                    let mut sim = s.build(1).expect("valid");
                     let mut seed = 1u64;
                     b.iter(|| {
                         if sim.round() >= 200 {
                             seed = seed.wrapping_add(1);
-                            sim = fresh(seed);
+                            sim = s.build(seed).expect("valid");
                         }
                         black_box(
                             sim.run_to_convergence(ConvergenceRule::all_final(), 1)
@@ -290,7 +223,6 @@ criterion_group!(
     bench_detector_overhead,
     bench_quorum_rounds,
     bench_round_threads,
-    bench_draw_plane,
-    bench_columns_vs_scalar
+    bench_fast_vs_scalar
 );
 criterion_main!(benches);

@@ -58,8 +58,9 @@ pub enum AnyAgent {
     /// The non-binary quality-weighted variant (Section 6). Boxed: it is
     /// the largest agent by a factor of ~2, and leaving it inline would
     /// pad *every* colony's agent stride to its size — the enum stays a
-    /// compact 88 bytes this way, and quality agents pay one extra
-    /// pointer hop that their (rare) workloads never notice.
+    /// compact 48 bytes on 64-bit targets this way, and quality agents
+    /// pay one extra pointer hop that their (rare) workloads never
+    /// notice.
     Quality(Box<QualityAnt>),
     /// A lower-bound spreading process (Section 3).
     Spreader(SpreaderAnt),
@@ -321,6 +322,15 @@ mod tests {
         assert_eq!(any.committed_nest(), Some(NestId::candidate(2)));
         assert_eq!(any.label(), "probe");
         assert!(format!("{any:?}").contains("Custom"));
+    }
+
+    /// Every ant of every round streams through one `AnyAgent` slot, so
+    /// the element stride is part of the engine's performance contract:
+    /// an unboxed large variant would silently widen every colony.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn any_agent_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<AnyAgent>(), 48);
     }
 
     #[test]

@@ -37,48 +37,9 @@ use crate::agent::{Agent, AgentRole};
 pub struct IdlerAnt {
     /// The nest the idler currently advocates in its passive `recruit`
     /// call (its round-1 discovery, later overwritten by transports).
-    /// pub(crate) so `crate::table` can column-pack idler rows.
-    pub(crate) advocated: Option<NestId>,
+    advocated: Option<NestId>,
     /// The nest the idler was last carried to, if any.
-    pub(crate) carried_to: Option<NestId>,
-}
-
-/// The idler's choose rule, shared by the [`Agent`] impl and the
-/// struct-of-arrays agent-state table (`crate::table`).
-pub(crate) fn idler_choose(advocated: Option<NestId>) -> Action {
-    match advocated {
-        // Round 1 (or a pre-knowledge fault recovery): searching is
-        // the only legal call.
-        None => Action::Search,
-        Some(nest) => Action::recruit_passive(nest),
-    }
-}
-
-/// The idler's observe rule over by-reference state, shared by the
-/// [`Agent`] impl and the agent-state table.
-pub(crate) fn idler_observe(
-    advocated: &mut Option<NestId>,
-    carried_to: &mut Option<NestId>,
-    outcome: &Outcome,
-) {
-    match outcome {
-        Outcome::Search { nest, .. } => {
-            if advocated.is_none() {
-                *advocated = Some(*nest);
-            }
-        }
-        Outcome::Recruit { nest, .. } => {
-            // `nest` is the recruiter's target if this ant was picked
-            // up, otherwise our own input echoed back. Adopting it is
-            // correct either way, but only a genuine transport counts
-            // as a commitment.
-            if Some(*nest) != *advocated {
-                *carried_to = Some(*nest);
-                *advocated = Some(*nest);
-            }
-        }
-        Outcome::Go { .. } => {}
-    }
+    carried_to: Option<NestId>,
 }
 
 impl IdlerAnt {
@@ -97,11 +58,33 @@ impl IdlerAnt {
 
 impl Agent for IdlerAnt {
     fn choose(&mut self, _round: u64) -> Action {
-        idler_choose(self.advocated)
+        match self.advocated {
+            // Round 1 (or a pre-knowledge fault recovery): searching is
+            // the only legal call.
+            None => Action::Search,
+            Some(nest) => Action::recruit_passive(nest),
+        }
     }
 
     fn observe(&mut self, _round: u64, outcome: &Outcome) {
-        idler_observe(&mut self.advocated, &mut self.carried_to, outcome);
+        match outcome {
+            Outcome::Search { nest, .. } => {
+                if self.advocated.is_none() {
+                    self.advocated = Some(*nest);
+                }
+            }
+            Outcome::Recruit { nest, .. } => {
+                // `nest` is the recruiter's target if this ant was picked
+                // up, otherwise our own input echoed back. Adopting it is
+                // correct either way, but only a genuine transport counts
+                // as a commitment.
+                if Some(*nest) != self.advocated {
+                    self.carried_to = Some(*nest);
+                    self.advocated = Some(*nest);
+                }
+            }
+            Outcome::Go { .. } => {}
+        }
     }
 
     fn committed_nest(&self) -> Option<NestId> {

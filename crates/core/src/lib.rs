@@ -73,7 +73,6 @@ pub mod byzantine;
 pub mod colony;
 pub mod columns;
 pub mod problem;
-pub mod table;
 
 #[cfg(test)]
 pub(crate) mod testutil;
@@ -89,6 +88,3 @@ pub use optimal::OptimalAnt;
 pub use quality::QualityAnt;
 pub use simple::{LinearPolicy, RecruitPolicy, SimpleAnt, UrnAnt, UrnOptions};
 pub use spreader::{SpreadStrategy, SpreaderAnt};
-pub use table::{
-    AgentColumns, AgentColumnsMut, DenseRows, DenseRowsMut, UrnColumns, UrnColumnsMut,
-};

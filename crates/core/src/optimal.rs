@@ -140,6 +140,7 @@ impl OptimalAnt {
     /// The committed nest, or a placeholder for the impossible case of an
     /// uncommitted post-search ant (kept total to stay panic-free under
     /// perturbations).
+    #[inline]
     fn nest_or_derail(&mut self) -> NestId {
         match self.nest {
             Some(nest) => nest,
@@ -152,6 +153,7 @@ impl OptimalAnt {
         }
     }
 
+    #[inline]
     fn choose_active(&mut self, phase: CyclePhase) -> Action {
         let nest = self.nest_or_derail();
         match phase {
@@ -178,6 +180,7 @@ impl OptimalAnt {
         }
     }
 
+    #[inline]
     fn choose_passive(&mut self, phase: CyclePhase) -> Action {
         let nest = self.nest_or_derail();
         match phase {
@@ -186,6 +189,7 @@ impl OptimalAnt {
         }
     }
 
+    #[inline]
     fn observe_search(&mut self, outcome: &Outcome) {
         match *outcome {
             Outcome::Search {
@@ -205,6 +209,7 @@ impl OptimalAnt {
         }
     }
 
+    #[inline]
     fn observe_active(&mut self, phase: CyclePhase, outcome: &Outcome) {
         match (phase, outcome) {
             (CyclePhase::R1, Outcome::Recruit { nest, .. }) => {
@@ -266,6 +271,7 @@ impl OptimalAnt {
         }
     }
 
+    #[inline]
     fn observe_passive(&mut self, phase: CyclePhase, outcome: &Outcome) {
         match (phase, outcome) {
             (CyclePhase::R2, Outcome::Recruit { nest, .. }) => {
@@ -289,6 +295,7 @@ impl Default for OptimalAnt {
 }
 
 impl Agent for OptimalAnt {
+    #[inline]
     fn choose(&mut self, round: u64) -> Action {
         let Some(phase) = CyclePhase::of_round(round) else {
             return Action::Search;
@@ -301,6 +308,7 @@ impl Agent for OptimalAnt {
         }
     }
 
+    #[inline]
     fn observe(&mut self, round: u64, outcome: &Outcome) {
         let Some(phase) = CyclePhase::of_round(round) else {
             self.observe_search(outcome);

@@ -102,7 +102,7 @@ impl UrnOptions {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum State {
+enum State {
     /// Pre-search.
     Searching,
     /// Committed to a (believed) good nest; recruiting at even rounds.
@@ -111,146 +111,6 @@ pub(crate) enum State {
     Passive,
     /// Parked at the winning nest (settlement option).
     Settled,
-}
-
-/// Maps an urn state to its harness-observable [`AgentRole`].
-pub(crate) fn urn_role(state: State) -> AgentRole {
-    match state {
-        State::Searching => AgentRole::Searching,
-        State::Active => AgentRole::Active,
-        State::Passive => AgentRole::Passive,
-        State::Settled => AgentRole::Final,
-    }
-}
-
-/// The urn agents' commitment convention: [`NestId::HOME`] stands in for
-/// "no commitment" (ants never commit to the home nest).
-pub(crate) fn urn_committed(nest: NestId) -> Option<NestId> {
-    if nest.is_home() {
-        None
-    } else {
-        Some(nest)
-    }
-}
-
-/// A by-reference view of one urn ant's mutable state — the **single**
-/// implementation of the Algorithm 3 state machine, shared by the
-/// array-of-structs agent ([`UrnAnt`], whose [`Agent`] impl borrows its
-/// own fields into this view) and the struct-of-arrays agent-state table
-/// (`crate::table`, which borrows one row of its parallel columns).
-/// Bit-identity between the two layouts holds by construction: both call
-/// exactly this code over the same field values, including the same
-/// per-ant draw key.
-pub(crate) struct UrnRefMut<'a, P> {
-    pub key: DrawKey,
-    pub count: &'a mut u32,
-    pub nest: &'a mut NestId,
-    pub state: &'a mut State,
-    pub pending_assessment: &'a mut bool,
-    pub n: u32,
-    pub policy: &'a P,
-    pub options: UrnOptions,
-}
-
-impl<P: RecruitPolicy> UrnRefMut<'_, P> {
-    /// The **single** coin-draw site of the urn state machine: decides
-    /// whether a committed row recruits actively this round. The draw is
-    /// a pure keyed function of `(key, round)` — no stream state advances
-    /// — so callers that pre-fill draw planes (`crate::table`) may
-    /// evaluate it for any subset of rows in any order and still agree
-    /// bit for bit with the scalar path.
-    pub(crate) fn recruit_draw(&self, round: u64) -> bool {
-        *self.state == State::Active && {
-            let p = self
-                .policy
-                .recruit_probability(*self.count as usize, self.n as usize, round)
-                .clamp(0.0, 1.0);
-            p > 0.0 && self.key.coin(round, p)
-        }
-    }
-
-    pub(crate) fn choose(&mut self, round: u64) -> Action {
-        self.choose_with(round, None)
-    }
-
-    /// [`choose`](Self::choose) with an optional pre-computed recruit
-    /// draw. `None` draws inline (the scalar path); `Some(d)` consumes a
-    /// value produced earlier by [`recruit_draw`](Self::recruit_draw) on
-    /// this same row (the draw-plane path). Because the draw is a pure
-    /// function of `(key, round)`, both forms return the same action.
-    pub(crate) fn choose_with(&mut self, round: u64, draw: Option<bool>) -> Action {
-        if round <= 1 {
-            return Action::Search;
-        }
-        let Some(nest) = urn_committed(*self.nest) else {
-            // Only reachable if the round-1 observation was lost to a
-            // perturbation: search again, the one always-legal call.
-            return Action::Search;
-        };
-        match *self.state {
-            State::Searching => Action::Search,
-            State::Settled => Action::Go(nest),
-            State::Active | State::Passive => {
-                if round.is_multiple_of(2) {
-                    // Recruitment round at home.
-                    let active = match draw {
-                        Some(d) => d,
-                        None => self.recruit_draw(round),
-                    };
-                    Action::Recruit { active, nest }
-                } else {
-                    // Assessment round at the nest.
-                    Action::Go(nest)
-                }
-            }
-        }
-    }
-
-    pub(crate) fn observe(&mut self, outcome: &Outcome) {
-        match outcome {
-            Outcome::Search {
-                nest,
-                quality,
-                count,
-            } => {
-                *self.nest = *nest;
-                *self.count = *count;
-                *self.state = if quality.is_good() {
-                    State::Active
-                } else {
-                    State::Passive
-                };
-            }
-            Outcome::Recruit { nest, .. } => {
-                if *nest != *self.nest {
-                    // Recruited to a different nest: commit and (re)activate
-                    // (Algorithm 3 lines 7 and 11–13).
-                    *self.nest = *nest;
-                    *self.state = State::Active;
-                    *self.pending_assessment = self.options.reassess_on_arrival;
-                }
-            }
-            Outcome::Go { count, quality } => {
-                *self.count = *count;
-                if *self.pending_assessment {
-                    *self.pending_assessment = false;
-                    if let Some(q) = quality {
-                        if !q.is_good() {
-                            // Hardening: carried to a bad nest — refuse to
-                            // amplify it.
-                            *self.state = State::Passive;
-                        }
-                    }
-                }
-                if self.options.settle_at_full_count
-                    && *self.state == State::Active
-                    && *count >= self.n
-                {
-                    *self.state = State::Settled;
-                }
-            }
-        }
-    }
 }
 
 /// The urn-style agent skeleton shared by the simple algorithm and its
@@ -271,18 +131,16 @@ pub struct UrnAnt<P> {
     // Field widths are deliberately compact: colonies stream every agent
     // through choose/observe every round, so agent size is engine memory
     // bandwidth. `NestId::HOME` stands in for "no commitment" (ants never
-    // commit to the home nest). Fields are pub(crate) so `crate::table`
-    // can gather them into (and scatter them back out of) parallel
-    // columns without widening the public API.
-    pub(crate) key: DrawKey,
-    pub(crate) n: u32,
-    pub(crate) count: u32,
-    pub(crate) nest: NestId,
-    pub(crate) policy: P,
-    pub(crate) options: UrnOptions,
-    pub(crate) state: State,
+    // commit to the home nest).
+    key: DrawKey,
+    n: u32,
+    count: u32,
+    nest: NestId,
+    policy: P,
+    options: UrnOptions,
+    state: State,
     /// Verify the new nest's quality at the next assessment round.
-    pub(crate) pending_assessment: bool,
+    pending_assessment: bool,
 }
 
 impl<P: RecruitPolicy> UrnAnt<P> {
@@ -315,21 +173,24 @@ impl<P: RecruitPolicy> UrnAnt<P> {
     }
 
     fn committed(&self) -> Option<NestId> {
-        urn_committed(self.nest)
+        if self.nest.is_home() {
+            None
+        } else {
+            Some(self.nest)
+        }
     }
 
-    /// Borrows every mutable field into the shared [`UrnRefMut`] state
-    /// machine; the [`Agent`] impl is a thin shim over this view.
-    pub(crate) fn as_ref_mut(&mut self) -> UrnRefMut<'_, P> {
-        UrnRefMut {
-            key: self.key,
-            count: &mut self.count,
-            nest: &mut self.nest,
-            state: &mut self.state,
-            pending_assessment: &mut self.pending_assessment,
-            n: self.n,
-            policy: &self.policy,
-            options: self.options,
+    /// The **single** coin-draw site of the urn state machine: decides
+    /// whether a committed ant recruits actively this round. The draw is
+    /// a pure keyed function of `(key, round)` — no stream state
+    /// advances — so a repeated `choose(round)` returns the same action.
+    fn recruit_draw(&self, round: u64) -> bool {
+        self.state == State::Active && {
+            let p = self
+                .policy
+                .recruit_probability(self.count as usize, self.n as usize, round)
+                .clamp(0.0, 1.0);
+            p > 0.0 && self.key.coin(round, p)
         }
     }
 }
@@ -353,12 +214,76 @@ impl SimpleAnt {
 
 impl<P: RecruitPolicy> Agent for UrnAnt<P> {
     fn choose(&mut self, round: u64) -> Action {
-        self.as_ref_mut().choose(round)
+        if round <= 1 {
+            return Action::Search;
+        }
+        let Some(nest) = self.committed() else {
+            // Only reachable if the round-1 observation was lost to a
+            // perturbation: search again, the one always-legal call.
+            return Action::Search;
+        };
+        match self.state {
+            State::Searching => Action::Search,
+            State::Settled => Action::Go(nest),
+            State::Active | State::Passive => {
+                if round.is_multiple_of(2) {
+                    // Recruitment round at home.
+                    Action::Recruit {
+                        active: self.recruit_draw(round),
+                        nest,
+                    }
+                } else {
+                    // Assessment round at the nest.
+                    Action::Go(nest)
+                }
+            }
+        }
     }
 
-    fn observe(&mut self, round: u64, outcome: &Outcome) {
-        let _ = round;
-        self.as_ref_mut().observe(outcome);
+    fn observe(&mut self, _round: u64, outcome: &Outcome) {
+        match outcome {
+            Outcome::Search {
+                nest,
+                quality,
+                count,
+            } => {
+                self.nest = *nest;
+                self.count = *count;
+                self.state = if quality.is_good() {
+                    State::Active
+                } else {
+                    State::Passive
+                };
+            }
+            Outcome::Recruit { nest, .. } => {
+                if *nest != self.nest {
+                    // Recruited to a different nest: commit and (re)activate
+                    // (Algorithm 3 lines 7 and 11–13).
+                    self.nest = *nest;
+                    self.state = State::Active;
+                    self.pending_assessment = self.options.reassess_on_arrival;
+                }
+            }
+            Outcome::Go { count, quality } => {
+                self.count = *count;
+                if self.pending_assessment {
+                    self.pending_assessment = false;
+                    if let Some(q) = quality {
+                        if !q.is_good() {
+                            // Hardening: carried to a bad nest — refuse to
+                            // amplify it.
+                            self.state = State::Passive;
+                        }
+                    }
+                }
+                if self.options.settle_at_full_count
+                    && self.state == State::Active
+                    && *count >= self.n
+                {
+                    self.state = State::Settled;
+                }
+            }
+        }
     }
 
     fn committed_nest(&self) -> Option<NestId> {
@@ -374,7 +299,12 @@ impl<P: RecruitPolicy> Agent for UrnAnt<P> {
     }
 
     fn role(&self) -> AgentRole {
-        urn_role(self.state)
+        match self.state {
+            State::Searching => AgentRole::Searching,
+            State::Active => AgentRole::Active,
+            State::Passive => AgentRole::Passive,
+            State::Settled => AgentRole::Final,
+        }
     }
 }
 

@@ -413,40 +413,6 @@ pub fn impl_regions(lexed: &Lexed, types: &[&str]) -> Vec<(u32, u32)> {
     regions
 }
 
-/// Returns the line ranges of `fn <name> … { … }` items whose name is
-/// listed in `names` (e.g. the designated draw-plane fill pass a
-/// batched round body is allowed to advance per-row streams in).
-/// Function signatures cannot contain `{`, so the first brace after the
-/// matched name opens the body; trait-declaration stubs ending in `;`
-/// span no lines.
-pub fn fn_regions(lexed: &Lexed, names: &[&str]) -> Vec<(u32, u32)> {
-    let toks = &lexed.tokens;
-    let mut regions = Vec::new();
-    let mut i = 0usize;
-    while i + 1 < toks.len() {
-        let is_named_fn = toks[i].kind == TokenKind::Ident
-            && toks[i].text == "fn"
-            && toks[i + 1].kind == TokenKind::Ident
-            && names.contains(&toks[i + 1].text.as_str());
-        if !is_named_fn {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 2;
-        while j < toks.len() && toks[j].text != "{" && toks[j].text != ";" {
-            j += 1;
-        }
-        if j < toks.len() && toks[j].text == "{" {
-            let close = match_brace(toks, j);
-            regions.push((toks[i].line, toks[close.min(toks.len() - 1)].line));
-            i = close + 1;
-        } else {
-            i = j + 1;
-        }
-    }
-    regions
-}
-
 /// Index of the `}` matching the `{` at `open` (or the last token on
 /// unbalanced input — malformed files degrade, they don't panic).
 fn match_brace(toks: &[Token], open: usize) -> usize {
@@ -563,16 +529,6 @@ let ok = true;
         let src = "impl<'a> Foo<'a> {\n fn a() {}\n}\nimpl Bar {\n fn b() {}\n}\n";
         let lexed = lex(src);
         assert_eq!(impl_regions(&lexed, &["Bar"]), vec![(4, 6)]);
-    }
-
-    #[test]
-    fn fn_region_finds_named_bodies() {
-        let src = "fn fill_draw_plane(x: u8) {\n  x;\n}\nfn other() {\n  ();\n}\n";
-        let lexed = lex(src);
-        assert_eq!(fn_regions(&lexed, &["fill_draw_plane"]), vec![(1, 3)]);
-        // A trait stub ending in `;` spans nothing.
-        let stub = lex("trait T { fn fill_draw_plane(&mut self); }\nfn g() {}\n");
-        assert_eq!(fn_regions(&stub, &["fill_draw_plane"]), vec![]);
     }
 
     #[test]

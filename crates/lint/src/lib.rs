@@ -34,14 +34,13 @@
 //!    shared-stream draw there would make outcomes depend on ant
 //!    processing order, which is exactly what `round_threads`
 //!    determinism (PR 5) forbids.
-//! 6. **Confined row draws** (`raw-row-draw`): batched round bodies —
-//!    the agent-state table impls and the executor — never draw a
-//!    per-row coin inline. Every draw a table round consumes goes
-//!    through the shared urn state machine (`UrnRefMut::recruit_draw`,
-//!    the oracle's own draw site) or the designated plane fill pass
-//!    (`fill_draw_plane`). The rule covers both hazard classes: a
-//!    stateful `.random_bool(...)`-style call would desynchronize a
-//!    row's stream from the oracle's, and an ad-hoc keyed
+//! 6. **Confined row draws** (`raw-row-draw`): the executor's shared
+//!    round bodies never draw a per-row coin inline. Every agent coin
+//!    is drawn inside the agents' own state machines (the urn ants'
+//!    `recruit_draw`), which the fast path and the scalar oracle call
+//!    identically. The rule covers both hazard classes: a stateful
+//!    `.random_bool(...)`-style call would desynchronize a row's
+//!    stream from the oracle's, and an ad-hoc keyed
 //!    `.coin(...)`/`.word(...)` call would duplicate the draw-site
 //!    logic (probability clamp, counter convention) and silently
 //!    diverge from the scalar oracle the first time either copy

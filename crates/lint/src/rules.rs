@@ -2,7 +2,7 @@
 //! contract each rule encodes; this module is the machine-checkable
 //! half of that contract.
 
-use crate::lexer::{cfg_test_regions, fn_regions, impl_regions, lex, Lexed, TokenKind};
+use crate::lexer::{cfg_test_regions, impl_regions, lex, Lexed, TokenKind};
 use crate::report::Diagnostic;
 
 /// The one file allowed to contain the `unsafe` keyword.
@@ -23,46 +23,20 @@ pub const ENGINE_PREFIXES: [&str; 3] = ["crates/model/src/", "crates/core/src/",
 pub const CHUNK_PHASE_FILES: [&str; 1] = ["crates/sim/src/executor.rs"];
 
 /// Types whose `impl` blocks are chunk-phase code wherever they live:
-/// the per-chunk round views workers iterate in parallel, the SoA
-/// snapshot-column bands the executor splits across workers, and the
-/// per-algorithm agent-state tables (`hh_core::table`) whose bands run
-/// the batched choose/observe passes under the pool. Their impls must
-/// draw only from per-ant randomness (the agent tables carry one
-/// `DrawKey` per row; keyed draws are pure functions of `(key, round)`,
-/// so chunk splits cannot reorder them).
-pub const CHUNK_PHASE_TYPES: [&str; 10] = [
+/// the per-chunk round views workers iterate in parallel and the SoA
+/// snapshot-column bands the executor splits across workers. Their
+/// impls must draw only from per-ant randomness.
+pub const CHUNK_PHASE_TYPES: [&str; 4] = [
     "RelocationChunk",
     "OutcomeChunk",
     "ColumnsMut",
     "SnapshotColumns",
-    "AgentColumns",
-    "AgentColumnsMut",
-    "UrnColumns",
-    "UrnColumnsMut",
-    "DenseRows",
-    "DenseRowsMut",
-];
-
-/// Types whose impls form the *batched round bodies* of the
-/// per-algorithm agent-state tables: since the round-level draw planes,
-/// every coin a batched round consumes must come from the designated
-/// plane-fill pass or the shared scalar state machine, never an inline
-/// draw call. (The environment's chunk views — `RelocationChunk`,
-/// `OutcomeChunk` — draw their per-ant streams in place by design and
-/// are deliberately not listed.)
-pub const BATCHED_ROUND_TYPES: [&str; 6] = [
-    "AgentColumns",
-    "AgentColumnsMut",
-    "UrnColumns",
-    "UrnColumnsMut",
-    "DenseRows",
-    "DenseRowsMut",
 ];
 
 /// Method names that advance an RNG stream on their receiver. A call to
-/// one of these inside a batched round body (outside the designated
-/// fill pass) is raw per-row RNG access: it desynchronizes the row's
-/// stream from the scalar oracle's.
+/// one of these inside the executor's shared round bodies is raw
+/// per-row RNG access: it desynchronizes the row's stream from the
+/// scalar oracle's.
 pub const RAW_DRAW_METHODS: [&str; 6] = [
     "random_bool",
     "random_range",
@@ -74,20 +48,12 @@ pub const RAW_DRAW_METHODS: [&str; 6] = [
 
 /// Method names of the counter-based `DrawKey` API
 /// (`hh_model::seeding::DrawKey::coin`/`word`). Keyed draws are pure —
-/// they cannot desynchronize a stream — but an ad-hoc call inside a
-/// batched round body duplicates the designated draw site's logic
-/// (probability clamp, round-as-counter convention) and diverges from
-/// the scalar oracle the first time either copy changes, so they are
-/// confined to the same designated sites as the stateful draws.
+/// they cannot desynchronize a stream — but an ad-hoc call inside the
+/// executor duplicates the agents' draw site's logic (probability
+/// clamp, round-as-counter convention) and diverges from the scalar
+/// oracle the first time either copy changes, so the executor may not
+/// make them either.
 pub const KEYED_DRAW_METHODS: [&str; 2] = ["coin", "word"];
-
-/// The designated plane-fill passes: the only functions in which
-/// batched round bodies may evaluate per-row draws. The fill pass
-/// mirrors the scalar oracle's single draw site
-/// (`UrnRefMut::recruit_draw`) row by row, so confining draws to it is
-/// what keeps the draw planes bit-identical to the oracle by
-/// construction.
-pub const DRAW_PLANE_FILL_FNS: [&str; 1] = ["fill_draw_plane"];
 
 /// The only `StreamKind` variants chunk-phase code may draw from: one
 /// stream per ant, so outcomes cannot depend on ant processing order.
@@ -337,17 +303,16 @@ fn shared_stream(
     }
 }
 
-/// Rule `raw-row-draw`: batched round bodies (the whole body of
-/// [`CHUNK_PHASE_FILES`], and `impl` blocks of [`BATCHED_ROUND_TYPES`]
-/// anywhere in the engine) must not evaluate per-row draws inline.
-/// Every draw a batched round consumes is materialized by the
-/// designated fill pass ([`DRAW_PLANE_FILL_FNS`]) or the shared scalar
-/// state machine it mirrors. Two hazard classes, one confinement: a
-/// stateful [`RAW_DRAW_METHODS`] call desynchronizes a row's stream
-/// from the plane (or double-draws it) the moment the pass is split
-/// across workers, and an ad-hoc keyed [`KEYED_DRAW_METHODS`] call
-/// forks the draw-site logic (probability clamp, round-as-counter
-/// convention) away from the scalar oracle's single implementation.
+/// Rule `raw-row-draw`: the executor's shared round bodies (the whole
+/// body of [`CHUNK_PHASE_FILES`]) must not evaluate per-row draws
+/// inline. Every agent coin is drawn inside the agents' own state
+/// machines (`hh_core`), which both engines call identically. Two
+/// hazard classes, one confinement: a stateful [`RAW_DRAW_METHODS`]
+/// call desynchronizes a row's stream from the oracle's (or
+/// double-draws it) the moment the pass is split across workers, and
+/// an ad-hoc keyed [`KEYED_DRAW_METHODS`] call forks the draw-site
+/// logic (probability clamp, round-as-counter convention) away from
+/// the agents' single implementation.
 fn raw_row_draw(
     path: &str,
     lexed: &Lexed,
@@ -355,13 +320,9 @@ fn raw_row_draw(
     waived: &dyn Fn(&str, u32) -> bool,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let whole_file = CHUNK_PHASE_FILES.contains(&path);
-    let impl_spans = impl_regions(lexed, &BATCHED_ROUND_TYPES);
-    let fill_spans = fn_regions(lexed, &DRAW_PLANE_FILL_FNS);
-    let in_round_body =
-        |line: u32| whole_file || impl_spans.iter().any(|&(a, b)| a <= line && line <= b);
-    let in_fill_pass = |line: u32| fill_spans.iter().any(|&(a, b)| a <= line && line <= b);
-
+    if !CHUNK_PHASE_FILES.contains(&path) {
+        return;
+    }
     let toks = &lexed.tokens;
     for w in toks.windows(2) {
         if w[0].kind != TokenKind::Punct || w[0].text != "." || w[1].kind != TokenKind::Ident {
@@ -373,25 +334,22 @@ fn raw_row_draw(
             continue;
         }
         let line = w[1].line;
-        if !in_round_body(line) || in_fill_pass(line) || in_test(line) {
+        if in_test(line) {
             continue;
         }
         if !waived("raw-row-draw", line) {
             let message = if stateful {
                 format!(
-                    "`.{method}(...)` advances an RNG stream inline inside a batched round \
-                     body; draws consumed by batched rounds must be materialized by the \
-                     designated fill pass ({}) so every row's stream advances in the \
-                     scalar oracle's order",
-                    DRAW_PLANE_FILL_FNS.join(", ")
+                    "`.{method}(...)` advances an RNG stream inline inside the executor's \
+                     round bodies; agent coins are drawn only inside the agents' own state \
+                     machines, so every row's stream advances in the scalar oracle's order"
                 )
             } else {
                 format!(
-                    "`.{method}(...)` evaluates a keyed draw inline inside a batched round \
-                     body; counter draws are confined to the designated fill pass ({}) and \
-                     the shared scalar state machine so the draw-site logic (probability \
-                     clamp, round-as-counter convention) has exactly one implementation",
-                    DRAW_PLANE_FILL_FNS.join(", ")
+                    "`.{method}(...)` evaluates a keyed draw inline inside the executor's \
+                     round bodies; counter draws are confined to the agents' own state \
+                     machines so the draw-site logic (probability clamp, round-as-counter \
+                     convention) has exactly one implementation"
                 )
             };
             diags.push(Diagnostic::new("raw-row-draw", path, line, message));

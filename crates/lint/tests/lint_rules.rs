@@ -93,72 +93,39 @@ fn every_shared_stream_is_flagged_in_chunk_phase_files() {
 }
 
 #[test]
-fn shared_stream_draws_in_agent_table_impls_are_flagged() {
-    // The per-algorithm agent-state tables (`hh_core::table`) are
-    // chunk-phase types: their bands run the batched choose/observe
-    // passes under the worker pool, so a shared-stream draw inside one
-    // of their impls is order-dependent even though the file lives in
-    // hh-core, outside `CHUNK_PHASE_FILES`.
-    let diags = lint_fixture("shared_stream_table.rs", "crates/core/src/table.rs");
-    assert_eq!(diags, vec![("shared-stream".to_string(), 13)]);
-}
-
-#[test]
-fn raw_row_draws_in_batched_round_bodies_are_flagged() {
-    // Since the round-level draw planes, a batched round body may only
-    // advance per-row RNG streams inside the designated fill pass: the
-    // inline draw in `choose` is flagged, the fill-pass draw and the
-    // free helper are not.
-    let diags = lint_fixture("raw_row_draw_table.rs", "crates/core/src/table.rs");
-    assert_eq!(diags, vec![("raw-row-draw".to_string(), 19)]);
-}
-
-#[test]
 fn every_raw_row_draw_is_flagged_in_chunk_phase_files() {
-    // As executor.rs the whole file is a batched round body: the free
-    // helper's draw on line 24 is now also in scope; the fill pass
-    // stays exempt.
-    let diags = lint_fixture("raw_row_draw_table.rs", "crates/sim/src/executor.rs");
+    // The executor holds the shared round bodies: an inline stateful
+    // draw anywhere in its non-test code is flagged.
+    let diags = lint_fixture("raw_row_draw.rs", "crates/sim/src/executor.rs");
     assert_eq!(
         diags,
         vec![
-            ("raw-row-draw".to_string(), 19),
-            ("raw-row-draw".to_string(), 24),
+            ("raw-row-draw".to_string(), 12),
+            ("raw-row-draw".to_string(), 17),
         ]
     );
-}
-
-#[test]
-fn keyed_row_draws_in_batched_round_bodies_are_flagged() {
-    // The counter migration adds a second hazard class: an ad-hoc keyed
-    // `.coin`/`.word` call inside a batched round body forks the
-    // draw-site logic away from the scalar oracle. Both inline sites in
-    // the table impl are flagged; the designated fill pass and the free
-    // helper are not.
-    let diags = lint_fixture("keyed_row_draw_table.rs", "crates/core/src/table.rs");
-    assert_eq!(
-        diags,
-        vec![
-            ("raw-row-draw".to_string(), 20),
-            ("raw-row-draw".to_string(), 24),
-        ]
-    );
+    // The agents draw their own coins: the rule is scoped to the
+    // executor.
+    let diags = lint_fixture("raw_row_draw.rs", "crates/core/src/simple.rs");
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
 fn every_keyed_row_draw_is_flagged_in_chunk_phase_files() {
-    // As executor.rs the whole file is a batched round body: the free
-    // helper's keyed draw on line 29 is now also in scope; the fill
-    // pass stays exempt.
-    let diags = lint_fixture("keyed_row_draw_table.rs", "crates/sim/src/executor.rs");
+    // The counter-based draws are the second hazard class: an ad-hoc
+    // keyed `.coin`/`.word` call in the executor forks the draw-site
+    // logic away from the agents' single implementation.
+    let diags = lint_fixture("keyed_row_draw.rs", "crates/sim/src/executor.rs");
     assert_eq!(
         diags,
         vec![
-            ("raw-row-draw".to_string(), 20),
-            ("raw-row-draw".to_string(), 24),
-            ("raw-row-draw".to_string(), 29),
+            ("raw-row-draw".to_string(), 13),
+            ("raw-row-draw".to_string(), 17),
+            ("raw-row-draw".to_string(), 22),
         ]
     );
+    let diags = lint_fixture("keyed_row_draw.rs", "crates/core/src/simple.rs");
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]

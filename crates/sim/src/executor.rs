@@ -48,10 +48,7 @@ use std::sync::Mutex;
 
 use hh_core::colony::AgentSnapshot;
 use hh_core::columns::ColumnsMut;
-use hh_core::{
-    Agent, AgentColumns, AgentColumnsMut, AnyAgent, CensusDelta, Colony, DenseRowsMut,
-    RecruitPolicy, UrnColumnsMut,
-};
+use hh_core::{Agent, AnyAgent, CensusDelta, Colony};
 use hh_model::faults::{noop_action, CrashPlan, CrashStyle, DelayPlan};
 use hh_model::recruitment::RecruitCall;
 use hh_model::{
@@ -344,20 +341,6 @@ impl TallyDelta {
     }
 }
 
-/// Phase-2 batched-pass buffer (per worker, persistent): the chunk's
-/// recruit **draw plane** — the dense per-row pre-drawn coins consumed
-/// branchlessly by `UrnColumnsMut::choose_with_draw` (see
-/// [`BatchAgents::observe_choose_all`]).
-#[derive(Debug, Default)]
-struct PlaneScratch {
-    /// Whether the backing store should take the plane passes at all —
-    /// [`Simulation::with_draw_planes`], threaded down per round.
-    enabled: bool,
-    /// One recruit draw per chunk row (`false` for rows the scalar path
-    /// would not draw for).
-    draws: Vec<bool>,
-}
-
 /// Per-worker round state: everything a chunk writes besides its
 /// disjoint slots, merged serially in chunk order at the barriers so
 /// results never depend on the thread count. Buffers persist across
@@ -374,24 +357,6 @@ struct WorkerScratch {
     census: CensusDelta,
     /// Phase 2: this chunk's live-tally delta.
     tally: TallyDelta,
-    /// Phase 2: this chunk's outcome/draw-plane buffers.
-    plane: PlaneScratch,
-}
-
-/// Which representation of the colony's agent state is currently
-/// authoritative — the state machine behind the **lazy scatter-on-read**
-/// seam. The batched table path no longer scatters on loop exit; the
-/// table stays authoritative until a scalar consumer (a scalar-path
-/// round, or [`Simulation::agents`]/[`Simulation::colony`]) actually
-/// needs the `Vec<AnyAgent>`, at which point the scatter runs once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TableAuthority {
-    /// The `Vec<AnyAgent>` is authoritative; any cached table is stale.
-    Agents,
-    /// Both representations hold the same state bit-exactly.
-    Synced,
-    /// The gathered table is authoritative; the agent vector is stale.
-    Table,
 }
 
 /// One synchronous execution: environment + colony + perturbations.
@@ -440,29 +405,6 @@ pub struct Simulation {
     worker_scratch: Vec<WorkerScratch>,
     /// The persistent pool (`round_threads > 1`, unperturbed only).
     pool: Option<WorkerPool>,
-    /// The colony is homogeneous modulo idlers (checked once at
-    /// construction): unperturbed SoA convergence runs batch it through
-    /// per-algorithm state columns. See
-    /// [`uses_agent_columns`](Simulation::uses_agent_columns).
-    table_eligible: bool,
-    /// The gathered agent-state table, kept across runs so repeated
-    /// short convergence calls (the benches' run-one-round pattern)
-    /// don't pay a full gather per call.
-    table: Option<AgentColumns>,
-    /// Which representation (`table` or the agent vector) is currently
-    /// authoritative; drives the lazy scatter-on-read seam.
-    authority: TableAuthority,
-    /// The [`run_to_convergence`](Simulation::run_to_convergence) table
-    /// gate, defaulting to [`TABLE_MIN_ROUNDS`](Simulation::TABLE_MIN_ROUNDS)
-    /// (or the `HH_TABLE_MIN_ROUNDS` environment variable when set).
-    table_min_rounds: u64,
-    /// Whether table rounds consume the round-level recruit **draw
-    /// plane** instead of drawing inline in the fused per-row pass. Both
-    /// are bit-identical (each row's draw is a pure keyed hash of
-    /// `(key, round)`); see
-    /// [`with_draw_planes`](Simulation::with_draw_planes) for why the
-    /// fused pass is still the default.
-    draw_planes: bool,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -519,7 +461,6 @@ impl Simulation {
         }
         let perturbations = perturbations.unwrap_or_else(|| Perturbations::none(n));
         let unperturbed = perturbations.is_none();
-        let table_eligible = AgentColumns::eligible(&colony);
         Ok(Self {
             env,
             colony,
@@ -536,54 +477,7 @@ impl Simulation {
             chunk_bounds: vec![0, n],
             worker_scratch: vec![WorkerScratch::default()],
             pool: None,
-            table_eligible,
-            table: None,
-            authority: TableAuthority::Agents,
-            table_min_rounds: std::env::var("HH_TABLE_MIN_ROUNDS")
-                .ok()
-                .and_then(|raw| raw.parse().ok())
-                .unwrap_or(Self::TABLE_MIN_ROUNDS),
-            draw_planes: std::env::var("HH_DRAW_PLANES")
-                .ok()
-                .is_some_and(|raw| raw == "1" || raw.eq_ignore_ascii_case("true")),
         })
-    }
-
-    /// Overrides the minimum `max_rounds` at which
-    /// [`run_to_convergence`](Self::run_to_convergence) batches rounds
-    /// through the agent-state table (default:
-    /// [`TABLE_MIN_ROUNDS`](Self::TABLE_MIN_ROUNDS), or the
-    /// `HH_TABLE_MIN_ROUNDS` environment variable when set at
-    /// construction). Both engine paths are bit-identical, so this is
-    /// purely a performance/benchmarking knob: `1` forces every eligible
-    /// convergence run onto the table path, `u64::MAX` disables it.
-    #[must_use]
-    pub fn with_table_min_rounds(mut self, min_rounds: u64) -> Self {
-        self.table_min_rounds = min_rounds;
-        self
-    }
-
-    /// Makes table rounds consume the round-level recruit **draw plane**
-    /// (`UrnColumnsMut::fill_draw_plane` + `choose_with_draw`) instead of
-    /// drawing inline in the fused per-row pass. Defaults to `false`, or
-    /// the `HH_DRAW_PLANES` environment variable (`1`/`true`) when set at
-    /// construction.
-    ///
-    /// Both paths are bit-identical by construction — each row's draw
-    /// is a pure keyed hash of `(key, round)` with no stream state, so
-    /// the plane fill and the fused pass evaluate literally the same
-    /// function — making this a pure performance/audit knob. Counter
-    /// draws made the fill a dense branch-free sweep and planes now
-    /// beat the pure scalar engine, but on this target the hash's
-    /// 64-bit multiplies and the `u64 → f64` threshold compare don't
-    /// vectorize, so the split passes still trail the fused pass by a
-    /// few percent (see `BENCH_BASELINE.md` for the measured three-way).
-    /// The fused pass therefore stays the default; the CI thread matrix
-    /// keeps the plane path pinned to the oracle.
-    #[must_use]
-    pub fn with_draw_planes(mut self, enabled: bool) -> Self {
-        self.draw_planes = enabled;
-        self
     }
 
     /// Sets the number of intra-round parts and spawns the persistent
@@ -691,35 +585,6 @@ impl Simulation {
         self.engine
     }
 
-    /// Default minimum `max_rounds` at which
-    /// [`run_to_convergence`](Self::run_to_convergence) batches rounds
-    /// through the agent-state table. Gathering the colony into columns
-    /// costs a full pass over the agent vector — roughly a tenth of one
-    /// round-time at n ≥ 4096 — and since the scatter back became lazy
-    /// (paid only when a scalar view is actually read, not per run) the
-    /// break-even sits near two rounds; shorter runs stay on the
-    /// `AnyAgent` path. Override per simulation with
-    /// [`with_table_min_rounds`](Self::with_table_min_rounds) or
-    /// process-wide with the `HH_TABLE_MIN_ROUNDS` environment variable
-    /// (read at construction); CI forces `1` in the thread-matrix job so
-    /// the table path is exercised by every suite.
-    pub const TABLE_MIN_ROUNDS: u64 = 2;
-
-    /// `true` if [`run_to_convergence`](Self::run_to_convergence) will
-    /// batch rounds through per-algorithm agent-state columns
-    /// ([`hh_core::AgentColumns`]) once `max_rounds` reaches the table
-    /// gate ([`with_table_min_rounds`](Self::with_table_min_rounds)):
-    /// the colony is homogeneous (urn colonies modulo idlers; optimal,
-    /// quality, and spreader colonies uniformly), the simulation is
-    /// unperturbed, and the SoA engine is selected. Heterogeneous
-    /// mixes, `Custom` agents, adversaries, perturbed runs, and the
-    /// scalar oracle all take the `AnyAgent` path instead —
-    /// bit-identically, by the engine contract.
-    #[must_use]
-    pub fn uses_agent_columns(&self) -> bool {
-        self.table_eligible && self.unperturbed && self.engine == EngineKind::Soa
-    }
-
     /// The configured number of intra-round parts.
     #[must_use]
     pub fn round_threads(&self) -> usize {
@@ -732,41 +597,23 @@ impl Simulation {
         &self.env
     }
 
-    /// The colony (read-only view; `&mut self` because reading the
-    /// scalar agents is the **lazy scatter** point — if the batched
-    /// table currently holds the authoritative state, it is scattered
-    /// back into the agent vector here, once, before the borrow is
-    /// handed out).
+    /// The colony (read-only view).
     #[must_use]
-    pub fn agents(&mut self) -> &[AnyAgent] {
-        self.sync_agents();
+    pub fn agents(&self) -> &[AnyAgent] {
         &self.colony
     }
 
-    /// The colony with its cached census (read-only view; `&mut self`
-    /// for the same lazy-scatter reason as [`agents`](Self::agents)).
+    /// The colony with its cached census (read-only view).
     #[must_use]
-    pub fn colony(&mut self) -> &Colony {
-        self.sync_agents();
+    pub fn colony(&self) -> &Colony {
         &self.colony
     }
 
     /// Every agent's observable state, in ant order — served from the
     /// colony's snapshot columns, which both engines keep current every
-    /// round, so this needs **no** scatter and is valid whichever
-    /// representation (agent vector or batched table) is authoritative.
+    /// round.
     pub fn iter_snapshots(&self) -> impl Iterator<Item = AgentSnapshot> + '_ {
         self.colony.iter_snapshots()
-    }
-
-    /// Makes the agent vector authoritative again (scatters the batched
-    /// table if it holds newer state) — the single seam behind
-    /// [`agents`](Self::agents)/[`colony`](Self::colony) and the
-    /// scalar-path rounds.
-    fn sync_agents(&mut self) {
-        if self.authority == TableAuthority::Table {
-            self.scatter_table();
-        }
     }
 
     /// Completed rounds.
@@ -831,10 +678,6 @@ impl Simulation {
     /// skipped ant must not advance its state machine — cannot occur
     /// here by definition.
     fn step_round_fast(&mut self, materialize: bool) -> Result<(), SimError> {
-        // This path mutates the agent vector directly: scatter first if
-        // the table holds newer state, then mark any cached table stale.
-        self.sync_agents();
-        self.authority = TableAuthority::Agents;
         let n = self.env.n();
         let round = self.env.round() + 1;
         let prechosen = std::mem::replace(&mut self.prechosen, true);
@@ -873,112 +716,15 @@ impl Simulation {
             illegal_actions,
             round,
             materialize,
-            false, // the AnyAgent store has no plane override to enable
         );
-        finish_round(env, colony, scratch, worker_scratch, live);
+        // The round barrier: fold the per-chunk census/tally deltas in
+        // chunk order, then export the recruitment pairs.
+        for ws in worker_scratch.iter() {
+            colony.apply_census_delta(&ws.census);
+            live.apply_delta(&ws.tally);
+        }
+        env.export_pairs(&mut scratch.report);
         Ok(())
-    }
-
-    /// The tentpole batched path: the same round as
-    /// [`step_round_fast`](Self::step_round_fast), but the agent pass
-    /// streams the gathered [`AgentColumns`] state table — per-algorithm
-    /// parallel columns dispatched once per round — instead of the
-    /// 88-byte-stride `AnyAgent` vector. Snapshot columns, role census,
-    /// and live tally are maintained identically (detectors read the
-    /// same state), and the shared `run_batched_round` body guarantees
-    /// the phase structure cannot drift between the two paths.
-    ///
-    /// Only [`run_to_convergence`](Self::run_to_convergence) calls this,
-    /// after [`gather_table`](Self::gather_table); the table is
-    /// authoritative afterwards and the agent vector stays stale until a
-    /// scalar consumer triggers the lazy scatter
-    /// ([`sync_agents`](Self::sync_agents)).
-    fn step_round_table(&mut self, materialize: bool) -> Result<(), SimError> {
-        let n = self.env.n();
-        let round = self.env.round() + 1;
-        let prechosen = std::mem::replace(&mut self.prechosen, true);
-        let draw_planes = self.draw_planes;
-        self.authority = TableAuthority::Table;
-        let Self {
-            env,
-            colony,
-            scratch,
-            worker_scratch,
-            live,
-            pool,
-            chunk_bounds,
-            illegal_actions,
-            table,
-            ..
-        } = self;
-        let table = table.as_mut().expect("gather_table precedes table rounds");
-        // One five-variant dispatch per pass, outside the per-ant loops.
-        macro_rules! dispatch_band {
-            ($table:expr, |$band:ident| $body:expr) => {
-                match $table {
-                    AgentColumnsMut::Simple($band) => $body,
-                    AgentColumnsMut::Adaptive($band) => $body,
-                    AgentColumnsMut::Optimal($band) => $body,
-                    AgentColumnsMut::Quality($band) => $body,
-                    AgentColumnsMut::Spreader($band) => $body,
-                }
-            };
-        }
-        if !prechosen {
-            scratch.next_actions.clear();
-            scratch.next_actions.resize(n, Action::Search);
-            dispatch_band!(table.as_band_mut(), |band| prime_choose_pass(
-                band,
-                &mut scratch.next_actions,
-                pool.as_mut(),
-                chunk_bounds,
-                round,
-            ));
-        }
-        let (_, snapshots) = colony.engine_split();
-        dispatch_band!(table.as_band_mut(), |band| run_batched_round(
-            env,
-            band,
-            snapshots,
-            scratch,
-            worker_scratch,
-            pool.as_mut(),
-            chunk_bounds,
-            illegal_actions,
-            round,
-            materialize,
-            draw_planes,
-        ));
-        finish_round(env, colony, scratch, worker_scratch, live);
-        Ok(())
-    }
-
-    /// Gathers the colony into the agent-state table. Skipped when the
-    /// cached table is already current (`Synced` after a scatter, or
-    /// still `Table`-authoritative from a previous run that no scalar
-    /// consumer touched) — repeated convergence calls pay the column
-    /// copy only once, and back-to-back table runs pay **neither**
-    /// gather nor scatter.
-    fn gather_table(&mut self) {
-        if self.authority != TableAuthority::Agents && self.table.is_some() {
-            return;
-        }
-        self.table = Some(
-            AgentColumns::gather(&self.colony).expect("eligibility was checked at construction"),
-        );
-        self.authority = TableAuthority::Synced;
-    }
-
-    /// Writes the table's rows — draw keys included — back into the
-    /// agent vector, making the scalar representation current again.
-    /// The table is kept for the next gather to reuse.
-    fn scatter_table(&mut self) {
-        let Self { colony, table, .. } = self;
-        if let Some(table) = table.as_ref() {
-            let (agents, _) = colony.engine_split();
-            table.scatter_into(agents);
-        }
-        self.authority = TableAuthority::Synced;
     }
 
     /// The scalar path: one match-per-ant pass per phase, always serial
@@ -1000,10 +746,6 @@ impl Simulation {
     ///   runs. `tests/soa_equivalence.rs` enforces exactly that across
     ///   the registry catalog.
     fn step_round_scalar(&mut self, materialize: bool) -> Result<(), SimError> {
-        // Mutates the agent vector directly: scatter first if the table
-        // holds newer state, then mark any cached table stale.
-        self.sync_agents();
-        self.authority = TableAuthority::Agents;
         let round = self.env.round() + 1;
         let n = self.env.n();
         // If the previous round ran on the pre-chosen pipeline (the SoA
@@ -1160,21 +902,6 @@ impl Simulation {
     /// Runs until `rule` detects convergence or `max_rounds` rounds have
     /// executed (counted from the simulation's current round).
     ///
-    /// When [`uses_agent_columns`](Self::uses_agent_columns) holds — an
-    /// unperturbed SoA run over a homogeneous colony — and `max_rounds`
-    /// is at least the table gate
-    /// ([`with_table_min_rounds`](Self::with_table_min_rounds), default
-    /// [`TABLE_MIN_ROUNDS`](Self::TABLE_MIN_ROUNDS)), the loop gathers
-    /// the agents into per-algorithm state columns and executes every
-    /// round on the batched table path. The table stays authoritative
-    /// after the loop returns (errors included): the bit-identical
-    /// scatter back into the agent vector — draw keys included — is
-    /// **lazy**, performed once when a scalar consumer
-    /// ([`agents`](Self::agents), [`colony`](Self::colony), or a
-    /// scalar-path round) next needs it, so back-to-back convergence
-    /// calls pay no per-call round trip. Both paths are bit-identical,
-    /// so the cutoff is purely a performance decision.
-    ///
     /// # Errors
     ///
     /// Propagates [`Self::step`] errors.
@@ -1186,27 +913,11 @@ impl Simulation {
         let mut detector = Detector::new(rule);
         let start = self.env.round();
         let mut solved = None;
-        if self.uses_agent_columns() && max_rounds >= self.table_min_rounds {
-            self.gather_table();
-            // No scatter on exit (success or error): the table stays
-            // authoritative and the write-back happens lazily at the
-            // next scalar read (`sync_agents`). Detectors need no
-            // scatter — they read the snapshot columns and live tally,
-            // which the table path maintains every round.
-            while self.env.round() - start < max_rounds {
-                self.step_round_table(false)?;
-                if let Some(found) = detector.check(self) {
-                    solved = Some(found);
-                    break;
-                }
-            }
-        } else {
-            while self.env.round() - start < max_rounds {
-                self.step_round(false)?;
-                if let Some(found) = detector.check(self) {
-                    solved = Some(found);
-                    break;
-                }
+        while self.env.round() - start < max_rounds {
+            self.step_round(false)?;
+            if let Some(found) = detector.check(self) {
+                solved = Some(found);
+                break;
             }
         }
         Ok(RunOutcome {
@@ -1282,227 +993,49 @@ impl Simulation {
     }
 }
 
-/// The agent side of a batched unperturbed round: either a band of the
-/// `AnyAgent` vector (the fast path) or a band of the gathered
-/// per-algorithm state table (the table path). `run_batched_round` is
-/// monomorphized per implementor, so the colony-wide dispatch happens
-/// once per round and the per-ant loops underneath are match-free.
-trait BatchAgents: Send {
-    /// Splits into disjoint `[0, mid)` / `[mid, len)` bands, mirroring
-    /// `slice::split_at_mut`.
-    fn split_band(self, mid: usize) -> (Self, Self)
-    where
-        Self: Sized;
-
-    /// Ant `local`'s action for `round` (round-1 priming pass only).
-    fn choose_one(&mut self, local: usize, round: u64) -> Action;
-
-    /// Ant `local`'s fused observe → snapshot → choose(`round + 1`)
-    /// transition; must match `AnyAgent::observe_choose` exactly.
-    fn observe_choose_one(
-        &mut self,
-        local: usize,
-        round: u64,
-        outcome: Option<&Outcome>,
-    ) -> (Action, AgentSnapshot);
-
-    /// The whole band's phase-2 agent pass. Contract: `outcome_of(local)`
-    /// MUST be called exactly once for **every** `local` in `0..ran.len()`,
-    /// in ascending order (it advances the chunk's recruit-call cursor),
-    /// and `sink(local, action, snapshot)` must be called once per row
-    /// with the same `(action, snapshot)` that `observe_choose_one`
-    /// would return — row `local` observes iff `ran[local]`.
-    ///
-    /// The default runs the fused per-row loop. Backing stores whose
-    /// state machines permit it (the urn columns) override this with
-    /// split column passes — drain the cursor and observe row by row,
-    /// fill the round's **draw plane** in one dense branch-free sweep
-    /// over the key/count/state columns, then assemble actions consuming
-    /// the plane — which is bit-identical because observe never draws
-    /// and every coin is a pure keyed function of `(key, round)`,
-    /// independent of which pass (or which row order) evaluates it.
-    fn observe_choose_all(
-        &mut self,
-        round: u64,
-        ran: &[bool],
-        outcome_of: &mut impl FnMut(usize) -> Outcome,
-        sink: &mut impl FnMut(usize, Action, AgentSnapshot),
-        _plane: &mut PlaneScratch,
-    ) {
-        for local in 0..ran.len() {
-            let outcome = outcome_of(local);
-            let observed = ran[local].then_some(&outcome);
-            let (action, snapshot) = self.observe_choose_one(local, round, observed);
-            sink(local, action, snapshot);
-        }
-    }
-}
-
-impl BatchAgents for &mut [AnyAgent] {
-    fn split_band(self, mid: usize) -> (Self, Self) {
-        self.split_at_mut(mid)
-    }
-
-    #[inline]
-    fn choose_one(&mut self, local: usize, round: u64) -> Action {
-        self[local].choose(round)
-    }
-
-    #[inline]
-    fn observe_choose_one(
-        &mut self,
-        local: usize,
-        round: u64,
-        outcome: Option<&Outcome>,
-    ) -> (Action, AgentSnapshot) {
-        self[local].observe_choose(round, outcome)
-    }
-}
-
-impl<P: RecruitPolicy + Copy> BatchAgents for UrnColumnsMut<'_, P> {
-    fn split_band(self, mid: usize) -> (Self, Self) {
-        self.split_at_mut(mid)
-    }
-
-    #[inline]
-    fn choose_one(&mut self, local: usize, round: u64) -> Action {
-        self.choose(local, round)
-    }
-
-    #[inline]
-    fn observe_choose_one(
-        &mut self,
-        local: usize,
-        round: u64,
-        outcome: Option<&Outcome>,
-    ) -> (Action, AgentSnapshot) {
-        self.observe_choose(local, round, outcome)
-    }
-
-    /// Split column passes instead of the fused per-row loop.
-    /// Bit-identity to the default holds by construction — observe is
-    /// coin-free, and the draw plane computes the same pure keyed coin
-    /// `hash(key, round)` the fused path would draw inline
-    /// (`UrnColumnsMut::fill_draw_plane`), just batched into one dense
-    /// vectorizable sweep consumed by `choose_snapshot_with_draw`.
-    fn observe_choose_all(
-        &mut self,
-        round: u64,
-        ran: &[bool],
-        outcome_of: &mut impl FnMut(usize) -> Outcome,
-        sink: &mut impl FnMut(usize, Action, AgentSnapshot),
-        plane: &mut PlaneScratch,
-    ) {
-        if !plane.enabled || !UrnColumnsMut::<P>::plane_round(round + 1) {
-            // Plane consumption is opt-in (`Simulation::with_draw_planes`;
-            // see its docs for why the fused pass currently wins), and
-            // assessment (odd) / pre-recruitment rounds draw no coins at
-            // all, so the plane would be structurally all-false either
-            // way: take the single fused sweep and skip two passes.
-            for local in 0..ran.len() {
-                let outcome = outcome_of(local);
-                let observed = ran[local].then_some(&outcome);
-                let (action, snapshot) = self.observe_choose_one(local, round, observed);
-                sink(local, action, snapshot);
-            }
-            return;
-        }
-        // Pass A: drain the chunk's recruit-call cursor (every row, in
-        // order, per the trait contract) and observe each row in place —
-        // observation is coin-free, so no outcome column needs
-        // materializing.
-        for local in 0..ran.len() {
-            let outcome = outcome_of(local);
-            if ran[local] {
-                self.observe_row(local, &outcome);
-            }
-        }
-        // Pass B: fill the next round's draw plane — one dense
-        // branch-free sweep over the key/count/state columns.
-        self.fill_draw_plane(round + 1, &mut plane.draws);
-        // Pass C: assemble actions consuming the plane — snapshot and
-        // choose fused into one row dispatch, no coin evaluation left.
-        for local in 0..ran.len() {
-            let (action, snapshot) =
-                self.choose_snapshot_with_draw(local, round + 1, plane.draws[local]);
-            sink(local, action, snapshot);
-        }
-    }
-}
-
-impl<A: Agent + Clone + Send> BatchAgents for DenseRowsMut<'_, A> {
-    fn split_band(self, mid: usize) -> (Self, Self) {
-        self.split_at_mut(mid)
-    }
-
-    #[inline]
-    fn choose_one(&mut self, local: usize, round: u64) -> Action {
-        self.choose(local, round)
-    }
-
-    #[inline]
-    fn observe_choose_one(
-        &mut self,
-        local: usize,
-        round: u64,
-        outcome: Option<&Outcome>,
-    ) -> (Action, AgentSnapshot) {
-        self.observe_choose(local, round, outcome)
-    }
-
-    // Dense rows keep the default fused `observe_choose_all`: these
-    // algorithms mutate state inside `choose` (their keyed coins are
-    // order-independent, but the surrounding transition is not), so
-    // there is no separate plane pass to split out.
-}
-
 /// Round 1 only: the dedicated choose pass that primes the pre-chosen
 /// pipeline, chunked over the same bounds as the main pass.
-fn prime_choose_pass<A: BatchAgents>(
-    full_agents: A,
+fn prime_choose_pass(
+    full_agents: &mut [AnyAgent],
     next_actions: &mut [Action],
     pool: Option<&mut WorkerPool>,
     bounds: &[usize],
     round: u64,
 ) {
     let threads = bounds.len() - 1;
-    struct ChoosePart<'a, A> {
-        agents: A,
+    struct ChoosePart<'a> {
+        agents: &'a mut [AnyAgent],
         next: &'a mut [Action],
     }
-    let slots: [Mutex<Option<ChoosePart<'_, A>>>; MAX_ROUND_THREADS] =
+    let slots: [Mutex<Option<ChoosePart<'_>>>; MAX_ROUND_THREADS] =
         std::array::from_fn(|_| Mutex::new(None));
-    let mut rest_agents = Some(full_agents);
+    let mut rest_agents = full_agents;
     let mut rest_next = next_actions;
     for (part, slot) in slots.iter().take(threads).enumerate() {
         let len = bounds[part + 1] - bounds[part];
-        let (agents, tail) = rest_agents
-            .take()
-            .expect("agents remainder")
-            .split_band(len);
-        rest_agents = Some(tail);
+        let (agents, tail) = std::mem::take(&mut rest_agents).split_at_mut(len);
+        rest_agents = tail;
         let (next, tail) = std::mem::take(&mut rest_next).split_at_mut(len);
         rest_next = tail;
         *slot.lock().expect("slot") = Some(ChoosePart { agents, next });
     }
-    scatter(pool, threads, &slots, |_, part: ChoosePart<'_, A>| {
-        let ChoosePart { mut agents, next } = part;
-        for (local, next) in next.iter_mut().enumerate() {
-            *next = agents.choose_one(local, round);
+    scatter(pool, threads, &slots, |_, part: ChoosePart<'_>| {
+        let ChoosePart { agents, next } = part;
+        for (agent, next) in agents.iter_mut().zip(next.iter_mut()) {
+            *next = agent.choose(round);
         }
     });
 }
 
-/// The body shared by `step_round_fast` (agent vector) and
-/// `step_round_table` (per-algorithm state columns): one unperturbed
-/// round — phase 1 (validate/sandbox/relocate/tally), the serial
-/// pairing middle, phase 2 (outcome → observe → choose, snapshot
-/// refresh) — over any [`BatchAgents`] backing store. The caller folds
-/// the per-worker census/tally deltas afterwards ([`finish_round`]).
+/// The body of `step_round_fast`: one unperturbed round — phase 1
+/// (validate/sandbox/relocate/tally), the serial pairing middle, phase 2
+/// (outcome → observe → choose, snapshot refresh) — over the agent
+/// vector. The caller folds the per-worker census/tally deltas
+/// afterwards.
 #[allow(clippy::too_many_arguments)]
-fn run_batched_round<A: BatchAgents>(
+fn run_batched_round(
     env: &mut Environment,
-    full_agents: A,
+    full_agents: &mut [AnyAgent],
     full_snapshots: ColumnsMut<'_>,
     scratch: &mut RoundScratch,
     worker_scratch: &mut [WorkerScratch],
@@ -1511,7 +1044,6 @@ fn run_batched_round<A: BatchAgents>(
     illegal_actions: &mut u64,
     round: u64,
     materialize: bool,
-    draw_planes: bool,
 ) {
     let n = env.n();
     let k1 = env.k() + 1;
@@ -1615,7 +1147,7 @@ fn run_batched_round<A: BatchAgents>(
 
     // ── Phase 2 (chunked): the single agent pass — compute the
     // outcome, observe round `round`, choose round `round + 1`,
-    // refresh the (cache-hot) snapshot — one `observe_choose_one` per
+    // refresh the (cache-hot) snapshot — one `AnyAgent::observe_choose` per
     // ant — and accumulate census/tally deltas per worker. In the
     // eliding mode each outcome lives only for the instant its agent
     // consumes it; materializing adds a copy into the report's
@@ -1631,9 +1163,9 @@ fn run_batched_round<A: BatchAgents>(
         );
     }
     {
-        struct OutcomePart<'a, A> {
+        struct OutcomePart<'a> {
             chunk: OutcomeChunk<'a>,
-            agents: A,
+            agents: &'a mut [AnyAgent],
             snapshots: ColumnsMut<'a>,
             next: &'a mut [Action],
             outcomes: Option<&'a mut [Outcome]>,
@@ -1641,10 +1173,10 @@ fn run_batched_round<A: BatchAgents>(
             /// This chunk's first recruiter rank (call cursor start).
             cursor: usize,
         }
-        let slots: [Mutex<Option<OutcomePart<'_, A>>>; MAX_ROUND_THREADS] =
+        let slots: [Mutex<Option<OutcomePart<'_>>>; MAX_ROUND_THREADS] =
             std::array::from_fn(|_| Mutex::new(None));
         let (full_chunk, ctx) = env.outcome_view();
-        let mut rest_agents = Some(full_agents);
+        let mut rest_agents = full_agents;
         let mut rest_snapshots = Some(full_snapshots);
         let mut rest_chunk = Some(full_chunk);
         let mut rest_next = scratch.next_actions.as_mut_slice();
@@ -1663,11 +1195,8 @@ fn run_batched_round<A: BatchAgents>(
                 rest_chunk = Some(tail);
                 head
             };
-            let (agents, tail) = rest_agents
-                .take()
-                .expect("agents remainder")
-                .split_band(len);
-            rest_agents = Some(tail);
+            let (agents, tail) = std::mem::take(&mut rest_agents).split_at_mut(len);
+            rest_agents = tail;
             let snapshots = if part + 1 == threads {
                 rest_snapshots.take().expect("columns remainder")
             } else {
@@ -1700,39 +1229,30 @@ fn run_batched_round<A: BatchAgents>(
         }
         let actions = scratch.actions.as_slice();
         let ran = scratch.ran.as_slice();
-        scatter(pool, threads, &slots, |_, part: OutcomePart<'_, A>| {
+        scatter(pool, threads, &slots, |_, part: OutcomePart<'_>| {
             let OutcomePart {
                 mut chunk,
-                mut agents,
+                agents,
                 mut snapshots,
                 next,
                 mut outcomes,
                 scratch,
                 mut cursor,
             } = part;
-            // Disjoint borrows: the outcome closure owns the chunk +
-            // cursor, the sink owns the snapshot/census/tally side, and
-            // the plane buffers go to the backing store's batched pass.
-            let WorkerScratch {
-                census,
-                tally,
-                plane,
-                ..
-            } = scratch;
+            let WorkerScratch { census, tally, .. } = scratch;
             census.clear();
             tally.clear();
-            plane.enabled = draw_planes;
             let start = chunk.start();
-            let ran = &ran[start..start + next.len()];
-            let mut outcome_of = |local: usize| {
+            for (local, agent) in agents.iter_mut().enumerate() {
+                // Every row computes its outcome, in order: that advances
+                // the chunk's recruit-call cursor.
                 let idx = start + local;
                 let outcome = chunk.outcome(&ctx, idx, actions[idx], &mut cursor);
                 if let Some(out) = outcomes.as_deref_mut() {
                     out[local] = outcome;
                 }
-                outcome
-            };
-            let mut sink = |local: usize, action: Action, new: AgentSnapshot| {
+                let observed = ran[idx].then_some(&outcome);
+                let (action, new) = agent.observe_choose(round, observed);
                 next[local] = action;
                 let old = snapshots.get(local);
                 if new != old {
@@ -1740,27 +1260,9 @@ fn run_batched_round<A: BatchAgents>(
                     tally.apply(&old, &new);
                     snapshots.set(local, new);
                 }
-            };
-            agents.observe_choose_all(round, ran, &mut outcome_of, &mut sink, plane);
+            }
         });
     }
-}
-
-/// The round barrier shared by the fast and table paths: fold the
-/// per-chunk census/tally deltas in chunk order, then export the
-/// recruitment pairs into the report.
-fn finish_round(
-    env: &mut Environment,
-    colony: &mut Colony,
-    scratch: &mut RoundScratch,
-    worker_scratch: &[WorkerScratch],
-    live: &mut LiveTally,
-) {
-    for ws in worker_scratch.iter() {
-        colony.apply_census_delta(&ws.census);
-        live.apply_delta(&ws.tally);
-    }
-    env.export_pairs(&mut scratch.report);
 }
 
 #[cfg(test)]
@@ -2196,56 +1698,25 @@ mod tests {
     }
 
     #[test]
-    fn agent_columns_engage_exactly_for_uniform_unperturbed_soa() {
-        // Uniform SimpleAnt colony, default (SoA) engine: batched.
-        let sim = Simulation::new(env(32, 2, 70), colony::simple(32, 70)).unwrap();
-        assert!(sim.uses_agent_columns());
-        // Scalar oracle: never batched.
-        assert!(!sim.with_engine(EngineKind::Scalar).uses_agent_columns());
-        // Uniform optimal colony: dense rows, batched.
-        let sim = Simulation::new(env(32, 3, 70), colony::optimal(32)).unwrap();
-        assert!(sim.uses_agent_columns());
-        // Heterogeneous colony (two algorithms): never batched.
-        let mut mixed = colony::simple(32, 70);
-        mixed.replace(0, hh_core::OptimalAnt::new());
-        let sim = Simulation::new(env(32, 2, 70), mixed).unwrap();
-        assert!(!sim.uses_agent_columns());
-        // Perturbed runs stay on the per-round engine.
-        use hh_model::faults::{CrashPlan, CrashStyle};
-        let perturbations = Perturbations {
-            crash: CrashPlan::fraction(32, 0.1, 2, CrashStyle::InPlace, 70),
-            delay: DelayPlan::never(),
-        };
-        let sim = Simulation::with_perturbations(
-            env(32, 2, 70),
-            colony::simple(32, 70),
-            Some(perturbations),
-        )
-        .unwrap();
-        assert!(!sim.uses_agent_columns());
-    }
-
-    #[test]
-    fn table_runs_interleave_with_stepping_bit_identically() {
-        // Crossing the gather/scatter boundary repeatedly — convergence
-        // runs (table path) interleaved with single steps (agent-vector
-        // path) — must match an uninterrupted scalar-engine twin: the
-        // scatter restores agent state *and* draw keys exactly.
+    fn convergence_runs_interleave_with_stepping_bit_identically() {
+        // Convergence runs (eliding the outcome buffer) interleaved with
+        // single materializing steps must match an uninterrupted
+        // scalar-engine twin: the pre-chosen pipeline carries across
+        // every run/step boundary.
         let n = 128;
         let rule = ConvergenceRule::stable_commitment(2);
-        let mut table = Simulation::new(env(n, 3, 83), colony::simple(n, 83)).unwrap();
+        let mut soa = Simulation::new(env(n, 3, 83), colony::simple(n, 83)).unwrap();
         let mut oracle = Simulation::new(env(n, 3, 83), colony::simple(n, 83))
             .unwrap()
             .with_engine(EngineKind::Scalar);
-        assert!(table.uses_agent_columns());
         for _ in 0..4 {
-            let a = table.run_to_convergence(rule, 25).unwrap();
+            let a = soa.run_to_convergence(rule, 25).unwrap();
             let b = oracle.run_to_convergence(rule, 25).unwrap();
             assert_eq!(a, b);
-            assert_eq!(table.step().unwrap(), oracle.step().unwrap());
+            assert_eq!(soa.step().unwrap(), oracle.step().unwrap());
         }
-        assert_eq!(table.role_census(), oracle.role_census());
-        assert_eq!(table.env().counts(), oracle.env().counts());
-        assert_eq!(table.env().locations(), oracle.env().locations());
+        assert_eq!(soa.role_census(), oracle.role_census());
+        assert_eq!(soa.env().counts(), oracle.env().counts());
+        assert_eq!(soa.env().locations(), oracle.env().locations());
     }
 }

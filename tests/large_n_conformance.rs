@@ -119,10 +119,10 @@ fn large_scenarios_match_the_scalar_oracle() {
 
 #[test]
 #[ignore = "release-mode CI job; run with -- --ignored"]
-fn large_uniform_colony_agent_columns_match_the_scalar_oracle() {
-    // The n = 4096 catalog entries run optimal ants, which the batched
-    // agent-state table does not cover; this row holds the table path
-    // itself to the oracle at a size past every catalog colony.
+fn large_uniform_colony_fast_path_matches_the_scalar_oracle() {
+    // The n = 4096 catalog entries run optimal ants; this row holds the
+    // fast path over a simple colony to the oracle at a size past every
+    // catalog colony.
     let n = 8192;
     let seed = 97;
     let build = |engine: EngineKind, threads: usize| {
@@ -144,14 +144,10 @@ fn large_uniform_colony_agent_columns_match_the_scalar_oracle() {
     );
     for threads in [1usize, 8] {
         let mut soa = build(EngineKind::Soa, threads);
-        assert!(
-            soa.uses_agent_columns(),
-            "a uniform simple colony must engage the agent-state table"
-        );
         let outcome = soa.run_to_convergence(rule, 20_000).expect("SoA runs");
         assert_eq!(
             expected, outcome,
-            "agent-column path diverged from the scalar oracle at \
+            "fast path diverged from the scalar oracle at \
              {threads} round threads (n = {n})"
         );
         assert_eq!(oracle.role_census(), soa.role_census());

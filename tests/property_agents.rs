@@ -193,43 +193,21 @@ proptest! {
                     sim.run_to_convergence(ConvergenceRule::commitment(), 3).unwrap();
                 }
             }
-            // `colony()`/`agents()` take `&mut self` since the lazy-scatter
-            // seam (they force a table → agent sync), so collect owned data
-            // in separate scopes before comparing.
             let round = sim.round();
-            let cached: Vec<_> = {
-                let columns = sim.colony().snapshot_columns();
-                prop_assert_eq!(columns.len(), n);
-                (0..n)
-                    .map(|idx| {
-                        (
-                            columns.get(idx),
-                            columns.role(idx),
-                            columns.committed(idx),
-                            columns.honest(idx),
-                            columns.is_final(idx),
-                        )
-                    })
-                    .collect()
-            };
-            let live: Vec<_> = sim
-                .agents()
-                .iter()
-                .map(|agent| (AgentSnapshot::of(agent), agent.label().to_string()))
-                .collect();
-            for (idx, ((cached, role, committed, honest, is_final), (live, label))) in
-                cached.into_iter().zip(&live).enumerate()
-            {
+            let columns = sim.colony().snapshot_columns();
+            prop_assert_eq!(columns.len(), n);
+            for (idx, agent) in sim.agents().iter().enumerate() {
+                let live = AgentSnapshot::of(agent);
                 prop_assert_eq!(
-                    &cached, live,
+                    columns.get(idx), live,
                     "after round {}: column row {} drifted from its agent ({})",
-                    round, idx, label
+                    round, idx, agent.label()
                 );
                 // The single-column reads agree with the assembled row.
-                prop_assert_eq!(role, live.role);
-                prop_assert_eq!(committed, live.committed);
-                prop_assert_eq!(honest, live.honest);
-                prop_assert_eq!(is_final, live.is_final);
+                prop_assert_eq!(columns.role(idx), live.role);
+                prop_assert_eq!(columns.committed(idx), live.committed);
+                prop_assert_eq!(columns.honest(idx), live.honest);
+                prop_assert_eq!(columns.is_final(idx), live.is_final);
                 // A committed nest is always one the environment says the
                 // ant knows — the commitment column can only name rows of
                 // the ant's candidate set.

@@ -187,17 +187,14 @@ proptest! {
         }
     }
 
-    /// The round-level draw planes are bit-identical to the scalar
-    /// oracle by construction: forcing the batched agent-state table
-    /// from round 1 (`with_table_min_rounds(1)`) with plane consumption
-    /// on (`with_draw_planes(true)` — it is opt-in) under adversarial
-    /// chunk bounds and every covered thread count must reproduce the
-    /// oracle exactly — across every colony family on the column path (simple,
-    /// optimal, quality, spreader), with `agents()` reads interleaved
-    /// mid-run so the lazy table → agent scatter is exercised at
-    /// arbitrary step/run/read boundaries, not just run exits.
+    /// The fast path under adversarial chunk bounds and every covered
+    /// thread count must reproduce the scalar oracle exactly — across
+    /// the simple, optimal, quality, and spreader families — with
+    /// `step`, `run_to_convergence`, and `agents()` reads interleaved at
+    /// arbitrary boundaries, so the pre-chosen pipeline is crossed by
+    /// materializing steps, eliding runs, and reads alike.
     #[test]
-    fn forced_draw_planes_match_the_oracle_across_interleaved_reads(
+    fn fast_path_matches_the_oracle_across_interleaved_reads(
         n in 4usize..72,
         k in 2usize..5,
         seed in any::<u64>(),
@@ -234,16 +231,9 @@ proptest! {
         let mut soa = build(EngineKind::Soa)
             .unwrap()
             .with_round_threads(threads)
-            .with_chunk_bounds(bounds)
-            .with_table_min_rounds(1)
-            .with_draw_planes(true);
-        prop_assert!(
-            soa.uses_agent_columns(),
-            "family {} must ride the batched agent-state table", family
-        );
+            .with_chunk_bounds(bounds);
         let rule = ConvergenceRule::commitment();
-        let snapshots = |sim: &mut Simulation| -> Vec<AgentSnapshot> {
-            // `agents()` forces the lazy table → agent scatter.
+        let snapshots = |sim: &Simulation| -> Vec<AgentSnapshot> {
             sim.agents().iter().map(AgentSnapshot::of).collect()
         };
         for (at, &op) in ops.iter().enumerate() {
@@ -266,8 +256,8 @@ proptest! {
                 }
                 _ => {
                     prop_assert_eq!(
-                        snapshots(&mut oracle), snapshots(&mut soa),
-                        "op {}: scattered agents diverged from the oracle", at
+                        snapshots(&oracle), snapshots(&soa),
+                        "op {}: agents diverged from the oracle", at
                     );
                 }
             }
@@ -277,8 +267,8 @@ proptest! {
             prop_assert_eq!(oracle.role_census(), soa.role_census());
         }
         prop_assert_eq!(
-            snapshots(&mut oracle), snapshots(&mut soa),
-            "final scatter diverged from the oracle"
+            snapshots(&oracle), snapshots(&soa),
+            "final agents diverged from the oracle"
         );
     }
 }

@@ -226,11 +226,6 @@ fn adversarial_chunk_bounds_match_the_scalar_oracle() {
             .build(seed)
             .expect("SoA builds")
             .with_chunk_bounds(bounds.clone());
-        assert!(
-            sim.uses_agent_columns(),
-            "baseline-128 is a uniform simple colony: the batched \
-             agent-state table must engage"
-        );
         let outcome = sim.run_to_convergence(rule, budget).expect("SoA runs");
         assert_eq!(
             expected, outcome,
@@ -239,40 +234,10 @@ fn adversarial_chunk_bounds_match_the_scalar_oracle() {
     }
 }
 
-/// The batched agent-state table engages exactly for homogeneous
-/// colonies: uniform simple/adaptive mixes (idlers included) and — since
-/// the dense-row extension — uniform optimal/quality/spreader colonies
-/// qualify; heterogeneous and Byzantine mixes fall back to the
-/// `AnyAgent` path.
-#[test]
-fn agent_columns_engage_for_homogeneous_catalog_entries() {
-    let expectations = [
-        ("baseline-128", true),
-        ("idle-quarter-128", true),
-        ("optimal-1024", true),
-        ("mega-colony-4096", true),
-        ("quality-tie-128", true),
-        ("spreader-rumor-512", true),
-        ("hetero-simple-adaptive-256", false),
-        ("byzantine-handful-96", false),
-    ];
-    for (name, batched) in expectations {
-        let scenario = registry::lookup(name).unwrap_or_else(|| panic!("{name} is registered"));
-        let sim = scenario
-            .build(scenario.base_seed())
-            .unwrap_or_else(|e| panic!("{name} builds: {e}"));
-        assert_eq!(
-            sim.uses_agent_columns(),
-            batched,
-            "{name}: unexpected agent-column engagement"
-        );
-    }
-}
-
-/// A colony containing boxed `Custom` agents defeats the homogeneity
-/// detection by construction (the concrete type is erased), so the
-/// engine must fall back to the `AnyAgent` path — and stay bit-identical
-/// to the scalar oracle there, at every covered thread count.
+/// Boxed `Custom` agents pay a vtable call per method inside the fast
+/// path's `AnyAgent` dispatch; a colony mixing them with built-in
+/// agents must stay bit-identical to the scalar oracle at every covered
+/// thread count.
 #[test]
 fn custom_boxed_agents_fall_back_bit_identically() {
     let n = 96;
@@ -292,16 +257,11 @@ fn custom_boxed_agents_fall_back_bit_identically() {
     };
     let rule = ConvergenceRule::stable_commitment(2);
     let mut oracle = build(EngineKind::Scalar, 1);
-    assert!(!oracle.uses_agent_columns());
     let expected = oracle
         .run_to_convergence(rule, 10_000)
         .expect("oracle runs");
     for threads in [1usize, 2, 8] {
         let mut soa = build(EngineKind::Soa, threads);
-        assert!(
-            !soa.uses_agent_columns(),
-            "boxed custom agents must force the AnyAgent fallback"
-        );
         let outcome = soa.run_to_convergence(rule, 10_000).expect("SoA runs");
         assert_eq!(
             expected, outcome,
