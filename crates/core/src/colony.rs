@@ -4,13 +4,12 @@
 //! one per ant, indexed by [`AntId`](hh_model::AntId). [`Colony`] stores
 //! the agents as one contiguous `Vec<AnyAgent>` (static dispatch, cache
 //! friendly) and caches each agent's harness-observable state — honesty,
-//! [`AgentRole`], committed nest, finality — in struct-of-arrays form
-//! ([`SnapshotColumns`]: four dense
-//! parallel columns), maintaining the aggregate [`RoleCensus`]
-//! incrementally. [`AgentSnapshot`] is the scalar assemble/disassemble
-//! view of one column row. The executor in `hh-sim` refreshes exactly
-//! the agents it stepped each round ([`Colony::refresh`]), so census
-//! queries are O(1) instead of an O(n) rescan with a dispatch per agent.
+//! [`AgentRole`], committed nest, finality — as one [`AgentSnapshot`]
+//! per ant in a parallel `Vec<AgentSnapshot>`, maintaining the aggregate
+//! [`RoleCensus`] incrementally. The executor in `hh-sim` refreshes
+//! exactly the agents it stepped each round ([`Colony::refresh`]), so
+//! census queries are O(1) instead of an O(n) rescan with a dispatch per
+//! agent.
 //!
 //! The free functions build the standard homogeneous colonies (one per
 //! algorithm) with per-ant seeds derived deterministically from a single
@@ -33,7 +32,6 @@ use hh_model::NestId;
 use crate::adaptive::{AdaptiveAnt, AdaptivePolicy};
 use crate::agent::{Agent, AgentRole, BoxedAgent};
 use crate::any::AnyAgent;
-use crate::columns::{ColumnsMut, SnapshotColumns};
 use crate::optimal::OptimalAnt;
 use crate::quality::QualityAnt;
 use crate::simple::{SimpleAnt, UrnOptions};
@@ -220,7 +218,8 @@ impl AgentSnapshot {
 /// without a rescan.
 pub struct Colony {
     agents: Vec<AnyAgent>,
-    columns: SnapshotColumns,
+    /// `snapshots[i]` caches `agents[i]`'s observable state.
+    snapshots: Vec<AgentSnapshot>,
     census: RoleCensus,
     stale: bool,
 }
@@ -231,7 +230,7 @@ impl Colony {
     pub fn new() -> Self {
         Self {
             agents: Vec::new(),
-            columns: SnapshotColumns::new(),
+            snapshots: Vec::new(),
             census: RoleCensus::default(),
             stale: false,
         }
@@ -242,7 +241,7 @@ impl Colony {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             agents: Vec::with_capacity(n),
-            columns: SnapshotColumns::with_capacity(n),
+            snapshots: Vec::with_capacity(n),
             census: RoleCensus::default(),
             stale: false,
         }
@@ -253,7 +252,7 @@ impl Colony {
         let agent = agent.into();
         let snapshot = AgentSnapshot::of(&agent);
         self.census.add(&snapshot);
-        self.columns.push(snapshot);
+        self.snapshots.push(snapshot);
         self.agents.push(agent);
     }
 
@@ -265,9 +264,9 @@ impl Colony {
     pub fn replace(&mut self, index: usize, agent: impl Into<AnyAgent>) {
         let agent = agent.into();
         let snapshot = AgentSnapshot::of(&agent);
-        self.census.remove(&self.columns.get(index));
+        self.census.remove(&self.snapshots[index]);
         self.census.add(&snapshot);
-        self.columns.set(index, snapshot);
+        self.snapshots[index] = snapshot;
         self.agents[index] = agent;
     }
 
@@ -297,12 +296,12 @@ impl Colony {
         if !self.stale {
             return;
         }
-        self.columns.clear();
+        self.snapshots.clear();
+        self.snapshots
+            .extend(self.agents.iter().map(AnyAgent::snapshot));
         self.census = RoleCensus::default();
-        for agent in &self.agents {
-            let snapshot = AgentSnapshot::of(agent);
-            self.census.add(&snapshot);
-            self.columns.push(snapshot);
+        for snapshot in &self.snapshots {
+            self.census.add(snapshot);
         }
         self.stale = false;
     }
@@ -318,9 +317,8 @@ impl Colony {
         }
     }
 
-    /// Agent `index`'s cached snapshot, assembled from the columns. Call
-    /// [`sync`](Colony::sync) first if the colony was mutated through
-    /// [`agents_mut`](Colony::agents_mut).
+    /// Agent `index`'s cached snapshot. Call [`sync`](Colony::sync) first
+    /// if the colony was mutated through [`agents_mut`](Colony::agents_mut).
     ///
     /// # Panics
     ///
@@ -329,23 +327,14 @@ impl Colony {
     #[must_use]
     pub fn snapshot(&self, index: usize) -> AgentSnapshot {
         debug_assert!(!self.stale, "snapshot read while stale; call sync()");
-        self.columns.get(index)
+        self.snapshots[index]
     }
 
     /// Iterates the cached per-agent snapshots in ant order. Same
     /// staleness contract as [`snapshot`](Colony::snapshot).
     pub fn iter_snapshots(&self) -> impl Iterator<Item = AgentSnapshot> + '_ {
         debug_assert!(!self.stale, "snapshots read while stale; call sync()");
-        self.columns.iter()
-    }
-
-    /// The snapshot cache in its native struct-of-arrays layout, for
-    /// column-wise readers (detectors, metrics) and the equivalence
-    /// tests. Same staleness contract as [`snapshot`](Colony::snapshot).
-    #[must_use]
-    pub fn snapshot_columns(&self) -> &SnapshotColumns {
-        debug_assert!(!self.stale, "columns read while stale; call sync()");
-        &self.columns
+        self.snapshots.iter().copied()
     }
 
     /// Executor hot path: forwards [`Agent::choose`] for ant `index`.
@@ -381,44 +370,30 @@ impl Colony {
     #[inline]
     pub fn refresh(&mut self, index: usize) -> (AgentSnapshot, AgentSnapshot) {
         let new = self.agents[index].snapshot();
-        let old = self.absorb(index, new);
+        let old = std::mem::replace(&mut self.snapshots[index], new);
+        // Honesty can vary for Custom agents, and the census only counts
+        // honest agents — so a flip on either axis re-buckets.
+        if new.role != old.role || new.honest != old.honest {
+            self.census.remove(&old);
+            self.census.add(&new);
+        }
         (old, new)
     }
 
-    /// The executor's fused per-ant round transition: observe (when the
-    /// agent's action ran), choose the next round's action, and refresh
-    /// the snapshot — one agent dispatch, one cache visit. Returns the
-    /// chosen action plus the `(old, new)` snapshots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[inline]
-    pub fn observe_choose(
-        &mut self,
-        index: usize,
-        round: u64,
-        outcome: Option<&hh_model::Outcome>,
-    ) -> (hh_model::Action, (AgentSnapshot, AgentSnapshot)) {
-        let (action, new) = self.agents[index].observe_choose(round, outcome);
-        let old = self.absorb(index, new);
-        (action, (old, new))
-    }
-
     /// Executor parallel hot path: simultaneous mutable access to the
-    /// agents and their cached snapshot columns, for splitting into
-    /// disjoint ant chunks ([`ColumnsMut::split_at_mut`]).
+    /// agents and their cached snapshots, two equal-length slices indexed
+    /// by ant id, for splitting into disjoint ant chunks with
+    /// `split_at_mut`.
     ///
     /// Unlike [`agents_mut`](Colony::agents_mut) this does **not** mark
     /// the caches stale: the caller contracts to keep each touched
-    /// agent's column row current itself (write the agent's freshly
-    /// computed snapshot back into its row) and to fold the resulting
-    /// census changes in via
-    /// [`apply_census_delta`](Colony::apply_census_delta) before the next
-    /// census query.
-    pub fn engine_split(&mut self) -> (&mut [AnyAgent], ColumnsMut<'_>) {
+    /// agent's snapshot current itself (overwrite it with the agent's
+    /// freshly computed snapshot) and to fold the resulting census
+    /// changes in via [`apply_census_delta`](Colony::apply_census_delta)
+    /// before the next census query.
+    pub fn engine_split(&mut self) -> (&mut [AnyAgent], &mut [AgentSnapshot]) {
         debug_assert!(!self.stale, "engine_split on a stale colony; call sync()");
-        (&mut self.agents, self.columns.as_band_mut())
+        (&mut self.agents, &mut self.snapshots)
     }
 
     /// Folds a per-worker [`CensusDelta`] (accumulated against
@@ -430,23 +405,6 @@ impl Colony {
     /// Panics if a census bucket would underflow.
     pub fn apply_census_delta(&mut self, delta: &CensusDelta) {
         self.census.apply_delta(delta);
-    }
-
-    /// Stores agent `index`'s freshly computed snapshot, updating the
-    /// census on role changes; returns the previous snapshot.
-    #[inline]
-    fn absorb(&mut self, index: usize, new: AgentSnapshot) -> AgentSnapshot {
-        let old = self.columns.get(index);
-        if new != old {
-            // Honesty can vary for Custom agents, and the census only
-            // counts honest agents — so a flip on either axis re-buckets.
-            if new.role != old.role || new.honest != old.honest {
-                self.census.remove(&old);
-                self.census.add(&new);
-            }
-            self.columns.set(index, new);
-        }
-        old
     }
 }
 
@@ -475,19 +433,14 @@ impl std::fmt::Debug for Colony {
 
 impl From<Vec<AnyAgent>> for Colony {
     fn from(agents: Vec<AnyAgent>) -> Self {
-        let mut columns = SnapshotColumns::with_capacity(agents.len());
-        let mut census = RoleCensus::default();
-        for agent in &agents {
-            let snapshot = AgentSnapshot::of(agent);
-            census.add(&snapshot);
-            columns.push(snapshot);
-        }
-        Self {
+        let mut colony = Self {
             agents,
-            columns,
-            census,
-            stale: false,
-        }
+            snapshots: Vec::new(),
+            census: RoleCensus::default(),
+            stale: true,
+        };
+        colony.sync();
+        colony
     }
 }
 

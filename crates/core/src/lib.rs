@@ -71,7 +71,6 @@ mod spreader;
 
 pub mod byzantine;
 pub mod colony;
-pub mod columns;
 pub mod problem;
 
 #[cfg(test)]
@@ -82,7 +81,6 @@ pub use agent::{Agent, AgentRole, BoxedAgent, CyclePhase};
 pub use any::AnyAgent;
 pub use byzantine::{BadNestRecruiter, OscillatorAnt, SleeperAnt};
 pub use colony::{AgentSnapshot, CensusDelta, Colony, RoleCensus};
-pub use columns::{ColumnsMut, SnapshotColumns};
 pub use idle::IdlerAnt;
 pub use optimal::OptimalAnt;
 pub use quality::QualityAnt;

@@ -23,15 +23,9 @@ pub const ENGINE_PREFIXES: [&str; 3] = ["crates/model/src/", "crates/core/src/",
 pub const CHUNK_PHASE_FILES: [&str; 1] = ["crates/sim/src/executor.rs"];
 
 /// Types whose `impl` blocks are chunk-phase code wherever they live:
-/// the per-chunk round views workers iterate in parallel and the SoA
-/// snapshot-column bands the executor splits across workers. Their
-/// impls must draw only from per-ant randomness.
-pub const CHUNK_PHASE_TYPES: [&str; 4] = [
-    "RelocationChunk",
-    "OutcomeChunk",
-    "ColumnsMut",
-    "SnapshotColumns",
-];
+/// the per-chunk round views workers iterate in parallel. Their impls
+/// must draw only from per-ant randomness.
+pub const CHUNK_PHASE_TYPES: [&str; 2] = ["RelocationChunk", "OutcomeChunk"];
 
 /// Method names that advance an RNG stream on their receiver. A call to
 /// one of these inside the executor's shared round bodies is raw
@@ -445,26 +439,6 @@ mod tests {
         let wrong = "// hh-lint: allow(wall-clock)\nuse std::collections::HashMap;\n";
         assert!(lint_source("crates/core/src/x.rs", waived).is_empty());
         assert_eq!(lint_source("crates/core/src/x.rs", wrong).len(), 1);
-    }
-
-    #[test]
-    fn soa_column_impls_are_chunk_phase_scope() {
-        // The SoA band types run under the worker pool: a shared-stream
-        // draw inside their impls is flagged wherever the impl lives,
-        // while per-ant streams stay allowed.
-        let shared =
-            "impl<'a> ColumnsMut<'a> {\n    fn f(&self) { let _ = StreamKind::Environment; }\n}\n";
-        let diags = lint_source("crates/core/src/columns.rs", shared);
-        assert!(
-            diags.iter().any(|d| d.rule == "shared-stream"),
-            "shared draw inside a ColumnsMut impl must be flagged: {diags:?}"
-        );
-        let per_ant = "impl SnapshotColumns {\n    fn f(&self) { let _ = StreamKind::AgentEnvironment; }\n}\n";
-        assert!(lint_source("crates/core/src/columns.rs", per_ant).is_empty());
-        // Outside the impl block the shared stream is fine (it is not
-        // chunk-phase code).
-        let outside = "fn f() { let _ = StreamKind::Environment; }\n";
-        assert!(lint_source("crates/core/src/columns.rs", outside).is_empty());
     }
 
     #[test]

@@ -92,11 +92,10 @@ pub struct Environment {
     noise_rngs: Vec<SmallRng>,
     noise: NoiseModel,
     reveal_quality_on_go: bool,
-    /// Reused across rounds by [`Environment::step_into`] so steady-state
-    /// stepping allocates nothing.
+    /// Reused across rounds by [`pair_round`](Environment::pair_round)
+    /// so steady-state stepping allocates nothing.
     scratch_pairing: Pairing,
     scratch_perm: Vec<u32>,
-    scratch_counts: Vec<usize>,
 }
 
 /// Everything the environment reports about one executed round.
@@ -158,7 +157,6 @@ impl Environment {
             reveal_quality_on_go: config.go_reveals_quality(),
             scratch_pairing: Pairing::default(),
             scratch_perm: Vec::new(),
-            scratch_counts: Vec::new(),
         })
     }
 
@@ -290,7 +288,11 @@ impl Environment {
     /// Executes one synchronous round: exactly one action per ant.
     ///
     /// All validation happens before any state changes, so a failed step
-    /// leaves the environment untouched.
+    /// leaves the environment untouched. The round is resolved through
+    /// the same chunk views the `hh-sim` executor splits across workers
+    /// ([`relocation_view`](Self::relocation_view) and
+    /// [`outcome_view`](Self::outcome_view), here as one full-range
+    /// chunk), so every caller draws the same streams.
     ///
     /// # Errors
     ///
@@ -302,70 +304,22 @@ impl Environment {
     ///   visited nor been recruited to (in particular, any non-`search`
     ///   call in round 1).
     pub fn step(&mut self, actions: &[Action]) -> Result<StepReport, ModelError> {
-        let mut report = StepReport::default();
-        self.step_into(actions, &mut report)?;
-        Ok(report)
-    }
-
-    /// [`step`](Self::step) into a caller-owned report: the report's
-    /// vectors are cleared and refilled, so an executor that passes the
-    /// same report every round allocates nothing at steady state. The
-    /// random streams are identical to [`step`](Self::step)'s.
-    ///
-    /// On error the environment *and* the report are left untouched.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`step`](Self::step).
-    pub fn step_into(
-        &mut self,
-        actions: &[Action],
-        report: &mut StepReport,
-    ) -> Result<(), ModelError> {
         self.validate(actions)?;
-        self.step_into_prevalidated(actions, report);
-        Ok(())
-    }
-
-    /// [`step_into`](Self::step_into) minus the validation pass, for
-    /// callers that have already checked every action — the `hh-sim`
-    /// executor validates per ant to sandbox illegal actions, so a second
-    /// full validation here would be pure duplicated work in the hot
-    /// loop.
-    ///
-    /// Every action **must** satisfy [`check_action`](Self::check_action)
-    /// and `actions.len()` must equal `n`; debug builds assert this,
-    /// release builds may panic on out-of-range indices or silently
-    /// mis-resolve the round otherwise.
-    pub fn step_into_prevalidated(&mut self, actions: &[Action], report: &mut StepReport) {
-        debug_assert!(self.validate(actions).is_ok(), "caller must pre-validate");
-        self.resolve_round(actions, report);
-        self.materialize_outcomes(actions, report);
-        self.export_pairs(report);
-    }
-
-    /// Phases 1–3 of a round: relocation + population tally + recruit
-    /// call collection, the pairing, recruitment learning, and the round
-    /// counter. Leaves `report.outcomes`/`pairs` untouched.
-    ///
-    /// Implemented over the same chunk-view primitives the `hh-sim`
-    /// worker pool uses ([`relocation_view`](Self::relocation_view) with
-    /// one full-range chunk), so the serial and chunked round paths are
-    /// one stochastic process by construction.
-    fn resolve_round(&mut self, actions: &[Action], report: &mut StepReport) {
-        report.recruitment.calls.clear();
-        let mut counts = std::mem::take(&mut self.scratch_counts);
-        counts.clear();
-        counts.resize(self.k() + 1, 0);
-        {
-            let mut view = self.relocation_view();
-            for (idx, action) in actions.iter().enumerate() {
-                view.apply(idx, *action, &mut counts, &mut report.recruitment.calls);
-            }
-        }
+        let mut report = StepReport::default();
+        let mut counts = vec![0; self.k() + 1];
+        self.relocation_view()
+            .apply_all(actions, &mut counts, &mut report.recruitment.calls);
         self.merge_counts(std::iter::once(counts.as_slice()));
-        self.scratch_counts = counts;
         self.pair_round(&report.recruitment.calls);
+        let (mut chunk, ctx) = self.outcome_view();
+        let mut call_cursor = 0usize;
+        report.outcomes = actions
+            .iter()
+            .enumerate()
+            .map(|(idx, action)| chunk.outcome(&ctx, idx, *action, &mut call_cursor))
+            .collect();
+        self.export_pairs(&mut report);
+        Ok(report)
     }
 
     /// The full-colony per-ant relocation view — phase 1 of a chunked
@@ -435,7 +389,7 @@ impl Environment {
     }
 
     /// Copies the just-paired round's matched pairs into the report —
-    /// shared tail of every step variant.
+    /// shared tail of [`step`](Self::step) and the executor's rounds.
     pub fn export_pairs(&self, report: &mut StepReport) {
         report.recruitment.pairs.clear();
         report
@@ -466,18 +420,6 @@ impl Environment {
                 pairing: &self.scratch_pairing,
             },
         )
-    }
-
-    /// Phase 4 for the materializing step variants.
-    fn materialize_outcomes(&mut self, actions: &[Action], report: &mut StepReport) {
-        report.outcomes.clear();
-        report.outcomes.reserve(actions.len());
-        let (mut chunk, ctx) = self.outcome_view();
-        let mut call_cursor = 0usize;
-        for (idx, action) in actions.iter().enumerate() {
-            let outcome = chunk.outcome(&ctx, idx, *action, &mut call_cursor);
-            report.outcomes.push(outcome);
-        }
     }
 
     /// Checks whether `ant` may legally perform `action` in the next round

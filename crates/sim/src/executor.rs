@@ -17,9 +17,10 @@
 //!
 //! * **Zero allocation at steady state.** The per-round action buffer,
 //!   the chose/ran bitmasks, and the environment's [`StepReport`] live in
-//!   a persistent [`RoundScratch`]; the environment's own pairing scratch
-//!   is reused the same way ([`Environment::step_into`]). After the first
-//!   round, stepping allocates nothing.
+//!   a persistent [`RoundScratch`]; the environment resolves each round
+//!   in place through its chunk views ([`Environment::relocation_view`],
+//!   [`Environment::outcome_view`]) and reuses its pairing scratch.
+//!   After the first round, stepping allocates nothing.
 //! * **Static dispatch.** Agents are [`AnyAgent`](hh_core::AnyAgent)
 //!   variants in one contiguous vector; only the `Custom` escape hatch
 //!   pays a vtable call.
@@ -47,8 +48,7 @@
 use std::sync::Mutex;
 
 use hh_core::colony::AgentSnapshot;
-use hh_core::columns::ColumnsMut;
-use hh_core::{Agent, AnyAgent, CensusDelta, Colony};
+use hh_core::{AnyAgent, CensusDelta, Colony};
 use hh_model::faults::{noop_action, CrashPlan, CrashStyle, DelayPlan};
 use hh_model::recruitment::RecruitCall;
 use hh_model::{
@@ -100,9 +100,9 @@ pub enum EngineKind {
     /// simplest correct rendering of the round semantics, kept as the
     /// reference the SoA engine is distribution-identity-tested against.
     Scalar,
-    /// The struct-of-arrays fast path: fused observe/choose/refresh over
-    /// the colony's flat snapshot columns, batched per-ant RNG draws,
-    /// and optional intra-round chunk parallelism
+    /// The fast path: one fused observe/choose/refresh pass per round
+    /// over the colony's agents and cached snapshots, batched per-ant RNG
+    /// draws, and optional intra-round chunk parallelism
     /// ([`Simulation::with_round_threads`]).
     #[default]
     Soa,
@@ -610,7 +610,7 @@ impl Simulation {
     }
 
     /// Every agent's observable state, in ant order — served from the
-    /// colony's snapshot columns, which both engines keep current every
+    /// colony's snapshot cache, which both engines keep current every
     /// round.
     pub fn iter_snapshots(&self) -> impl Iterator<Item = AgentSnapshot> + '_ {
         self.colony.iter_snapshots()
@@ -662,8 +662,10 @@ impl Simulation {
     /// exactly ONE pass over the agents per round: round r's observe is
     /// fused with round r+1's choose (agents are independent, and
     /// between rounds nothing else touches them), and the pre-chosen
-    /// actions are stashed in `next_actions` for the next step. Only the
-    /// first round after construction runs a dedicated choose pass.
+    /// actions are stashed in `next_actions` for the next step. Only a
+    /// round that finds the pipeline unprimed — the first fast-path
+    /// round, or the first after a switch back from
+    /// [`EngineKind::Scalar`] — runs a dedicated serial choose pass.
     ///
     /// Both per-ant phases (validate/relocate/tally, then the fused
     /// outcome/observe/choose/refresh pass) run over `round_threads`
@@ -694,15 +696,9 @@ impl Simulation {
         } = self;
         if !prechosen {
             scratch.next_actions.clear();
-            scratch.next_actions.resize(n, Action::Search);
-            let (agents, _) = colony.engine_split();
-            prime_choose_pass(
-                agents,
-                &mut scratch.next_actions,
-                pool.as_mut(),
-                chunk_bounds,
-                round,
-            );
+            scratch
+                .next_actions
+                .extend((0..n).map(|idx| colony.choose(idx, round)));
         }
         let (agents, snapshots) = colony.engine_split();
         run_batched_round(
@@ -989,42 +985,8 @@ impl Simulation {
     /// `true` if ant `idx` is honest and not yet crashed — the detector's
     /// membership predicate, answered from cached state.
     pub(crate) fn is_live_honest(&self, idx: usize) -> bool {
-        !self.crashed[idx] && self.colony.snapshot_columns().honest(idx)
+        !self.crashed[idx] && self.colony.snapshot(idx).honest
     }
-}
-
-/// Round 1 only: the dedicated choose pass that primes the pre-chosen
-/// pipeline, chunked over the same bounds as the main pass.
-fn prime_choose_pass(
-    full_agents: &mut [AnyAgent],
-    next_actions: &mut [Action],
-    pool: Option<&mut WorkerPool>,
-    bounds: &[usize],
-    round: u64,
-) {
-    let threads = bounds.len() - 1;
-    struct ChoosePart<'a> {
-        agents: &'a mut [AnyAgent],
-        next: &'a mut [Action],
-    }
-    let slots: [Mutex<Option<ChoosePart<'_>>>; MAX_ROUND_THREADS] =
-        std::array::from_fn(|_| Mutex::new(None));
-    let mut rest_agents = full_agents;
-    let mut rest_next = next_actions;
-    for (part, slot) in slots.iter().take(threads).enumerate() {
-        let len = bounds[part + 1] - bounds[part];
-        let (agents, tail) = std::mem::take(&mut rest_agents).split_at_mut(len);
-        rest_agents = tail;
-        let (next, tail) = std::mem::take(&mut rest_next).split_at_mut(len);
-        rest_next = tail;
-        *slot.lock().expect("slot") = Some(ChoosePart { agents, next });
-    }
-    scatter(pool, threads, &slots, |_, part: ChoosePart<'_>| {
-        let ChoosePart { agents, next } = part;
-        for (agent, next) in agents.iter_mut().zip(next.iter_mut()) {
-            *next = agent.choose(round);
-        }
-    });
 }
 
 /// The body of `step_round_fast`: one unperturbed round — phase 1
@@ -1036,7 +998,7 @@ fn prime_choose_pass(
 fn run_batched_round(
     env: &mut Environment,
     full_agents: &mut [AnyAgent],
-    full_snapshots: ColumnsMut<'_>,
+    full_snapshots: &mut [AgentSnapshot],
     scratch: &mut RoundScratch,
     worker_scratch: &mut [WorkerScratch],
     mut pool: Option<&mut WorkerPool>,
@@ -1166,7 +1128,7 @@ fn run_batched_round(
         struct OutcomePart<'a> {
             chunk: OutcomeChunk<'a>,
             agents: &'a mut [AnyAgent],
-            snapshots: ColumnsMut<'a>,
+            snapshots: &'a mut [AgentSnapshot],
             next: &'a mut [Action],
             outcomes: Option<&'a mut [Outcome]>,
             scratch: &'a mut WorkerScratch,
@@ -1177,7 +1139,7 @@ fn run_batched_round(
             std::array::from_fn(|_| Mutex::new(None));
         let (full_chunk, ctx) = env.outcome_view();
         let mut rest_agents = full_agents;
-        let mut rest_snapshots = Some(full_snapshots);
+        let mut rest_snapshots = full_snapshots;
         let mut rest_chunk = Some(full_chunk);
         let mut rest_next = scratch.next_actions.as_mut_slice();
         let mut rest_outcomes = materialize.then_some(scratch.report.outcomes.as_mut_slice());
@@ -1197,16 +1159,8 @@ fn run_batched_round(
             };
             let (agents, tail) = std::mem::take(&mut rest_agents).split_at_mut(len);
             rest_agents = tail;
-            let snapshots = if part + 1 == threads {
-                rest_snapshots.take().expect("columns remainder")
-            } else {
-                let (head, tail) = rest_snapshots
-                    .take()
-                    .expect("columns remainder")
-                    .split_at_mut(len);
-                rest_snapshots = Some(tail);
-                head
-            };
+            let (snapshots, tail) = std::mem::take(&mut rest_snapshots).split_at_mut(len);
+            rest_snapshots = tail;
             let (next, tail) = std::mem::take(&mut rest_next).split_at_mut(len);
             rest_next = tail;
             let outcomes = rest_outcomes.take().map(|rest| {
@@ -1233,7 +1187,7 @@ fn run_batched_round(
             let OutcomePart {
                 mut chunk,
                 agents,
-                mut snapshots,
+                snapshots,
                 next,
                 mut outcomes,
                 scratch,
@@ -1254,11 +1208,11 @@ fn run_batched_round(
                 let observed = ran[idx].then_some(&outcome);
                 let (action, new) = agent.observe_choose(round, observed);
                 next[local] = action;
-                let old = snapshots.get(local);
+                let old = snapshots[local];
                 if new != old {
                     census.record(&old, &new);
                     tally.apply(&old, &new);
-                    snapshots.set(local, new);
+                    snapshots[local] = new;
                 }
             }
         });
@@ -1616,46 +1570,87 @@ mod tests {
         // scalar engine must consume those buffered actions instead of
         // calling `choose` again — the Agent contract allows one call
         // per round, and a stateful implementation would diverge on a
-        // second one. (The built-in urn choose became repeat-safe with
-        // the keyed-draw migration; this test pins the consume-buffer
-        // path itself so the contract stays honored for agents that
-        // are not.)
-        // Switch after an odd number of rounds so the buffered choices
-        // are for an even (recruitment) round: that is where urn ants
-        // draw their recruit coin in `choose`.
+        // second one. A built-in urn ant's keyed `choose` is
+        // repeat-safe, so the sequence also runs on simple ants wrapped
+        // in a `Custom` agent that panics on a repeated round.
+        struct ChooseOnce {
+            inner: hh_core::SimpleAnt,
+            last_chosen: u64,
+        }
+        impl Agent for ChooseOnce {
+            fn choose(&mut self, round: u64) -> hh_model::Action {
+                assert!(
+                    round > self.last_chosen,
+                    "choose({round}) after choose({})",
+                    self.last_chosen
+                );
+                self.last_chosen = round;
+                self.inner.choose(round)
+            }
+            fn observe(&mut self, round: u64, outcome: &Outcome) {
+                self.inner.observe(round, outcome);
+            }
+            fn committed_nest(&self) -> Option<NestId> {
+                self.inner.committed_nest()
+            }
+            fn is_final(&self) -> bool {
+                self.inner.is_final()
+            }
+            fn role(&self) -> hh_core::AgentRole {
+                self.inner.role()
+            }
+            fn label(&self) -> &'static str {
+                "choose-once"
+            }
+        }
         let n = 64;
-        let mut switched = Simulation::new(env(n, 3, 52), colony::simple(n, 52)).unwrap();
-        let mut scalar = Simulation::new(env(n, 3, 52), colony::simple(n, 52))
-            .unwrap()
-            .with_engine(EngineKind::Scalar);
-        for _ in 0..9 {
+        let simple = || colony::simple(n, 52);
+        let choose_once = || {
+            colony::from_factory(n, 52, |_, seed| {
+                AnyAgent::custom(ChooseOnce {
+                    inner: hh_core::SimpleAnt::new(n, seed),
+                    last_chosen: 0,
+                })
+            })
+        };
+        let colonies: [&dyn Fn() -> Colony; 2] = [&simple, &choose_once];
+        for build in colonies {
+            // Switch after an odd number of rounds so the buffered
+            // choices are for an even (recruitment) round: that is where
+            // urn ants draw their recruit coin in `choose`.
+            let mut switched = Simulation::new(env(n, 3, 52), build()).unwrap();
+            let mut scalar = Simulation::new(env(n, 3, 52), build())
+                .unwrap()
+                .with_engine(EngineKind::Scalar);
+            for _ in 0..9 {
+                switched.step().unwrap();
+                scalar.step().unwrap();
+            }
+            switched = switched.with_engine(EngineKind::Scalar);
+            for round in 9..30 {
+                assert_eq!(
+                    switched.step().unwrap(),
+                    scalar.step().unwrap(),
+                    "diverged at round {round} after the engine switch"
+                );
+            }
+            assert_eq!(switched.role_census(), scalar.role_census());
+            // And back: the scalar path leaves no pre-chosen actions, so
+            // the fast path re-primes with a dedicated choose pass.
             switched.step().unwrap();
             scalar.step().unwrap();
-        }
-        switched = switched.with_engine(EngineKind::Scalar);
-        for round in 9..30 {
-            assert_eq!(
-                switched.step().unwrap(),
-                scalar.step().unwrap(),
-                "diverged at round {round} after the engine switch"
-            );
-        }
-        assert_eq!(switched.role_census(), scalar.role_census());
-        // And back: the scalar path leaves no pre-chosen actions, so the
-        // fast path re-primes with a dedicated choose pass.
-        switched.step().unwrap();
-        scalar.step().unwrap();
-        switched = switched.with_engine(EngineKind::Soa);
-        let mut soa_oracle = Simulation::new(env(n, 3, 52), colony::simple(n, 52)).unwrap();
-        for _ in 0..31 {
-            soa_oracle.step().unwrap();
-        }
-        for round in 31..41 {
-            assert_eq!(
-                switched.step().unwrap(),
-                soa_oracle.step().unwrap(),
-                "diverged at round {round} after switching back to SoA"
-            );
+            switched = switched.with_engine(EngineKind::Soa);
+            let mut soa_oracle = Simulation::new(env(n, 3, 52), build()).unwrap();
+            for _ in 0..31 {
+                soa_oracle.step().unwrap();
+            }
+            for round in 31..41 {
+                assert_eq!(
+                    switched.step().unwrap(),
+                    soa_oracle.step().unwrap(),
+                    "diverged at round {round} after switching back to SoA"
+                );
+            }
         }
     }
 

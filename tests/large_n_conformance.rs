@@ -85,7 +85,7 @@ fn large_scenarios_reproduce_bit_identically_across_worker_counts() {
 #[ignore = "release-mode CI job; run with -- --ignored"]
 fn large_scenarios_match_the_scalar_oracle() {
     // The SoA engine against the scalar distribution-identity oracle at
-    // the colony sizes the SoA layout exists for: equal seeds must give
+    // the colony sizes the fast path exists for: equal seeds must give
     // bit-identical outcomes at n >= 1024 (including both n = 4096
     // entries), serial and chunked alike.
     const TRIALS: usize = 2;

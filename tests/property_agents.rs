@@ -151,15 +151,15 @@ proptest! {
         )?;
     }
 
-    /// The colony's SoA snapshot columns never drift from the agents
-    /// they cache: after **every** executed round — under arbitrary
+    /// The colony's snapshot cache never drifts from the agents it
+    /// caches: after **every** executed round — under arbitrary
     /// interleavings of the engine's entry points (materializing,
     /// eliding, and multi-round stepping, which exercise the chunked
-    /// phases in all their modes) — each column row reassembles to
-    /// exactly the [`AgentSnapshot`] recomputed from the live agent, for
-    /// honest, idle, and Byzantine colony mixes alike.
+    /// phases in all their modes) — each cached row equals exactly the
+    /// [`AgentSnapshot`] recomputed from the live agent, for honest,
+    /// idle, and Byzantine colony mixes alike.
     #[test]
-    fn soa_columns_stay_in_sync_with_agent_snapshots(
+    fn snapshot_cache_stays_in_sync_with_agents(
         n in 2usize..48,
         seed in any::<u64>(),
         mix_pick in 0usize..3,
@@ -194,22 +194,16 @@ proptest! {
                 }
             }
             let round = sim.round();
-            let columns = sim.colony().snapshot_columns();
-            prop_assert_eq!(columns.len(), n);
+            prop_assert_eq!(sim.iter_snapshots().count(), n);
             for (idx, agent) in sim.agents().iter().enumerate() {
                 let live = AgentSnapshot::of(agent);
                 prop_assert_eq!(
-                    columns.get(idx), live,
-                    "after round {}: column row {} drifted from its agent ({})",
+                    sim.colony().snapshot(idx), live,
+                    "after round {}: cached row {} drifted from its agent ({})",
                     round, idx, agent.label()
                 );
-                // The single-column reads agree with the assembled row.
-                prop_assert_eq!(columns.role(idx), live.role);
-                prop_assert_eq!(columns.committed(idx), live.committed);
-                prop_assert_eq!(columns.honest(idx), live.honest);
-                prop_assert_eq!(columns.is_final(idx), live.is_final);
                 // A committed nest is always one the environment says the
-                // ant knows — the commitment column can only name rows of
+                // ant knows — a cached commitment can only name a nest in
                 // the ant's candidate set.
                 if live.honest {
                     if let Some(nest) = live.committed {

@@ -108,12 +108,12 @@ proptest! {
         prop_assert_eq!(serial.env().locations(), chunked_a.env().locations());
     }
 
-    /// The SoA `engine_split` survives *adversarial* chunk shapes, not
-    /// just the even division `with_round_threads` produces: width-1
-    /// bands, an `n − 1` cut, prime strides, and arbitrary random
+    /// The fast path's `engine_split` survives *adversarial* chunk
+    /// shapes, not just the even division `with_round_threads` produces:
+    /// width-1 chunks, an `n − 1` cut, prime strides, and arbitrary random
     /// boundary vectors (including empty chunks) must all merge their
-    /// column bands and census deltas to exactly the serial execution's
-    /// state, round for round.
+    /// snapshot slices and census deltas to exactly the serial
+    /// execution's state, round for round.
     #[test]
     fn adversarial_chunk_bounds_never_change_round_results(
         n in 4usize..96,
@@ -171,8 +171,8 @@ proptest! {
                 serial.env().locations(), sim.env().locations(),
                 "chunk bounds {:?}: final locations diverged", bounds
             );
-            // The census merged from per-band deltas matches the serial
-            // engine's — the SoA columns agree row for row.
+            // The census merged from per-chunk deltas matches the serial
+            // engine's — the cached snapshots agree row for row.
             prop_assert_eq!(
                 serial.role_census(), sim.role_census(),
                 "chunk bounds {:?}: role census diverged", bounds
@@ -181,7 +181,7 @@ proptest! {
                 prop_assert_eq!(
                     serial.colony().snapshot(idx),
                     sim.colony().snapshot(idx),
-                    "chunk bounds {:?}: column row {} diverged", bounds, idx
+                    "chunk bounds {:?}: snapshot row {} diverged", bounds, idx
                 );
             }
         }

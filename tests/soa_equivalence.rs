@@ -1,9 +1,9 @@
 //! SoA ↔ scalar distribution identity over the whole scenario catalog.
 //!
 //! The executor ships two renderings of the same round semantics: the
-//! struct-of-arrays fast path (`EngineKind::Soa` — fused column passes,
-//! batched per-ant RNG draws, optional intra-round chunking) and the
-//! scalar oracle (`EngineKind::Scalar` — one match-per-ant pass per
+//! fast path (`EngineKind::Soa` — one fused observe/choose/refresh agent
+//! pass per round, batched per-ant RNG draws, optional intra-round
+//! chunking) and the scalar oracle (`EngineKind::Scalar` — one match-per-ant pass per
 //! phase, always serial). This harness holds them **bit-identical**, not
 //! just statistically close: for every catalog scenario and equal seeds,
 //!
