@@ -23,6 +23,31 @@
 //! succeeds with probability ≥ 1/16") can be validated by direct
 //! Monte-Carlo simulation — see experiment F2.
 //!
+//! # One state word per participant
+//!
+//! The pairing runs serially between the round's two chunked phases, so
+//! its cost is paid once per round on one core. It therefore keeps one
+//! `u32` per participant that says everything Algorithm 1 needs:
+//!
+//! * `FREE` (`u32::MAX`): neither recruited nor recruiting yet;
+//! * `WON` (`u32::MAX − 1`): recruited a *different* participant;
+//! * any other value: the call index of the participant's recruiter —
+//!   its own index for a self-pair, which counts as both recruiting and
+//!   being recruited.
+//!
+//! Line 3's "already recruited" test and line 5's "target is free" test
+//! are then each one comparison against `FREE`, and
+//! [`Pairing::recruited_by`], [`Pairing::succeeded`] and
+//! [`Pairing::was_recruited_by_other`] are derived from the word. The
+//! random draws are those of the textbook two-array transcription: the
+//! same shuffle of the same ascending list of active indices, then one
+//! target draw per active ant that line 3 lets attempt, in permutation
+//! order. Only the line-3 test decides whether an ant draws, and it gives
+//! the same answer in both encodings, so the draw sequence — and with it
+//! every matching — is unchanged. The other per-ant decisions (whether the
+//! target was free, what to record) are computed as data rather than
+//! taken as branches.
+//!
 //! # Examples
 //!
 //! ```
@@ -77,12 +102,9 @@ impl RecruitCall {
 /// view.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Pairing {
-    /// `recruited_by[x] = a*` iff `(a*, x) ∈ M`; [`NOT_RECRUITED`]
-    /// otherwise. Stored compactly — the pairing is rebuilt every round,
-    /// so its arrays are pure memory traffic.
-    recruited_by: Vec<u32>,
-    /// `succeeded[a] = true` iff `(a, ·) ∈ M`.
-    succeeded: Vec<bool>,
+    /// One word per participant: [`FREE`], [`WON`], or the call index of
+    /// its recruiter (its own index for a self-pair). See the module docs.
+    state: Vec<u32>,
     /// The nest id each participant's call returns.
     assigned: Vec<NestId>,
     /// Matched pairs `(recruiter, recruited)` in match order, as ant ids.
@@ -92,8 +114,12 @@ pub struct Pairing {
     matched: Vec<(u32, u32)>,
 }
 
-/// Sentinel for "no recruiter" in the compact `recruited_by` array.
-const NOT_RECRUITED: u32 = u32::MAX;
+/// State word of a participant that has neither recruited nor been
+/// recruited.
+const FREE: u32 = u32::MAX;
+
+/// State word of a participant that recruited a *different* participant.
+const WON: u32 = u32::MAX - 1;
 
 impl Pairing {
     /// Returns the number of participants.
@@ -124,8 +150,8 @@ impl Pairing {
     /// A self-pair reports the participant's own index.
     #[must_use]
     pub fn recruited_by(&self, idx: usize) -> Option<usize> {
-        match self.recruited_by[idx] {
-            NOT_RECRUITED => None,
+        match self.state[idx] {
+            FREE | WON => None,
             recruiter => Some(recruiter as usize),
         }
     }
@@ -135,7 +161,8 @@ impl Pairing {
     /// do in the paper.
     #[must_use]
     pub fn succeeded(&self, idx: usize) -> bool {
-        self.succeeded[idx]
+        let word = self.state[idx];
+        word == WON || word as usize == idx
     }
 
     /// Returns `true` iff participant `idx` was recruited by a *different*
@@ -143,8 +170,8 @@ impl Pairing {
     /// recruiter's, not the participant's own).
     #[must_use]
     pub fn was_recruited_by_other(&self, idx: usize) -> bool {
-        let recruiter = self.recruited_by[idx];
-        recruiter != NOT_RECRUITED && recruiter as usize != idx
+        let word = self.state[idx];
+        word < WON && word as usize != idx
     }
 
     /// Returns the matched pairs `(recruiter, recruited)` as ant ids, in
@@ -187,6 +214,11 @@ pub fn pair_ants<R: Rng + ?Sized>(calls: &[RecruitCall], rng: &mut R) -> Pairing
 ///
 /// Draws exactly the same random values in the same order as
 /// [`pair_ants`], so the two are interchangeable mid-stream.
+///
+/// # Panics
+///
+/// Panics if `calls.len() >= u32::MAX − 1`: call indices share the state
+/// word with its two sentinels.
 pub fn pair_ants_into<R: Rng + ?Sized>(
     calls: &[RecruitCall],
     rng: &mut R,
@@ -194,13 +226,12 @@ pub fn pair_ants_into<R: Rng + ?Sized>(
     perm: &mut Vec<u32>,
 ) {
     let m = calls.len();
-    assert!(m < NOT_RECRUITED as usize, "too many recruit participants");
-    pairing.recruited_by.clear();
-    pairing.recruited_by.resize(m, NOT_RECRUITED);
-    pairing.succeeded.clear();
-    pairing.succeeded.resize(m, false);
-    pairing.pairs.clear();
-    pairing.matched.clear();
+    assert!(m < WON as usize, "too many recruit participants");
+    let state = &mut pairing.state;
+    state.clear();
+    state.resize(m, FREE);
+    let matched = &mut pairing.matched;
+    matched.clear();
 
     // Line 2: process ants in a uniform random permutation P. Passive
     // ants never attempt to recruit (line 3) and their positions in P
@@ -208,23 +239,25 @@ pub fn pair_ants_into<R: Rng + ?Sized>(
     // subset — a uniform permutation of that subset — determines the
     // matching exactly as a full-colony permutation would. Shuffling only
     // the actives is therefore the identical stochastic process, at a
-    // fraction of the cost when most participants wait passively.
+    // fraction of the cost when most participants wait passively. The
+    // actives are compacted without a branch: every index is stored, and
+    // the cursor only moves past an active one.
     perm.clear();
-    perm.extend(
-        calls
-            .iter()
-            .enumerate()
-            .filter(|(_, call)| call.active)
-            .map(|(idx, _)| idx as u32),
-    );
+    perm.resize(m, 0);
+    let mut active = 0;
+    for (idx, call) in calls.iter().enumerate() {
+        perm[active] = idx as u32;
+        active += usize::from(call.active);
+    }
+    perm.truncate(active);
     perm.shuffle(rng);
 
     let bound = u128::from(m as u64);
     for &idx in perm.iter() {
-        let idx = idx as usize;
         // Line 3: an active ant that has already been recruited by an
-        // earlier ant in P does not attempt to recruit.
-        if pairing.recruited_by[idx] != NOT_RECRUITED {
+        // earlier ant in P does not attempt to recruit. This test decides
+        // whether the ant draws, so it stays a branch.
+        if state[idx as usize] != FREE {
             continue;
         }
         // Line 4: choose a uniformly random participant — possibly idx
@@ -232,30 +265,32 @@ pub fn pair_ants_into<R: Rng + ?Sized>(
         // bias < 2^-32 (as in the shuffle).
         let target = ((u128::from(rng.next_u64()) * bound) >> 64) as usize;
         // Line 5: the target must have neither recruited nor been
-        // recruited.
-        if pairing.succeeded[target] || pairing.recruited_by[target] != NOT_RECRUITED {
-            continue;
-        }
-        // Line 6: M := M ∪ (idx, target).
-        pairing.succeeded[idx] = true;
-        pairing.recruited_by[target] = idx as u32;
-        pairing.pairs.push((calls[idx].ant, calls[target].ant));
-        pairing.matched.push((idx as u32, target as u32));
+        // recruited. Line 6, M := M ∪ (idx, target), as selects: on a
+        // taken target both writes store what was already there and the
+        // pushed pair is truncated away. `idx` is FREE here, so a taken
+        // target is never idx itself, and writing idx's word first lets
+        // a self-pair end as its own index.
+        let held = state[target];
+        let free = held == FREE;
+        state[idx as usize] = if free { WON } else { FREE };
+        state[target] = if free { idx } else { held };
+        let len = matched.len();
+        matched.push((idx, target as u32));
+        matched.truncate(len + usize::from(free));
     }
 
     // Lines 7–12: each recruited ant receives its recruiter's nest input;
-    // everyone else receives its own input.
+    // everyone else receives its own input. Only matched pairs differ
+    // from the default, so walk those instead of every participant.
     pairing.assigned.clear();
-    pairing.assigned.extend(
-        pairing
-            .recruited_by
-            .iter()
-            .enumerate()
-            .map(|(idx, &recruiter)| match recruiter {
-                NOT_RECRUITED => calls[idx].nest,
-                recruiter => calls[recruiter as usize].nest,
-            }),
-    );
+    pairing.assigned.extend(calls.iter().map(|call| call.nest));
+    pairing.pairs.clear();
+    for &(recruiter, recruited) in matched.iter() {
+        let recruiter = &calls[recruiter as usize];
+        let recruited = recruited as usize;
+        pairing.assigned[recruited] = recruiter.nest;
+        pairing.pairs.push((recruiter.ant, calls[recruited].ant));
+    }
 }
 
 #[cfg(test)]

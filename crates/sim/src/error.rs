@@ -19,6 +19,13 @@ pub enum SimError {
         /// Environment colony size `n`.
         n: usize,
     },
+    /// A scenario axis holds a value no simulation can be built from.
+    InvalidScenario {
+        /// The offending axis (`"profile"`, ...).
+        axis: &'static str,
+        /// What the axis value violates.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -28,6 +35,9 @@ impl fmt::Display for SimError {
             SimError::AgentCountMismatch { agents, n } => {
                 write!(f, "got {agents} agents for an environment of {n} ants")
             }
+            SimError::InvalidScenario { axis, reason } => {
+                write!(f, "invalid scenario {axis}: {reason}")
+            }
         }
     }
 }
@@ -36,7 +46,7 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Model(err) => Some(err),
-            SimError::AgentCountMismatch { .. } => None,
+            SimError::AgentCountMismatch { .. } | SimError::InvalidScenario { .. } => None,
         }
     }
 }
@@ -59,6 +69,16 @@ mod tests {
 
         let err = SimError::AgentCountMismatch { agents: 3, n: 5 };
         assert!(err.to_string().contains("3 agents"));
+        assert!(err.source().is_none());
+
+        let err = SimError::InvalidScenario {
+            axis: "profile",
+            reason: "an adversarial tie needs at least two nests",
+        };
+        assert_eq!(
+            err.to_string(),
+            "invalid scenario profile: an adversarial tie needs at least two nests"
+        );
         assert!(err.source().is_none());
     }
 

@@ -637,20 +637,26 @@ impl Simulation {
     /// Executes one synchronous round into the persistent scratch.
     ///
     /// With `materialize` set, the report (including the per-ant outcome
-    /// vector) is readable as `self.scratch.report` afterwards; without
-    /// it, each outcome is handed straight to its agent as it is
-    /// computed and `report.outcomes` stays empty — the convergence loop
-    /// needs no colony-sized outcome buffer. Both modes run the **same**
-    /// delivering round pass; materializing only adds the per-slot copy
-    /// into the (persistent) report buffer, so instrumented and
-    /// convergence runs are one code path and report identical
-    /// [`RunOutcome`]s.
+    /// vector and the matched pairs) is readable as `self.scratch.report`
+    /// afterwards; without it, each outcome is handed straight to its
+    /// agent as it is computed and `report.outcomes` and
+    /// `report.recruitment.pairs` stay empty — the convergence loop
+    /// reads neither. Both modes run the **same** delivering round pass;
+    /// materializing only adds the per-slot copy into the (persistent)
+    /// report buffer, so instrumented and convergence runs are one code
+    /// path and report identical [`RunOutcome`]s.
     fn step_round(&mut self, materialize: bool) -> Result<(), SimError> {
         if self.unperturbed && self.engine == EngineKind::Soa {
-            self.step_round_fast(materialize)
+            self.step_round_fast(materialize)?;
         } else {
-            self.step_round_scalar(materialize)
+            self.step_round_scalar(materialize)?;
         }
+        if materialize {
+            self.env.export_pairs(&mut self.scratch.report);
+        } else {
+            self.scratch.report.recruitment.pairs.clear();
+        }
+        Ok(())
     }
 
     /// The unperturbed fast path: no crash/delay plans to consult per
@@ -714,12 +720,11 @@ impl Simulation {
             materialize,
         );
         // The round barrier: fold the per-chunk census/tally deltas in
-        // chunk order, then export the recruitment pairs.
+        // chunk order.
         for ws in worker_scratch.iter() {
             colony.apply_census_delta(&ws.census);
             live.apply_delta(&ws.tally);
         }
-        env.export_pairs(&mut scratch.report);
         Ok(())
     }
 
@@ -862,7 +867,6 @@ impl Simulation {
                 self.live.apply(&old, &new);
             }
         }
-        self.env.export_pairs(&mut scratch.report);
         Ok(())
     }
 
@@ -1471,6 +1475,40 @@ mod tests {
             .run_observed(ConvergenceRule::commitment(), 2_000, |_, _| observed += 1)
             .unwrap();
         assert_eq!(observed, outcome.rounds_run);
+    }
+
+    #[test]
+    fn step_after_a_convergence_segment_reports_its_own_pairs() {
+        // Convergence-loop rounds skip exporting their pairs; the `step`
+        // right after such a segment must still report exactly its own
+        // round's matching, on both engines.
+        for engine in [EngineKind::Soa, EngineKind::Scalar] {
+            let mut sim = Simulation::new(env(64, 3, 61), colony::simple(64, 61))
+                .unwrap()
+                .with_engine(engine);
+            let segment = sim
+                .run_to_convergence(ConvergenceRule::commitment(), 9)
+                .unwrap();
+            assert_eq!(segment.rounds_run, 9);
+            // Round 10 is a recruitment round for simple ants.
+            let report = sim.step().unwrap();
+            assert!(
+                !report.recruitment.pairs.is_empty(),
+                "{engine:?}: a recruitment round reported no pairs"
+            );
+            for &(recruiter, recruited) in &report.recruitment.pairs {
+                let call = report
+                    .recruitment
+                    .calls
+                    .iter()
+                    .find(|call| call.ant == recruiter)
+                    .expect("every recruiter made a call this round");
+                match report.outcomes[recruited.index()] {
+                    Outcome::Recruit { nest, .. } => assert_eq!(nest, call.nest, "{engine:?}"),
+                    ref other => panic!("{engine:?}: recruited ant has outcome {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -760,6 +760,12 @@ impl Scenario {
     }
 
     /// Materializes the declarative spec for one trial seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an `AdversarialTie` with `k < 2`, as
+    /// [`QualityProfile::spec`] does; [`build`](Self::build) returns
+    /// [`SimError::InvalidScenario`] for it instead.
     #[must_use]
     pub fn spec_for(&self, seed: u64) -> ScenarioSpec {
         let mut config = ColonyConfig::new(self.n, self.profile.spec())
@@ -790,13 +796,29 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation failures.
+    /// [`SimError::InvalidScenario`] if an axis value cannot be
+    /// materialized (an `AdversarialTie` with fewer than two nests);
+    /// otherwise propagates configuration validation failures.
     pub fn build(&self, seed: u64) -> Result<Simulation, SimError> {
+        self.check_axes()?;
         Ok(self
             .spec_for(seed)
             .build_simulation(self.colony_for(seed))?
             .with_engine(self.engine)
             .with_round_threads(self.round_threads))
+    }
+
+    /// Rejects the axis values [`spec_for`](Self::spec_for) would panic
+    /// on, so no public entry point that builds a simulation can reach
+    /// that panic.
+    fn check_axes(&self) -> Result<(), SimError> {
+        if matches!(self.profile, QualityProfile::AdversarialTie { k } if k < 2) {
+            return Err(SimError::InvalidScenario {
+                axis: "profile",
+                reason: "an adversarial tie needs at least two nests",
+            });
+        }
+        Ok(())
     }
 
     /// Builds and runs one trial to the scenario's rule and budget.
@@ -1242,6 +1264,30 @@ mod tests {
         assert_eq!(share(4, 0.5), 2);
         assert_eq!(share(4, 0.99), 3, "clamped below n");
         assert_eq!(share(4, 1.0), 4);
+    }
+
+    #[test]
+    fn adversarial_tie_below_two_nests_is_an_error_not_a_panic() {
+        let expected = SimError::InvalidScenario {
+            axis: "profile",
+            reason: "an adversarial tie needs at least two nests",
+        };
+        for k in [0, 1] {
+            let scenario = Scenario::custom(
+                format!("tie-{k}"),
+                32,
+                QualityProfile::AdversarialTie { k },
+                FaultSchedule::None,
+                ColonyMix::Uniform(Algorithm::Simple),
+            );
+            assert_eq!(scenario.build(1).err(), Some(expected.clone()), "k = {k}");
+            assert_eq!(scenario.run(1).err(), Some(expected.clone()), "k = {k}");
+            assert_eq!(
+                scenario.run_trials_with_workers(3, 2).err(),
+                Some(expected.clone()),
+                "k = {k}"
+            );
+        }
     }
 
     #[test]

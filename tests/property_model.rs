@@ -1,16 +1,197 @@
 //! Property-based tests on the model substrate: the recruitment pairing
-//! process, the environment's invariants under arbitrary legal action
+//! process (including the kernel against a textbook transcription of
+//! Algorithm 1), the environment's invariants under arbitrary legal action
 //! sequences, seed derivation, and the bit set.
 
 use std::collections::BTreeSet;
 
-use house_hunting::model::recruitment::{pair_ants, RecruitCall};
+use house_hunting::model::recruitment::{pair_ants, pair_ants_into, Pairing, RecruitCall};
 use house_hunting::model::seeding::{derive_seed, StreamKind};
 use house_hunting::model::util::BitSet;
 use house_hunting::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+/// Algorithm 1 transcribed line by line with one array per predicate —
+/// `recruited_by` and `succeeded` — the way the paper states it. It
+/// shares no code with the kernel in `hh_model::recruitment`, only the
+/// random draws: the same shuffle of the ascending active indices, then
+/// one multiply-shift target draw per active ant that line 3 lets
+/// attempt. The kernel must reproduce it exactly.
+struct ReferencePairing {
+    recruited_by: Vec<u32>,
+    succeeded: Vec<bool>,
+    assigned: Vec<NestId>,
+    pairs: Vec<(AntId, AntId)>,
+    matched: Vec<(u32, u32)>,
+}
+
+/// "No recruiter" in [`ReferencePairing::recruited_by`].
+const NOT_RECRUITED: u32 = u32::MAX;
+
+fn reference_pairing<R: Rng + ?Sized>(calls: &[RecruitCall], rng: &mut R) -> ReferencePairing {
+    let m = calls.len();
+    let mut pairing = ReferencePairing {
+        recruited_by: vec![NOT_RECRUITED; m],
+        succeeded: vec![false; m],
+        assigned: Vec::new(),
+        pairs: Vec::new(),
+        matched: Vec::new(),
+    };
+
+    // Line 2: a uniform random order; passive ants never draw, so only
+    // the actives are shuffled.
+    let mut perm: Vec<u32> = calls
+        .iter()
+        .enumerate()
+        .filter(|(_, call)| call.active)
+        .map(|(idx, _)| idx as u32)
+        .collect();
+    perm.shuffle(rng);
+
+    let bound = u128::from(m as u64);
+    for &idx in perm.iter() {
+        let idx = idx as usize;
+        // Line 3: an active ant that has already been recruited by an
+        // earlier ant in P does not attempt to recruit.
+        if pairing.recruited_by[idx] != NOT_RECRUITED {
+            continue;
+        }
+        // Line 4: choose a uniformly random participant — possibly idx
+        // itself.
+        let target = ((u128::from(rng.next_u64()) * bound) >> 64) as usize;
+        // Line 5: the target must have neither recruited nor been
+        // recruited.
+        if pairing.succeeded[target] || pairing.recruited_by[target] != NOT_RECRUITED {
+            continue;
+        }
+        // Line 6: M := M ∪ (idx, target).
+        pairing.succeeded[idx] = true;
+        pairing.recruited_by[target] = idx as u32;
+        pairing.pairs.push((calls[idx].ant, calls[target].ant));
+        pairing.matched.push((idx as u32, target as u32));
+    }
+
+    // Lines 7–12: each recruited ant receives its recruiter's nest input;
+    // everyone else receives its own input.
+    pairing.assigned = pairing
+        .recruited_by
+        .iter()
+        .enumerate()
+        .map(|(idx, &recruiter)| match recruiter {
+            NOT_RECRUITED => calls[idx].nest,
+            recruiter => calls[recruiter as usize].nest,
+        })
+        .collect();
+    pairing
+}
+
+/// Runs the kernel (into the reused `pairing`/`perm` buffers) and the
+/// reference from the same seed, and asserts they agree on every
+/// accessor and leave their streams at the same point.
+fn assert_kernel_matches_reference(
+    calls: &[RecruitCall],
+    seed: u64,
+    pairing: &mut Pairing,
+    perm: &mut Vec<u32>,
+) {
+    let mut kernel_rng = SmallRng::seed_from_u64(seed);
+    let mut reference_rng = SmallRng::seed_from_u64(seed);
+    pair_ants_into(calls, &mut kernel_rng, pairing, perm);
+    let reference = reference_pairing(calls, &mut reference_rng);
+
+    assert_eq!(pairing.len(), calls.len());
+    assert_eq!(pairing.matched_indices(), reference.matched.as_slice());
+    assert_eq!(pairing.pairs(), reference.pairs.as_slice());
+    for idx in 0..calls.len() {
+        let recruiter = reference.recruited_by[idx];
+        let expected_by = (recruiter != NOT_RECRUITED).then_some(recruiter as usize);
+        assert_eq!(
+            pairing.assigned_nest(idx),
+            reference.assigned[idx],
+            "assigned {idx}"
+        );
+        assert_eq!(pairing.recruited_by(idx), expected_by, "recruited_by {idx}");
+        assert_eq!(
+            pairing.succeeded(idx),
+            reference.succeeded[idx],
+            "succeeded {idx}"
+        );
+        assert_eq!(
+            pairing.was_recruited_by_other(idx),
+            expected_by.is_some_and(|recruiter| recruiter != idx),
+            "was_recruited_by_other {idx}"
+        );
+    }
+    assert_eq!(
+        kernel_rng.next_u64(),
+        reference_rng.next_u64(),
+        "the kernel and the reference drew a different number of values"
+    );
+}
+
+/// A call vector with ant ids that differ from call indices, so a kernel
+/// that confused the two would be caught.
+fn calls_from(cells: impl Iterator<Item = (bool, usize)>) -> Vec<RecruitCall> {
+    cells
+        .enumerate()
+        .map(|(i, (active, nest))| {
+            RecruitCall::new(AntId::new(3 * i + 1), active, NestId::candidate(nest))
+        })
+        .collect()
+}
+
+#[test]
+fn kernel_matches_reference_with_no_participants() {
+    let mut pairing = Pairing::default();
+    let mut perm = Vec::new();
+    assert_kernel_matches_reference(&[], 5, &mut pairing, &mut perm);
+    assert!(pairing.is_empty());
+    assert_eq!(pairing.matched_count(), 0);
+}
+
+#[test]
+fn kernel_matches_reference_for_a_lone_active_ant() {
+    let calls = calls_from([(true, 2)].into_iter());
+    let mut pairing = Pairing::default();
+    let mut perm = Vec::new();
+    assert_kernel_matches_reference(&calls, 6, &mut pairing, &mut perm);
+    assert!(pairing.succeeded(0));
+    assert_eq!(pairing.recruited_by(0), Some(0));
+    assert!(!pairing.was_recruited_by_other(0));
+    assert_eq!(pairing.matched_indices(), &[(0, 0)]);
+}
+
+#[test]
+fn all_passive_round_consumes_no_randomness() {
+    let calls = calls_from((0..300).map(|i| (false, 1 + i % 4)));
+    let mut pairing = Pairing::default();
+    let mut perm = Vec::new();
+    assert_kernel_matches_reference(&calls, 7, &mut pairing, &mut perm);
+    let mut rng = SmallRng::seed_from_u64(7);
+    pair_ants_into(&calls, &mut rng, &mut pairing, &mut perm);
+    assert_eq!(rng.next_u64(), SmallRng::seed_from_u64(7).next_u64());
+    assert_eq!(pairing.matched_count(), 0);
+}
+
+#[test]
+fn kernel_matches_reference_at_colony_scale() {
+    // m = 16 384 with about 84 % active, the share a simple colony's
+    // recruit rounds reach.
+    let mut layout = SmallRng::seed_from_u64(8);
+    let calls = calls_from((0..16_384).map(|_| {
+        let draw = layout.next_u64();
+        (draw % 100 < 84, 1 + (draw >> 32) as usize % 4)
+    }));
+    let mut pairing = Pairing::default();
+    let mut perm = Vec::new();
+    for seed in 0..4 {
+        assert_kernel_matches_reference(&calls, seed, &mut pairing, &mut perm);
+    }
+    assert!(pairing.matched_count() > 0);
+}
 
 proptest! {
     /// Algorithm 1 invariants for arbitrary participant vectors:
@@ -55,6 +236,33 @@ proptest! {
                 prop_assert!(!pairing.succeeded(idx), "passive ants never recruit");
             }
         }
+    }
+
+    /// The kernel reproduces the reference transcription of Algorithm 1
+    /// exactly, on random call vectors whose active share runs from all
+    /// passive to all active. The second pairing reuses the first one's
+    /// buffers on a shorter prefix, so stale state would show.
+    #[test]
+    fn kernel_matches_reference_pairing(
+        cells in proptest::collection::vec((0.0f64..1.0, 1usize..6), 0..300),
+        share in 0u8..4,
+        p in 0.0f64..1.0,
+        seed in any::<u64>(),
+        prefix in 0.0f64..1.0,
+    ) {
+        let calls = calls_from(cells.iter().map(|&(coin, nest)| {
+            let active = match share {
+                0 => false,
+                1 => true,
+                _ => coin < p,
+            };
+            (active, nest)
+        }));
+        let mut pairing = Pairing::default();
+        let mut perm = Vec::new();
+        assert_kernel_matches_reference(&calls, seed, &mut pairing, &mut perm);
+        let shorter = &calls[..(calls.len() as f64 * prefix) as usize];
+        assert_kernel_matches_reference(shorter, seed ^ 1, &mut pairing, &mut perm);
     }
 
     /// The environment conserves ants, keeps locations consistent with
