@@ -6,7 +6,7 @@
 //!   [`Simulation::step_in_place`], the materializing single-step path.
 //! * `engine/detected_round` — the *true* hot path: the convergence loop
 //!   (`run_to_convergence`), which elides the colony-sized outcome
-//!   buffer and feeds the detector from the incremental census.
+//!   buffer and feeds the detector from the incremental live tally.
 //! * `engine/quorum_round` — the detected loop under the `Quorum` rule
 //!   on an idle-fraction colony: the robustness/idleness workloads whose
 //!   detector previously rescanned all n agents into a hash map every

@@ -1,15 +1,15 @@
-//! Colony construction and the cached-census [`Colony`] container.
+//! Colony construction and the snapshot-caching [`Colony`] container.
 //!
 //! A *colony* is the ordered collection of agents the executor drives —
 //! one per ant, indexed by [`AntId`](hh_model::AntId). [`Colony`] stores
 //! the agents as one contiguous `Vec<AnyAgent>` (static dispatch, cache
 //! friendly) and caches each agent's harness-observable state — honesty,
 //! [`AgentRole`], committed nest, finality — as one [`AgentSnapshot`]
-//! per ant in a parallel `Vec<AgentSnapshot>`, maintaining the aggregate
-//! [`RoleCensus`] incrementally. The executor in `hh-sim` refreshes
-//! exactly the agents it stepped each round ([`Colony::refresh`]), so
-//! census queries are O(1) instead of an O(n) rescan with a dispatch per
-//! agent.
+//! per ant in a parallel `Vec<AgentSnapshot>`. The executor in `hh-sim`
+//! refreshes exactly the agents it stepped each round
+//! ([`Colony::refresh`]), so reading the colony's state — a
+//! [`RoleCensus`], a commitment histogram — is a pass over plain
+//! snapshots with no dispatch into the agents.
 //!
 //! The free functions build the standard homogeneous colonies (one per
 //! algorithm) with per-ant seeds derived deterministically from a single
@@ -39,8 +39,9 @@ use crate::spreader::{SpreadStrategy, SpreaderAnt};
 
 /// Counts of honest agents per [`AgentRole`].
 ///
-/// Maintained incrementally by [`Colony`]; the free-standing
-/// [`RoleCensus::of`] tallies any agent slice from scratch.
+/// [`Colony::census`] computes one from the colony's cached snapshots;
+/// the free-standing [`RoleCensus::of`] tallies any agent slice from
+/// scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoleCensus {
     /// Agents still searching.
@@ -59,9 +60,19 @@ impl RoleCensus {
     /// Tallies the honest agents of a colony from scratch.
     #[must_use]
     pub fn of<A: Agent>(agents: &[A]) -> Self {
+        Self::of_roles(agents.iter().filter(|a| a.is_honest()).map(Agent::role))
+    }
+
+    fn of_roles(roles: impl Iterator<Item = AgentRole>) -> Self {
         let mut census = RoleCensus::default();
-        for agent in agents.iter().filter(|a| a.is_honest()) {
-            census.bucket(agent.role(), 1);
+        for role in roles {
+            *match role {
+                AgentRole::Searching => &mut census.searching,
+                AgentRole::Active => &mut census.active,
+                AgentRole::Passive => &mut census.passive,
+                AgentRole::Final => &mut census.final_count,
+                _ => &mut census.other,
+            } += 1;
         }
         census
     }
@@ -71,96 +82,6 @@ impl RoleCensus {
     pub fn total(&self) -> usize {
         self.searching + self.active + self.passive + self.final_count + self.other
     }
-
-    fn bucket(&mut self, role: AgentRole, delta: isize) {
-        let slot = match role {
-            AgentRole::Searching => &mut self.searching,
-            AgentRole::Active => &mut self.active,
-            AgentRole::Passive => &mut self.passive,
-            AgentRole::Final => &mut self.final_count,
-            _ => &mut self.other,
-        };
-        *slot = slot.checked_add_signed(delta).expect("census underflow");
-    }
-
-    fn add(&mut self, snapshot: &AgentSnapshot) {
-        if snapshot.honest {
-            self.bucket(snapshot.role, 1);
-        }
-    }
-
-    fn remove(&mut self, snapshot: &AgentSnapshot) {
-        if snapshot.honest {
-            self.bucket(snapshot.role, -1);
-        }
-    }
-
-    /// Folds a signed per-role delta (accumulated off to the side by a
-    /// chunked executor pass) into the census.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bucket would underflow — that indicates the delta was
-    /// not produced against this census's snapshots.
-    pub fn apply_delta(&mut self, delta: &CensusDelta) {
-        self.bucket(AgentRole::Searching, delta.searching);
-        self.bucket(AgentRole::Active, delta.active);
-        self.bucket(AgentRole::Passive, delta.passive);
-        self.bucket(AgentRole::Final, delta.final_count);
-        self.bucket(AgentRole::Other, delta.other);
-    }
-}
-
-/// A signed [`RoleCensus`] delta, accumulated per worker during a
-/// chunked executor pass and merged at the barrier with
-/// [`RoleCensus::apply_delta`] / [`Colony::apply_census_delta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CensusDelta {
-    searching: isize,
-    active: isize,
-    passive: isize,
-    final_count: isize,
-    other: isize,
-}
-
-impl CensusDelta {
-    /// Resets the delta to zero.
-    pub fn clear(&mut self) {
-        *self = CensusDelta::default();
-    }
-
-    /// `true` if the delta changes nothing.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == CensusDelta::default()
-    }
-
-    /// Records one agent's snapshot transition, with the same
-    /// role/honesty gating [`Colony::refresh`] applies: only flips that
-    /// change the census are recorded.
-    #[inline]
-    pub fn record(&mut self, old: &AgentSnapshot, new: &AgentSnapshot) {
-        if new.role == old.role && new.honest == old.honest {
-            return;
-        }
-        if old.honest {
-            self.bucket(old.role, -1);
-        }
-        if new.honest {
-            self.bucket(new.role, 1);
-        }
-    }
-
-    fn bucket(&mut self, role: AgentRole, delta: isize) {
-        let slot = match role {
-            AgentRole::Searching => &mut self.searching,
-            AgentRole::Active => &mut self.active,
-            AgentRole::Passive => &mut self.passive,
-            AgentRole::Final => &mut self.final_count,
-            _ => &mut self.other,
-        };
-        *slot += delta;
-    }
 }
 
 /// One agent's harness-observable state, cached by [`Colony`] so census
@@ -168,8 +89,8 @@ impl CensusDelta {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AgentSnapshot {
     /// [`Agent::is_honest`] at the last refresh (constant for every
-    /// built-in agent; `Custom` agents may vary it, and the census/tally
-    /// maintenance re-buckets on a flip).
+    /// built-in agent; `Custom` agents may vary it, and the executor's
+    /// live tally re-counts the agent on a flip).
     pub honest: bool,
     /// [`Agent::role`] at the last refresh.
     pub role: AgentRole,
@@ -203,70 +124,35 @@ impl AgentSnapshot {
     }
 }
 
-/// A colony of agents with incrementally maintained census caches.
+/// A colony of agents with a cached snapshot per agent.
 ///
 /// Read access goes through `Deref<Target = [AnyAgent]>` (`len`, `iter`,
-/// indexing); mutation goes through the cache-aware methods
-/// ([`replace`](Colony::replace), [`push`](Colony::push)) or, for code
-/// that drives agents by hand, [`iter_mut`](Colony::iter_mut) /
-/// [`agents_mut`](Colony::agents_mut) — which mark the caches stale so
-/// the next census query rescans.
+/// indexing); mutation goes through [`replace`](Colony::replace), which
+/// keeps the cache current, or, for code that drives agents by hand,
+/// [`iter_mut`](Colony::iter_mut) / [`agents_mut`](Colony::agents_mut) —
+/// which mark the cache stale so the next census query rescans the
+/// agents.
 ///
 /// The executor protocol is [`choose`](Colony::choose) /
 /// [`observe`](Colony::observe) followed by [`refresh`](Colony::refresh)
-/// for every agent whose `choose` ran; that keeps the caches exact
+/// for every agent whose `choose` ran; that keeps the cache exact
 /// without a rescan.
 pub struct Colony {
     agents: Vec<AnyAgent>,
     /// `snapshots[i]` caches `agents[i]`'s observable state.
     snapshots: Vec<AgentSnapshot>,
-    census: RoleCensus,
     stale: bool,
 }
 
 impl Colony {
-    /// An empty colony.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            agents: Vec::new(),
-            snapshots: Vec::new(),
-            census: RoleCensus::default(),
-            stale: false,
-        }
-    }
-
-    /// An empty colony with room for `n` agents.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            agents: Vec::with_capacity(n),
-            snapshots: Vec::with_capacity(n),
-            census: RoleCensus::default(),
-            stale: false,
-        }
-    }
-
-    /// Appends an agent, updating the caches.
-    pub fn push(&mut self, agent: impl Into<AnyAgent>) {
-        let agent = agent.into();
-        let snapshot = AgentSnapshot::of(&agent);
-        self.census.add(&snapshot);
-        self.snapshots.push(snapshot);
-        self.agents.push(agent);
-    }
-
-    /// Replaces the agent at `index`, updating the caches.
+    /// Replaces the agent at `index`, updating its cached snapshot.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn replace(&mut self, index: usize, agent: impl Into<AnyAgent>) {
         let agent = agent.into();
-        let snapshot = AgentSnapshot::of(&agent);
-        self.census.remove(&self.snapshots[index]);
-        self.census.add(&snapshot);
-        self.snapshots[index] = snapshot;
+        self.snapshots[index] = AgentSnapshot::of(&agent);
         self.agents[index] = agent;
     }
 
@@ -277,8 +163,8 @@ impl Colony {
     }
 
     /// Mutable access to the agents for code that drives them by hand
-    /// (tests, bespoke loops). Marks the caches stale; they are rebuilt
-    /// on the next [`sync`](Colony::sync) or census query.
+    /// (tests, bespoke loops). Marks the cache stale; it is rebuilt on
+    /// the next [`sync`](Colony::sync).
     pub fn agents_mut(&mut self) -> &mut [AnyAgent] {
         self.stale = true;
         &mut self.agents
@@ -291,7 +177,7 @@ impl Colony {
         self.agents.iter_mut()
     }
 
-    /// Rebuilds the caches if external mutation marked them stale.
+    /// Rebuilds the snapshot cache if external mutation marked it stale.
     pub fn sync(&mut self) {
         if !self.stale {
             return;
@@ -299,21 +185,23 @@ impl Colony {
         self.snapshots.clear();
         self.snapshots
             .extend(self.agents.iter().map(AnyAgent::snapshot));
-        self.census = RoleCensus::default();
-        for snapshot in &self.snapshots {
-            self.census.add(snapshot);
-        }
         self.stale = false;
     }
 
-    /// The honest-role census. O(1) when the caches are current; falls
-    /// back to a scan if external mutation left them stale.
+    /// The honest-role census: one pass over the cached snapshots, or
+    /// over the agents themselves if external mutation left the cache
+    /// stale.
     #[must_use]
     pub fn census(&self) -> RoleCensus {
         if self.stale {
             RoleCensus::of(&self.agents)
         } else {
-            self.census
+            RoleCensus::of_roles(
+                self.snapshots
+                    .iter()
+                    .filter(|snapshot| snapshot.honest)
+                    .map(|snapshot| snapshot.role),
+            )
         }
     }
 
@@ -339,7 +227,7 @@ impl Colony {
 
     /// Executor hot path: forwards [`Agent::choose`] for ant `index`.
     /// The caller must [`refresh`](Colony::refresh) the agent before the
-    /// round's census queries (choosing can change agent state).
+    /// round's snapshot reads (choosing can change agent state).
     ///
     /// # Panics
     ///
@@ -360,9 +248,8 @@ impl Colony {
         self.agents[index].observe(round, outcome);
     }
 
-    /// Recomputes agent `index`'s snapshot, folds the change into the
-    /// census, and returns `(old, new)` so callers can maintain derived
-    /// tallies of their own.
+    /// Recomputes agent `index`'s snapshot and returns `(old, new)` so
+    /// callers can maintain derived tallies of their own.
     ///
     /// # Panics
     ///
@@ -371,12 +258,6 @@ impl Colony {
     pub fn refresh(&mut self, index: usize) -> (AgentSnapshot, AgentSnapshot) {
         let new = self.agents[index].snapshot();
         let old = std::mem::replace(&mut self.snapshots[index], new);
-        // Honesty can vary for Custom agents, and the census only counts
-        // honest agents — so a flip on either axis re-buckets.
-        if new.role != old.role || new.honest != old.honest {
-            self.census.remove(&old);
-            self.census.add(&new);
-        }
         (old, new)
     }
 
@@ -386,31 +267,12 @@ impl Colony {
     /// `split_at_mut`.
     ///
     /// Unlike [`agents_mut`](Colony::agents_mut) this does **not** mark
-    /// the caches stale: the caller contracts to keep each touched
+    /// the cache stale: the caller contracts to keep each touched
     /// agent's snapshot current itself (overwrite it with the agent's
-    /// freshly computed snapshot) and to fold the resulting census
-    /// changes in via [`apply_census_delta`](Colony::apply_census_delta)
-    /// before the next census query.
+    /// freshly computed snapshot).
     pub fn engine_split(&mut self) -> (&mut [AnyAgent], &mut [AgentSnapshot]) {
         debug_assert!(!self.stale, "engine_split on a stale colony; call sync()");
         (&mut self.agents, &mut self.snapshots)
-    }
-
-    /// Folds a per-worker [`CensusDelta`] (accumulated against
-    /// [`engine_split`](Colony::engine_split) chunks) into the cached
-    /// census.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a census bucket would underflow.
-    pub fn apply_census_delta(&mut self, delta: &CensusDelta) {
-        self.census.apply_delta(delta);
-    }
-}
-
-impl Default for Colony {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -436,7 +298,6 @@ impl From<Vec<AnyAgent>> for Colony {
         let mut colony = Self {
             agents,
             snapshots: Vec::new(),
-            census: RoleCensus::default(),
             stale: true,
         };
         colony.sync();
@@ -626,7 +487,8 @@ mod tests {
         assert_eq!(colony.len(), 10);
         assert_eq!(colony.iter().filter(|a| !a.is_honest()).count(), 3);
         assert!(colony[..7].iter().all(|a| a.is_honest()));
-        // The census tracked the replacement: 3 dishonest agents left it.
+        // The replacement reached the cached snapshots: 3 dishonest
+        // agents left the census.
         assert_eq!(colony.census().total(), 7);
     }
 
@@ -678,7 +540,7 @@ mod tests {
         use hh_model::{Outcome, Quality};
 
         let mut colony = simple(3, 5);
-        // Drive an agent by hand: the caches go stale but census queries
+        // Drive an agent by hand: the cache goes stale but census queries
         // still answer correctly via the fallback scan.
         colony.agents_mut()[0].observe(
             1,

@@ -17,11 +17,12 @@
 //!
 //! Colonies (one agent per ant) are built with the helpers in
 //! [`colony`]; they return a [`Colony`] — a contiguous, statically
-//! dispatched [`AnyAgent`] vector with incrementally cached role/honesty
-//! tallies ([`RoleCensus`]). The formal problem statement and consensus
-//! predicates live in [`problem`]. The synchronous executor that drives
-//! agents against an environment — including crash/delay perturbations —
-//! is in the `hh-sim` crate.
+//! dispatched [`AnyAgent`] vector with a cached [`AgentSnapshot`] per
+//! agent, from which [`Colony::census`] counts roles ([`RoleCensus`]).
+//! The formal problem statement and consensus predicates live in
+//! [`problem`]. The synchronous executor that drives agents against an
+//! environment — including crash/delay perturbations — is in the
+//! `hh-sim` crate.
 //!
 //! ## Quick example
 //!
@@ -80,7 +81,7 @@ pub use adaptive::{AdaptiveAnt, AdaptivePolicy};
 pub use agent::{Agent, AgentRole, BoxedAgent, CyclePhase};
 pub use any::AnyAgent;
 pub use byzantine::{BadNestRecruiter, OscillatorAnt, SleeperAnt};
-pub use colony::{AgentSnapshot, CensusDelta, Colony, RoleCensus};
+pub use colony::{AgentSnapshot, Colony, RoleCensus};
 pub use idle::IdlerAnt;
 pub use optimal::OptimalAnt;
 pub use quality::QualityAnt;

@@ -24,11 +24,12 @@
 //! * **Static dispatch.** Agents are [`AnyAgent`](hh_core::AnyAgent)
 //!   variants in one contiguous vector; only the `Custom` escape hatch
 //!   pays a vtable call.
-//! * **Incremental census.** The colony's [`RoleCensus`] and the
-//!   executor's live-honest commitment tally are maintained per stepped
+//! * **Incremental live tally.** The colony's snapshot cache and the
+//!   executor's live-honest commitment tally are updated per stepped
 //!   agent ([`Colony::refresh`]), never by rescanning the colony, so the
 //!   convergence [`Detector`](crate::Detector) reads O(k) state instead
-//!   of touching all n agents every round.
+//!   of touching all n agents every round. The [`RoleCensus`], which
+//!   only metrics read, is counted from the snapshot cache on demand.
 //! * **Deterministic intra-round parallelism.** Agents are independent
 //!   within a round, so the per-ant phases — validate/relocate/tally and
 //!   the fused outcome/observe/choose/refresh pass — run over disjoint
@@ -37,7 +38,7 @@
 //!   round. Every random draw attributable to an ant comes from that
 //!   ant's own stream (see the `hh_model::env` docs on randomness
 //!   ownership), each worker writes only its own slots, and per-worker
-//!   census/tally/count deltas are merged in chunk order at the barrier
+//!   tally/count deltas are merged in chunk order at the barrier
 //!   — so every thread count, including the serial `round_threads = 1`
 //!   default (the same code run inline), produces **bit-identical**
 //!   results. Only the Algorithm 1 pairing stays serial, as the paper's
@@ -48,7 +49,7 @@
 use std::sync::Mutex;
 
 use hh_core::colony::AgentSnapshot;
-use hh_core::{AnyAgent, CensusDelta, Colony};
+use hh_core::{AnyAgent, Colony};
 use hh_model::faults::{noop_action, CrashPlan, CrashStyle, DelayPlan};
 use hh_model::recruitment::RecruitCall;
 use hh_model::{
@@ -139,171 +140,31 @@ struct RoundScratch {
     report: StepReport,
 }
 
-/// Commitment/finality tallies over the *live honest* colony, maintained
-/// incrementally by the executor and read by the convergence
-/// [`Detector`](crate::Detector) — the census-fed replacement for the old
-/// per-round colony rescan.
+/// Commitment/finality tallies over the *live honest* colony, kept
+/// current per stepped agent by the executor and read by the
+/// convergence [`Detector`](crate::Detector), so the detector reads
+/// O(k) state instead of rescanning the colony every round.
 ///
-/// Crashed ants leave the tally at their crash round (their state
-/// machines are frozen); dishonest agents never enter it.
+/// The counters are signed so that a cleared tally doubles as a
+/// per-worker delta: each chunk of the parallel agent pass
+/// [`apply`](Self::apply)s its agents' transitions to its own cleared
+/// tally, and the barrier [`merge`](Self::merge)s the chunks in chunk
+/// order. Crashed ants leave the tally at their crash round (their
+/// state machines are frozen); dishonest agents never enter it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LiveTally {
     /// Live honest agents.
-    total: usize,
-    /// Of those, agents with no committed nest.
-    uncommitted: usize,
-    /// Of those, agents reporting the final/settled state.
-    finals: usize,
-    /// Commitments per raw nest id (grown on demand).
-    commits: Vec<usize>,
-    /// Nests with a nonzero commitment count.
-    distinct: usize,
-}
-
-impl LiveTally {
-    fn add(&mut self, snapshot: &AgentSnapshot) {
-        self.total += 1;
-        self.finals += usize::from(snapshot.is_final);
-        match snapshot.committed {
-            None => self.uncommitted += 1,
-            Some(nest) => self.commit(nest, true),
-        }
-    }
-
-    fn remove(&mut self, snapshot: &AgentSnapshot) {
-        self.total -= 1;
-        self.finals -= usize::from(snapshot.is_final);
-        match snapshot.committed {
-            None => self.uncommitted -= 1,
-            Some(nest) => self.commit(nest, false),
-        }
-    }
-
-    /// Folds one agent's snapshot transition into the tally. Honesty may
-    /// legitimately vary for `Custom` agents, so only states that were
-    /// (are) honest leave (enter) the tally.
-    #[inline]
-    fn apply(&mut self, old: &AgentSnapshot, new: &AgentSnapshot) {
-        if old == new {
-            return;
-        }
-        if old.honest {
-            self.remove(old);
-        }
-        if new.honest {
-            self.add(new);
-        }
-    }
-
-    fn commit(&mut self, nest: NestId, add: bool) {
-        let raw = nest.raw();
-        if raw >= self.commits.len() {
-            self.commits.resize(raw + 1, 0);
-        }
-        if add {
-            self.commits[raw] += 1;
-            if self.commits[raw] == 1 {
-                self.distinct += 1;
-            }
-        } else {
-            self.commits[raw] -= 1;
-            if self.commits[raw] == 0 {
-                self.distinct -= 1;
-            }
-        }
-    }
-
-    /// Live honest agents currently tallied.
-    #[cfg(test)]
-    pub(crate) fn total(&self) -> usize {
-        self.total
-    }
-
-    /// The nest every live honest agent is committed to, if they all
-    /// agree; `None` when the tally is empty, anyone is uncommitted, or
-    /// two agents disagree.
-    pub(crate) fn consensus(&self) -> Option<NestId> {
-        if self.total == 0 || self.uncommitted > 0 || self.distinct != 1 {
-            return None;
-        }
-        self.commits
-            .iter()
-            .position(|&count| count > 0)
-            .map(NestId::from_raw)
-    }
-
-    /// `true` if every live honest agent reports the final state.
-    pub(crate) fn all_final(&self) -> bool {
-        self.finals == self.total
-    }
-
-    /// Folds a per-worker [`TallyDelta`] (chunk-order merge at the round
-    /// barrier) into the tally. The end state is identical to having
-    /// applied every agent transition directly.
-    pub(crate) fn apply_delta(&mut self, delta: &TallyDelta) {
-        self.total = signed_add(self.total, delta.total);
-        self.uncommitted = signed_add(self.uncommitted, delta.uncommitted);
-        self.finals = signed_add(self.finals, delta.finals);
-        for (raw, &change) in delta.commits.iter().enumerate() {
-            if change == 0 {
-                continue;
-            }
-            if raw >= self.commits.len() {
-                self.commits.resize(raw + 1, 0);
-            }
-            let old = self.commits[raw];
-            let new = signed_add(old, change);
-            self.commits[raw] = new;
-            match (old == 0, new == 0) {
-                (true, false) => self.distinct += 1,
-                (false, true) => self.distinct -= 1,
-                _ => {}
-            }
-        }
-    }
-
-    /// The nest satisfying `good` that holds at least `fraction` of the
-    /// live honest colony's commitments, if any; the highest count wins,
-    /// lowest nest id breaking ties.
-    pub(crate) fn quorum(&self, fraction: f64, good: impl Fn(NestId) -> bool) -> Option<NestId> {
-        if self.total == 0 {
-            return None;
-        }
-        let needed = ((fraction * self.total as f64).ceil() as usize).max(1);
-        let mut best: Option<(usize, NestId)> = None;
-        for (raw, &count) in self.commits.iter().enumerate() {
-            if count >= needed && best.is_none_or(|(c, _)| count > c) {
-                let nest = NestId::from_raw(raw);
-                if good(nest) {
-                    best = Some((count, nest));
-                }
-            }
-        }
-        best.map(|(_, nest)| nest)
-    }
-}
-
-/// Adds a signed delta to an unsigned counter; panics on underflow
-/// (which would indicate a delta produced against foreign state).
-fn signed_add(value: usize, delta: isize) -> usize {
-    value
-        .checked_add_signed(delta)
-        .expect("live tally underflow")
-}
-
-/// A signed [`LiveTally`] delta, accumulated per worker during the
-/// chunked observe/choose/refresh pass and merged in chunk order at the
-/// round barrier ([`LiveTally::apply_delta`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TallyDelta {
     total: isize,
+    /// Of those, agents with no committed nest.
     uncommitted: isize,
+    /// Of those, agents reporting the final/settled state.
     finals: isize,
-    /// Signed commitment changes per raw nest id (grown on demand).
+    /// Commitments per raw nest id (grown on demand).
     commits: Vec<isize>,
 }
 
-impl TallyDelta {
+impl LiveTally {
+    /// Zeroes every counter, keeping the commit buffer.
     fn clear(&mut self) {
         self.total = 0;
         self.uncommitted = 0;
@@ -311,7 +172,9 @@ impl TallyDelta {
         self.commits.fill(0);
     }
 
-    /// Mirrors [`LiveTally::apply`] for one agent's snapshot transition.
+    /// Folds one agent's snapshot transition into the tally. Honesty may
+    /// legitimately vary for `Custom` agents, so only states that were
+    /// (are) honest leave (enter) the tally.
     #[inline]
     fn apply(&mut self, old: &AgentSnapshot, new: &AgentSnapshot) {
         if old == new {
@@ -325,6 +188,8 @@ impl TallyDelta {
         }
     }
 
+    /// Adds (`sign = 1`) or removes (`sign = -1`) one agent's state.
+    #[inline]
     fn shift(&mut self, snapshot: &AgentSnapshot, sign: isize) {
         self.total += sign;
         self.finals += isize::from(snapshot.is_final) * sign;
@@ -338,6 +203,70 @@ impl TallyDelta {
                 self.commits[raw] += sign;
             }
         }
+    }
+
+    /// Adds a per-worker delta (a tally cleared before its chunk's
+    /// pass). The end state is identical to having applied every agent
+    /// transition directly.
+    fn merge(&mut self, delta: &LiveTally) {
+        self.total += delta.total;
+        self.uncommitted += delta.uncommitted;
+        self.finals += delta.finals;
+        if self.commits.len() < delta.commits.len() {
+            self.commits.resize(delta.commits.len(), 0);
+        }
+        for (count, change) in self.commits.iter_mut().zip(&delta.commits) {
+            *count += change;
+        }
+        debug_assert!(
+            self.total >= 0 && self.commits.iter().all(|&count| count >= 0),
+            "live tally underflow: a delta not produced against this tally"
+        );
+    }
+
+    /// Live honest agents currently tallied.
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> usize {
+        usize::try_from(self.total).expect("a merged tally is never negative")
+    }
+
+    /// The nest every live honest agent is committed to, if they all
+    /// agree; `None` when the tally is empty, anyone is uncommitted, or
+    /// two agents disagree.
+    pub(crate) fn consensus(&self) -> Option<NestId> {
+        if self.total == 0 || self.uncommitted > 0 {
+            return None;
+        }
+        let mut held = (0..self.commits.len()).filter(|&raw| self.commits[raw] > 0);
+        match (held.next(), held.next()) {
+            (Some(raw), None) => Some(NestId::from_raw(raw)),
+            _ => None,
+        }
+    }
+
+    /// `true` if every live honest agent reports the final state.
+    pub(crate) fn all_final(&self) -> bool {
+        self.finals == self.total
+    }
+
+    /// The nest satisfying `good` that holds at least `fraction` of the
+    /// live honest colony's commitments, if any; the highest count wins,
+    /// lowest nest id breaking ties.
+    pub(crate) fn quorum(&self, fraction: f64, good: impl Fn(NestId) -> bool) -> Option<NestId> {
+        if self.total == 0 {
+            return None;
+        }
+        let needed = ((fraction * self.total as f64).ceil() as isize).max(1);
+        let mut best: Option<(isize, NestId)> = None;
+        for (raw, &count) in self.commits.iter().enumerate() {
+            if count >= needed && best.is_none_or(|(c, _)| count > c) {
+                let nest = NestId::from_raw(raw);
+                if good(nest) {
+                    best = Some((count, nest));
+                }
+            }
+        }
+        best.map(|(_, nest)| nest)
     }
 }
 
@@ -353,10 +282,8 @@ struct WorkerScratch {
     calls: Vec<RecruitCall>,
     /// Phase 1: illegal actions sandboxed in this chunk.
     illegal: u64,
-    /// Phase 2: this chunk's role-census delta.
-    census: CensusDelta,
     /// Phase 2: this chunk's live-tally delta.
-    tally: TallyDelta,
+    tally: LiveTally,
 }
 
 /// One synchronous execution: environment + colony + perturbations.
@@ -454,9 +381,11 @@ impl Simulation {
         }
         let n = env.n();
         let mut live = LiveTally::default();
+        // A branch rather than `.filter()`: the filtered copies measured
+        // about 3x slower here (store-forwarding stalls on x86-64).
         for snapshot in colony.iter_snapshots() {
             if snapshot.honest {
-                live.add(&snapshot);
+                live.shift(&snapshot, 1);
             }
         }
         let perturbations = perturbations.unwrap_or_else(|| Perturbations::none(n));
@@ -603,7 +532,7 @@ impl Simulation {
         &self.colony
     }
 
-    /// The colony with its cached census (read-only view).
+    /// The colony with its snapshot cache (read-only view).
     #[must_use]
     pub fn colony(&self) -> &Colony {
         &self.colony
@@ -719,11 +648,10 @@ impl Simulation {
             round,
             materialize,
         );
-        // The round barrier: fold the per-chunk census/tally deltas in
-        // chunk order.
+        // The round barrier: fold the per-chunk tally deltas in chunk
+        // order.
         for ws in worker_scratch.iter() {
-            colony.apply_census_delta(&ws.census);
-            live.apply_delta(&ws.tally);
+            live.merge(&ws.tally);
         }
         Ok(())
     }
@@ -778,7 +706,7 @@ impl Simulation {
                 self.crashed[idx] = true;
                 let snapshot = self.colony.snapshot(idx);
                 if snapshot.honest {
-                    self.live.remove(&snapshot);
+                    self.live.shift(&snapshot, -1);
                 }
             }
             let delayed = !crashed && self.perturbations.delay.is_delayed(ant, round);
@@ -974,8 +902,9 @@ impl Simulation {
         !self.perturbations.crash.is_crashed(ant, self.env.round())
     }
 
-    /// Census of honest-agent roles, used by metrics and detectors.
-    /// O(1): maintained incrementally by the engine.
+    /// Census of honest-agent roles, used by metrics: one pass over the
+    /// colony's snapshot cache, which both engines keep current every
+    /// round.
     #[must_use]
     pub fn role_census(&self) -> RoleCensus {
         self.colony.census()
@@ -996,8 +925,7 @@ impl Simulation {
 /// The body of `step_round_fast`: one unperturbed round — phase 1
 /// (validate/sandbox/relocate/tally), the serial pairing middle, phase 2
 /// (outcome → observe → choose, snapshot refresh) — over the agent
-/// vector. The caller folds the per-worker census/tally deltas
-/// afterwards.
+/// vector. The caller merges the per-worker tally deltas afterwards.
 #[allow(clippy::too_many_arguments)]
 fn run_batched_round(
     env: &mut Environment,
@@ -1114,7 +1042,7 @@ fn run_batched_round(
     // ── Phase 2 (chunked): the single agent pass — compute the
     // outcome, observe round `round`, choose round `round + 1`,
     // refresh the (cache-hot) snapshot — one `AnyAgent::observe_choose` per
-    // ant — and accumulate census/tally deltas per worker. In the
+    // ant — and accumulate a tally delta per worker. In the
     // eliding mode each outcome lives only for the instant its agent
     // consumes it; materializing adds a copy into the report's
     // persistent buffer.
@@ -1197,8 +1125,7 @@ fn run_batched_round(
                 scratch,
                 mut cursor,
             } = part;
-            let WorkerScratch { census, tally, .. } = scratch;
-            census.clear();
+            let tally = &mut scratch.tally;
             tally.clear();
             let start = chunk.start();
             for (local, agent) in agents.iter_mut().enumerate() {
@@ -1214,7 +1141,6 @@ fn run_batched_round(
                 next[local] = action;
                 let old = snapshots[local];
                 if new != old {
-                    census.record(&old, &new);
                     tally.apply(&old, &new);
                     snapshots[local] = new;
                 }
@@ -1382,6 +1308,155 @@ mod tests {
             hh_core::problem::honest_consensus(sim.agents()),
             Some(solved.nest)
         );
+    }
+
+    #[test]
+    fn live_tally_and_census_match_a_recount_every_round() {
+        // After every round, the incrementally kept live tally and the
+        // snapshot-cache census must equal a recount from scratch over
+        // the agents. Every third ant is a `Custom` turncoat whose
+        // honesty flips in `observe` every few rounds, mostly on rounds
+        // where its commitment and finality stay put — so a tally update
+        // that skips honesty-only transitions drifts from the recount.
+        use hh_core::AgentRole;
+        use hh_model::faults::{CrashPlan, CrashStyle};
+
+        struct Turncoat<A> {
+            inner: A,
+            period: u64,
+            honest: bool,
+        }
+        impl<A: Agent> Agent for Turncoat<A> {
+            fn choose(&mut self, round: u64) -> hh_model::Action {
+                self.inner.choose(round)
+            }
+            fn observe(&mut self, round: u64, outcome: &Outcome) {
+                self.inner.observe(round, outcome);
+                if round.is_multiple_of(self.period) {
+                    self.honest = !self.honest;
+                }
+            }
+            fn committed_nest(&self) -> Option<NestId> {
+                self.inner.committed_nest()
+            }
+            fn is_final(&self) -> bool {
+                self.inner.is_final()
+            }
+            fn is_honest(&self) -> bool {
+                self.honest
+            }
+            fn role(&self) -> AgentRole {
+                self.inner.role()
+            }
+            fn label(&self) -> &'static str {
+                "turncoat"
+            }
+        }
+        fn with_turncoats<A>(n: usize, make: impl Fn(u64) -> A) -> Colony
+        where
+            A: Agent + Into<AnyAgent> + Send + 'static,
+        {
+            colony::from_factory(n, 71, |idx, seed| {
+                let inner = make(seed);
+                if idx % 3 == 0 {
+                    AnyAgent::custom(Turncoat {
+                        inner,
+                        period: 2 + idx as u64 % 5,
+                        honest: idx % 2 == 0,
+                    })
+                } else {
+                    inner.into()
+                }
+            })
+        }
+
+        let mut saw_consensus = false;
+        let mut saw_all_final = false;
+        let mut check = |sim: &Simulation, label: &str| {
+            let round = sim.round();
+            let mut census = RoleCensus::default();
+            let (mut total, mut uncommitted, mut finals) = (0usize, 0usize, 0usize);
+            let mut commits = vec![0usize; sim.env().k() + 1];
+            for (idx, agent) in sim.agents().iter().enumerate() {
+                if !agent.is_honest() {
+                    continue;
+                }
+                *match agent.role() {
+                    AgentRole::Searching => &mut census.searching,
+                    AgentRole::Active => &mut census.active,
+                    AgentRole::Passive => &mut census.passive,
+                    AgentRole::Final => &mut census.final_count,
+                    _ => &mut census.other,
+                } += 1;
+                if !sim.is_live(AntId::new(idx)) {
+                    continue;
+                }
+                total += 1;
+                finals += usize::from(agent.is_final());
+                match agent.committed_nest() {
+                    None => uncommitted += 1,
+                    Some(nest) => commits[nest.raw()] += 1,
+                }
+            }
+            let held: Vec<usize> = (0..commits.len()).filter(|&raw| commits[raw] > 0).collect();
+            let consensus =
+                (uncommitted == 0 && held.len() == 1).then(|| NestId::from_raw(held[0]));
+            let needed = ((0.7 * total as f64).ceil() as usize).max(1);
+            let good = |nest: NestId| sim.env().quality_of(nest).is_some_and(|q| q.is_good());
+            let quorum = held
+                .iter()
+                .copied()
+                .filter(|&raw| commits[raw] >= needed && good(NestId::from_raw(raw)))
+                .max_by_key(|&raw| (commits[raw], std::cmp::Reverse(raw)))
+                .map(NestId::from_raw);
+
+            let tally = sim.live_tally();
+            assert_eq!(sim.role_census(), census, "{label}, round {round}: census");
+            assert_eq!(tally.total(), total, "{label}, round {round}: total");
+            assert_eq!(tally.consensus(), consensus, "{label}, round {round}");
+            assert_eq!(tally.all_final(), finals == total, "{label}, round {round}");
+            assert_eq!(tally.quorum(0.7, good), quorum, "{label}, round {round}");
+            saw_consensus |= consensus.is_some();
+            saw_all_final |= total > 0 && finals == total;
+        };
+
+        let n = 60;
+        let simple = || with_turncoats(n, |seed| hh_core::SimpleAnt::new(n, seed));
+        let optimal = || with_turncoats(n, |_| hh_core::OptimalAnt::new());
+        let colonies: [(&str, &dyn Fn() -> Colony); 2] =
+            [("simple", &simple), ("optimal", &optimal)];
+        for (family, build) in colonies {
+            let fast = |threads: usize| {
+                Simulation::new(env(n, 3, 71), build())
+                    .unwrap()
+                    .with_round_threads(threads)
+            };
+            let faulty = Simulation::with_perturbations(
+                env(n, 3, 71),
+                build(),
+                Some(Perturbations {
+                    crash: CrashPlan::fraction(n, 0.2, 20, CrashStyle::InPlace, 7),
+                    delay: DelayPlan::new(0.1, 7),
+                }),
+            )
+            .unwrap()
+            .with_engine(EngineKind::Scalar);
+            let runs = [
+                ("fast path, 1 thread", fast(1)),
+                ("fast path, 4 threads", fast(4)),
+                ("scalar engine, crashes and delays", faulty),
+            ];
+            for (engine, mut sim) in runs {
+                let label = format!("{family} colony, {engine}");
+                check(&sim, &label);
+                for _ in 0..200 {
+                    sim.step().unwrap();
+                    check(&sim, &label);
+                }
+            }
+        }
+        assert!(saw_consensus, "no round reached a live honest consensus");
+        assert!(saw_all_final, "no round had every live honest ant final");
     }
 
     #[test]

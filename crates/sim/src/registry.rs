@@ -397,15 +397,16 @@ impl ColonyMix {
     }
 }
 
-/// Rounds a fractional share of the colony to a head-count, clamped so a
-/// nonzero fraction below one never consumes the whole colony.
+/// Rounds a fractional share of the colony to a head-count, clamped so
+/// only a fraction of one or more consumes the whole colony (a NaN
+/// fraction plants nobody).
 fn share(n: usize, fraction: f64) -> usize {
     let fraction = fraction.clamp(0.0, 1.0);
     let count = ((n as f64) * fraction).round() as usize;
-    if fraction < 1.0 {
-        count.min(n.saturating_sub(1))
-    } else {
+    if fraction >= 1.0 {
         n
+    } else {
+        count.min(n.saturating_sub(1))
     }
 }
 
@@ -796,9 +797,11 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidScenario`] if an axis value cannot be
-    /// materialized (an `AdversarialTie` with fewer than two nests);
-    /// otherwise propagates configuration validation failures.
+    /// [`SimError::InvalidScenario`] if an axis value is out of range:
+    /// an `AdversarialTie` with fewer than two nests, a good nest outside
+    /// `1..=k`, a fraction or probability that is not a number in
+    /// `[0, 1]`, or more Byzantine adversaries than ants. Otherwise
+    /// propagates configuration validation failures.
     pub fn build(&self, seed: u64) -> Result<Simulation, SimError> {
         self.check_axes()?;
         Ok(self
@@ -808,17 +811,51 @@ impl Scenario {
             .with_round_threads(self.round_threads))
     }
 
-    /// Rejects the axis values [`spec_for`](Self::spec_for) would panic
-    /// on, so no public entry point that builds a simulation can reach
-    /// that panic.
+    /// Rejects the out-of-range axis values listed under
+    /// [`build`](Self::build) before anything is built, including the
+    /// `AdversarialTie` that [`spec_for`](Self::spec_for) would panic on.
     fn check_axes(&self) -> Result<(), SimError> {
-        if matches!(self.profile, QualityProfile::AdversarialTie { k } if k < 2) {
-            return Err(SimError::InvalidScenario {
-                axis: "profile",
-                reason: "an adversarial tie needs at least two nests",
-            });
+        let invalid = |axis, reason| Err(SimError::InvalidScenario { axis, reason });
+        let unit = |value: f64| (0.0..=1.0).contains(&value);
+        match self.profile {
+            QualityProfile::AdversarialTie { k } if k < 2 => {
+                return invalid("profile", "an adversarial tie needs at least two nests");
+            }
+            QualityProfile::GoodPrefix { k, good } if !(1..=k).contains(&good) => {
+                return invalid("profile", "a good prefix must hold between 1 and k nests");
+            }
+            QualityProfile::SingleGood { k, good } if !(1..=k).contains(&good) => {
+                return invalid("profile", "the single good nest must be one of nests 1..=k");
+            }
+            _ => {}
         }
-        Ok(())
+        let faults_in_range = match self.faults {
+            FaultSchedule::None => true,
+            FaultSchedule::Crash { fraction, .. } => unit(fraction),
+            FaultSchedule::Delay { probability } => unit(probability),
+            FaultSchedule::Mixed {
+                crash_fraction,
+                delay_probability,
+                ..
+            } => unit(crash_fraction) && unit(delay_probability),
+        };
+        if !faults_in_range {
+            return invalid(
+                "faults",
+                "crash fractions and delay probabilities must be in [0, 1]",
+            );
+        }
+        match self.mix {
+            ColonyMix::IdleFraction { idle: fraction, .. }
+            | ColonyMix::Heterogeneous {
+                fraction_b: fraction,
+                ..
+            } if !unit(fraction) => invalid("mix", "colony fractions must be in [0, 1]"),
+            ColonyMix::Byzantine { adversaries, .. } if adversaries > self.n => {
+                invalid("mix", "more Byzantine adversaries than ants")
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Builds and runs one trial to the scenario's rule and budget.
@@ -1264,6 +1301,7 @@ mod tests {
         assert_eq!(share(4, 0.5), 2);
         assert_eq!(share(4, 0.99), 3, "clamped below n");
         assert_eq!(share(4, 1.0), 4);
+        assert_eq!(share(64, f64::NAN), 0, "NaN plants nobody");
     }
 
     #[test]
@@ -1287,6 +1325,88 @@ mod tests {
                 Some(expected.clone()),
                 "k = {k}"
             );
+        }
+    }
+
+    #[test]
+    fn hostile_axis_values_are_errors_not_silent_runs() {
+        use Algorithm::Simple;
+        let prefix = |k, good| QualityProfile::GoodPrefix { k, good };
+        let single = |k, good| QualityProfile::SingleGood { k, good };
+        let delay = |probability| FaultSchedule::Delay { probability };
+        let crash = |fraction| FaultSchedule::Crash {
+            fraction,
+            round: 3,
+            style: CrashStyle::InPlace,
+        };
+        let mixed = |crash_fraction, delay_probability| FaultSchedule::Mixed {
+            crash_fraction,
+            crash_round: 3,
+            delay_probability,
+        };
+        let idle = |idle| ColonyMix::IdleFraction {
+            algorithm: Simple,
+            idle,
+        };
+        let hetero = |fraction_b| ColonyMix::Heterogeneous {
+            a: Simple,
+            b: Algorithm::Adaptive,
+            fraction_b,
+        };
+        let byzantine = |adversaries| ColonyMix::Byzantine {
+            algorithm: Simple,
+            adversaries,
+        };
+        let scenario = |profile, faults, mix| Scenario::custom("hostile", 16, profile, faults, mix);
+        let uniform = || ColonyMix::Uniform(Simple);
+
+        let profiles = [prefix(2, 5), prefix(4, 0), single(3, 4), single(3, 0)];
+        let faults = [
+            delay(f64::NAN),
+            delay(-0.5),
+            crash(1.5),
+            crash(f64::NAN),
+            mixed(0.1, f64::NEG_INFINITY),
+            mixed(f64::NAN, 0.05),
+        ];
+        let mixes = [
+            idle(f64::NAN),
+            idle(-0.1),
+            idle(1.5),
+            hetero(f64::NAN),
+            hetero(f64::INFINITY),
+            byzantine(40),
+        ];
+        let mut cases = Vec::new();
+        cases.extend(profiles.map(|p| (scenario(p, FaultSchedule::None, uniform()), "profile")));
+        cases.extend(faults.map(|f| (scenario(prefix(4, 2), f, uniform()), "faults")));
+        cases.extend(mixes.map(|m| (scenario(prefix(4, 2), FaultSchedule::None, m), "mix")));
+        for (scenario, axis) in cases {
+            let label = format!(
+                "{:?} / {:?} / {:?}",
+                scenario.profile(),
+                scenario.faults(),
+                scenario.mix()
+            );
+            let build = scenario.build(1).err();
+            let run = scenario.run(1).err();
+            let trials = scenario.run_trials_with_workers(3, 2).err();
+            for (entry, err) in [("build", build), ("run", run), ("run_trials", trials)] {
+                let rejected_on = match err {
+                    Some(SimError::InvalidScenario { axis, .. }) => Some(axis),
+                    _ => None,
+                };
+                assert_eq!(rejected_on, Some(axis), "{label}: {entry}");
+            }
+        }
+
+        // The ends of every range stay valid.
+        for valid in [
+            scenario(single(3, 3), crash(1.0), idle(0.0)),
+            scenario(prefix(3, 3), mixed(0.0, 1.0), hetero(1.0)),
+            scenario(prefix(3, 1), delay(0.0), byzantine(16)),
+        ] {
+            assert!(valid.build(1).is_ok(), "{:?}", valid.faults());
         }
     }
 

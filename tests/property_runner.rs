@@ -112,7 +112,7 @@ proptest! {
     /// shapes, not just the even division `with_round_threads` produces:
     /// width-1 chunks, an `n − 1` cut, prime strides, and arbitrary random
     /// boundary vectors (including empty chunks) must all merge their
-    /// snapshot slices and census deltas to exactly the serial
+    /// snapshot slices and live-tally deltas to exactly the serial
     /// execution's state, round for round.
     #[test]
     fn adversarial_chunk_bounds_never_change_round_results(
@@ -171,8 +171,8 @@ proptest! {
                 serial.env().locations(), sim.env().locations(),
                 "chunk bounds {:?}: final locations diverged", bounds
             );
-            // The census merged from per-chunk deltas matches the serial
-            // engine's — the cached snapshots agree row for row.
+            // The census counted from the chunk-written snapshots matches
+            // the serial engine's — the cached snapshots agree row for row.
             prop_assert_eq!(
                 serial.role_census(), sim.role_census(),
                 "chunk bounds {:?}: role census diverged", bounds
