@@ -1,118 +1,8 @@
-//! Text histograms and series sparklines for terminal figures.
+//! Series sparklines for terminal figures.
 //!
-//! Experiment "figures" are printed, not plotted: a [`Histogram`] renders
-//! a bucketed bar chart and [`sparkline`] compresses a series into one
-//! line of block characters — enough to eyeball the shape of a
-//! convergence curve in CI logs.
-
-use std::fmt;
-
-/// A fixed-bucket histogram over `f64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use hh_analysis::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// for v in [1.0, 1.5, 2.0, 7.0] {
-///     h.add(v);
-/// }
-/// assert_eq!(h.total(), 4);
-/// let text = h.to_string();
-/// assert!(text.contains('█'));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `buckets` equal buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0` or `hi <= lo`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Self {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds a sample; out-of-range samples land in under/overflow.
-    pub fn add(&mut self, value: f64) {
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((value - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total samples, including under/overflow.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Per-bucket counts.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Samples below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the range's upper bound.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        const BAR_WIDTH: usize = 40;
-        let max = self.buckets.iter().copied().max().unwrap_or(0).max(1);
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &count) in self.buckets.iter().enumerate() {
-            let lo = self.lo + width * i as f64;
-            let hi = lo + width;
-            let bar_len = ((count as f64 / max as f64) * BAR_WIDTH as f64).round() as usize;
-            writeln!(
-                f,
-                "[{lo:>10.2}, {hi:>10.2})  {count:>8}  {}",
-                "█".repeat(bar_len)
-            )?;
-        }
-        if self.underflow > 0 {
-            writeln!(f, "  underflow: {}", self.underflow)?;
-        }
-        if self.overflow > 0 {
-            writeln!(f, "  overflow:  {}", self.overflow)?;
-        }
-        Ok(())
-    }
-}
+//! Experiment "figures" are printed, not plotted: [`sparkline`]
+//! compresses a series into one line of block characters — enough to
+//! eyeball the shape of a convergence curve in CI logs.
 
 /// Renders a numeric series as a single-line sparkline using the eight
 /// block glyphs `▁▂▃▄▅▆▇█`. Empty input yields an empty string.
@@ -150,57 +40,6 @@ pub fn sparkline(series: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_fill_correctly() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.add(f64::from(i) + 0.5);
-        }
-        assert_eq!(h.counts(), &[1; 10]);
-        assert_eq!(h.total(), 10);
-    }
-
-    #[test]
-    fn out_of_range_samples_tracked() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.add(-1.0);
-        h.add(5.0);
-        h.add(1.0); // upper bound is exclusive
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 3);
-        let text = h.to_string();
-        assert!(text.contains("underflow"));
-        assert!(text.contains("overflow"));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn zero_buckets_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn inverted_range_panics() {
-        let _ = Histogram::new(1.0, 0.0, 3);
-    }
-
-    #[test]
-    fn display_scales_bars() {
-        let mut h = Histogram::new(0.0, 2.0, 2);
-        for _ in 0..40 {
-            h.add(0.5);
-        }
-        h.add(1.5);
-        let text = h.to_string();
-        let lines: Vec<&str> = text.lines().collect();
-        let bars0 = lines[0].matches('█').count();
-        let bars1 = lines[1].matches('█').count();
-        assert_eq!(bars0, 40);
-        assert!(bars1 <= 1);
-    }
 
     #[test]
     fn sparkline_shapes() {

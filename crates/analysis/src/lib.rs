@@ -10,8 +10,7 @@
 //! * [`fit_linear`] / [`fit_log2`] / [`growth_assessment`] — asymptotic
 //!   shape validation (`T = a·log n + b` fits with `R²`, doubling-sweep
 //!   difference/ratio analysis);
-//! * [`Table`], [`Histogram`], [`sparkline`], [`write_csv`] — plain-text
-//!   figure rendering and CSV export.
+//! * [`Table`], [`sparkline`] — plain-text figure rendering.
 //!
 //! # Examples
 //!
@@ -35,16 +34,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod csv;
 mod error;
 mod fit;
 mod histogram;
 mod stats;
 mod table;
 
-pub use csv::{escape_cell, write_csv};
 pub use error::AnalysisError;
 pub use fit::{fit_linear, fit_log2, growth_assessment, GrowthAssessment, LinearFit};
-pub use histogram::{sparkline, Histogram};
+pub use histogram::sparkline;
 pub use stats::{Quantiles, Summary};
 pub use table::{fmt_f64, Table};

@@ -17,9 +17,6 @@
 //! cargo run --release -p hh-bench --bin experiments -- --quick # CI-sized
 //! cargo run --release -p hh-bench --bin experiments -- F3 F5   # selected
 //! ```
-//!
-//! The `benches/` directory holds the criterion wall-clock benchmarks for
-//! the same workloads (one target per experiment family).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,7 +14,7 @@
 //! * [`ScenarioSpec`] — declarative construction of (possibly perturbed)
 //!   simulations;
 //! * [`registry`] — the named scenario catalog (quality profiles × fault
-//!   schedules × colony mixes) that experiments, benches, and examples
+//!   schedules × colony mixes) that experiments, the benchmark, and examples
 //!   pull their workloads from.
 //!
 //! # Examples

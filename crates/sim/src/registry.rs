@@ -800,8 +800,9 @@ impl Scenario {
     /// [`SimError::InvalidScenario`] if an axis value is out of range:
     /// an `AdversarialTie` with fewer than two nests, a good nest outside
     /// `1..=k`, a fraction or probability that is not a number in
-    /// `[0, 1]`, or more Byzantine adversaries than ants. Otherwise
-    /// propagates configuration validation failures.
+    /// `[0, 1]`, more Byzantine adversaries than ants, or an
+    /// [`Algorithm::Quality`] exponent that is negative or not finite.
+    /// Otherwise propagates configuration validation failures.
     pub fn build(&self, seed: u64) -> Result<Simulation, SimError> {
         self.check_axes()?;
         Ok(self
@@ -843,6 +844,21 @@ impl Scenario {
             return invalid(
                 "faults",
                 "crash fractions and delay probabilities must be in [0, 1]",
+            );
+        }
+        // `QualityAnt::new` panics on any other exponent.
+        let gamma_ok = |algorithm: &Algorithm| match algorithm {
+            Algorithm::Quality { gamma } => gamma.is_finite() && *gamma >= 0.0,
+            _ => true,
+        };
+        let gammas_ok = match &self.mix {
+            ColonyMix::Heterogeneous { a, b, .. } => gamma_ok(a) && gamma_ok(b),
+            mix => gamma_ok(mix.primary_algorithm()),
+        };
+        if !gammas_ok {
+            return invalid(
+                "mix",
+                "a quality exponent gamma must be finite and non-negative",
             );
         }
         match self.mix {
@@ -1359,6 +1375,31 @@ mod tests {
         };
         let scenario = |profile, faults, mix| Scenario::custom("hostile", 16, profile, faults, mix);
         let uniform = || ColonyMix::Uniform(Simple);
+        let quality = |gamma| Algorithm::Quality { gamma };
+        // Every place an algorithm sits in a mix, with `algorithm` there.
+        let mixes_of = |algorithm: Algorithm| {
+            [
+                ColonyMix::Uniform(algorithm.clone()),
+                ColonyMix::IdleFraction {
+                    algorithm: algorithm.clone(),
+                    idle: 0.25,
+                },
+                ColonyMix::Byzantine {
+                    algorithm: algorithm.clone(),
+                    adversaries: 2,
+                },
+                ColonyMix::Heterogeneous {
+                    a: algorithm.clone(),
+                    b: Simple,
+                    fraction_b: 0.5,
+                },
+                ColonyMix::Heterogeneous {
+                    a: Simple,
+                    b: algorithm,
+                    fraction_b: 0.5,
+                },
+            ]
+        };
 
         let profiles = [prefix(2, 5), prefix(4, 0), single(3, 4), single(3, 0)];
         let faults = [
@@ -1381,6 +1422,12 @@ mod tests {
         cases.extend(profiles.map(|p| (scenario(p, FaultSchedule::None, uniform()), "profile")));
         cases.extend(faults.map(|f| (scenario(prefix(4, 2), f, uniform()), "faults")));
         cases.extend(mixes.map(|m| (scenario(prefix(4, 2), FaultSchedule::None, m), "mix")));
+        for gamma in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            cases.extend(
+                mixes_of(quality(gamma))
+                    .map(|m| (scenario(prefix(4, 2), FaultSchedule::None, m), "mix")),
+            );
+        }
         for (scenario, axis) in cases {
             let label = format!(
                 "{:?} / {:?} / {:?}",
@@ -1407,6 +1454,12 @@ mod tests {
             scenario(prefix(3, 1), delay(0.0), byzantine(16)),
         ] {
             assert!(valid.build(1).is_ok(), "{:?}", valid.faults());
+        }
+        for gamma in [0.0, 2.0] {
+            for mix in mixes_of(quality(gamma)) {
+                let valid = scenario(prefix(4, 2), FaultSchedule::None, mix);
+                assert!(valid.run(1).is_ok(), "{:?}", valid.mix());
+            }
         }
     }
 

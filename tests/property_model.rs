@@ -1,9 +1,10 @@
 //! Property-based tests on the model substrate: the recruitment pairing
 //! process (including the kernel against a textbook transcription of
-//! Algorithm 1), the environment's invariants under arbitrary legal action
-//! sequences, seed derivation, and the bit set.
+//! Algorithm 1 and against Algorithm 1's exact law at small m), the
+//! environment's invariants under arbitrary legal action sequences, seed
+//! derivation, and the bit set.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use house_hunting::model::recruitment::{pair_ants, pair_ants_into, Pairing, RecruitCall};
 use house_hunting::model::seeding::{derive_seed, StreamKind};
@@ -191,6 +192,126 @@ fn kernel_matches_reference_at_colony_scale() {
         assert_kernel_matches_reference(&calls, seed, &mut pairing, &mut perm);
     }
     assert!(pairing.matched_count() > 0);
+}
+
+// Algorithm 1 against its exact law. The transcription above shares the
+// kernel's `shuffle` and target draw, so a bias in either passes both.
+// These tests share no code with the kernel: they enumerate every order
+// of all m participants (passive ones included) and every target vector,
+// apply lines 2–6 as the `recruitment` module docs state them, and so
+// count the exact probability of each matching. Then 200 000 kernel
+// matchings per configuration, from a fixed seed, are chi-squared
+// against that law. A configuration fails if it samples a matching of
+// probability 0, or if the statistic's Wilson–Hilferty z exceeds 5: a
+// one-sided false-alarm rate of about 3·10⁻⁷ per configuration for an
+// unbiased kernel. The seeds are fixed, so every run gives the same z.
+
+/// Kernel matchings drawn per configuration.
+const LAW_SAMPLES: u64 = 200_000;
+
+/// Encodes a matching on `m` participants as one number: digit `i` (base
+/// `m + 1`) is participant `i`'s recruiter, or `m` if it has none. A
+/// recruiter list determines every pair, self-pairs included.
+fn matching_key(m: usize, recruited_by: impl Fn(usize) -> Option<usize>) -> u64 {
+    (0..m).rev().fold(0, |key, idx| {
+        key * (m as u64 + 1) + recruited_by(idx).unwrap_or(m) as u64
+    })
+}
+
+/// Calls `visit` once with every ordering of `items[k..]`.
+fn for_each_permutation(items: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
+    if k == items.len() {
+        visit(items);
+        return;
+    }
+    for i in k..items.len() {
+        items.swap(k, i);
+        for_each_permutation(items, k + 1, visit);
+        items.swap(k, i);
+    }
+}
+
+/// The exact law of Algorithm 1's matching: for each matching (keyed by
+/// [`matching_key`]), how many of the m!·m^m equally likely (order,
+/// target vector) cases produce it.
+fn exact_matching_law(active: &[bool]) -> BTreeMap<u64, u64> {
+    let m = active.len();
+    let mut law = BTreeMap::new();
+    let mut order: Vec<usize> = (0..m).collect();
+    for_each_permutation(&mut order, 0, &mut |order| {
+        for targets in 0..m.pow(m as u32) {
+            let mut recruited_by = vec![None; m];
+            let mut recruited = vec![false; m];
+            // Line 2: ants are processed in the order P.
+            for &idx in order {
+                // Line 3: only an active ant that is still free recruits.
+                if !active[idx] || recruited_by[idx].is_some() {
+                    continue;
+                }
+                // Line 4: its target is uniform among all m participants,
+                // itself included: digit `idx` of `targets` in base m.
+                let target = targets / m.pow(idx as u32) % m;
+                // Lines 5–6: the pair forms if the target is free.
+                if recruited_by[target].is_none() && !recruited[target] {
+                    recruited[idx] = true;
+                    recruited_by[target] = Some(idx);
+                }
+            }
+            *law.entry(matching_key(m, |idx| recruited_by[idx]))
+                .or_insert(0) += 1;
+        }
+    });
+    law
+}
+
+/// Chi-squares [`LAW_SAMPLES`] kernel matchings on the given active
+/// pattern against [`exact_matching_law`], as the header above states.
+fn assert_kernel_follows_exact_law(active: &[bool], seed: u64) {
+    let m = active.len();
+    let law = exact_matching_law(active);
+    let cases: u64 = law.values().sum();
+    let calls = calls_from(active.iter().map(|&active| (active, 1)));
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut observed: BTreeMap<u64, u64> = BTreeMap::new();
+    for _ in 0..LAW_SAMPLES {
+        let pairing = pair_ants(&calls, &mut rng);
+        let key = matching_key(m, |idx| pairing.recruited_by(idx));
+        *observed.entry(key).or_insert(0) += 1;
+    }
+    for key in observed.keys() {
+        assert!(
+            law.contains_key(key),
+            "{active:?}: the kernel drew matching {key}, which has probability 0"
+        );
+    }
+    let chi_square: f64 = law
+        .iter()
+        .map(|(key, &count)| {
+            let expected = LAW_SAMPLES as f64 * count as f64 / cases as f64;
+            let seen = observed.get(key).copied().unwrap_or(0) as f64;
+            (seen - expected).powi(2) / expected
+        })
+        .sum();
+    let df = (law.len() - 1) as f64;
+    let spread = 2.0 / (9.0 * df);
+    let z = ((chi_square / df).cbrt() - (1.0 - spread)) / spread.sqrt();
+    assert!(
+        z <= 5.0,
+        "{active:?}: chi-square {chi_square:.1} on {df} degrees of freedom, z = {z:.2}"
+    );
+}
+
+#[test]
+fn kernel_follows_exact_law_on_three_participants() {
+    assert_kernel_follows_exact_law(&[false, true, false], 30);
+    assert_kernel_follows_exact_law(&[true, false, true], 31);
+    assert_kernel_follows_exact_law(&[true; 3], 32);
+}
+
+#[test]
+fn kernel_follows_exact_law_on_five_participants() {
+    assert_kernel_follows_exact_law(&[true, false, true, false, true], 50);
+    assert_kernel_follows_exact_law(&[true; 5], 51);
 }
 
 proptest! {
