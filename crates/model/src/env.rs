@@ -625,18 +625,7 @@ impl<'a> RelocationChunk<'a> {
     }
 
     /// Applies a whole chunk's worth of (pre-validated, pre-sandboxed)
-    /// actions at once — functionally identical to calling
-    /// [`apply`](Self::apply) for each ant in chunk order.
-    ///
-    /// The difference is structure, not semantics: search placements are
-    /// drawn first in one tight pass that touches only the per-ant RNG
-    /// and location columns (each destination comes from that ant's own
-    /// [`StreamKind::AgentEnvironment`] stream, so no draw depends on any
-    /// other ant), and relocation/knowledge/tally bookkeeping runs as a
-    /// second pass. The executor's fast path uses this as its phase-1
-    /// inner loop.
-    ///
-    /// [`StreamKind::AgentEnvironment`]: crate::seeding::StreamKind::AgentEnvironment
+    /// actions: [`apply`](Self::apply) for each ant in chunk order.
     ///
     /// # Panics
     ///
@@ -650,35 +639,8 @@ impl<'a> RelocationChunk<'a> {
         calls: &mut Vec<RecruitCall>,
     ) {
         assert_eq!(actions.len(), self.len(), "one action per chunk ant");
-        // Batched per-ant draws.
-        for (local, action) in actions.iter().enumerate() {
-            if matches!(action, Action::Search) {
-                self.locations[local] =
-                    NestId::candidate(self.rngs[local].random_range(1..=self.k));
-            }
-        }
-        // Relocate, record knowledge, tally populations, collect calls.
-        for (local, action) in actions.iter().enumerate() {
-            match *action {
-                Action::Search => {
-                    let nest = self.locations[local];
-                    self.known.insert(local, nest.raw());
-                    counts[nest.raw()] += 1;
-                }
-                Action::Go(nest) => {
-                    self.locations[local] = nest;
-                    counts[nest.raw()] += 1;
-                }
-                Action::Recruit { active, nest } => {
-                    self.locations[local] = NestId::HOME;
-                    counts[0] += 1;
-                    calls.push(RecruitCall::new(
-                        AntId::new(self.start + local),
-                        active,
-                        nest,
-                    ));
-                }
-            }
+        for (idx, &action) in (self.start..).zip(actions) {
+            self.apply(idx, action, counts, calls);
         }
     }
 }

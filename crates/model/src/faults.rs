@@ -106,7 +106,26 @@ impl CrashPlan {
     #[must_use]
     #[inline]
     pub fn is_crashed(&self, ant: AntId, round: u64) -> bool {
-        matches!(self.crash_round[ant.index()], Some(at) if round >= at)
+        self.crash_round(ant).is_some_and(|at| round >= at)
+    }
+
+    /// Returns the round from which `ant` is crashed, or `None` if it
+    /// never crashes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ant` is out of range for the plan.
+    #[must_use]
+    #[inline]
+    pub fn crash_round(&self, ant: AntId) -> Option<u64> {
+        self.crash_round[ant.index()]
+    }
+
+    /// Returns the number of ants the plan covers, crashing or not — the
+    /// colony size it was built for.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.crash_round.len()
     }
 
     /// Returns the crash style.
@@ -270,6 +289,15 @@ mod tests {
         assert!(plan.is_crashed(victim, u64::MAX));
         assert!(!plan.is_crashed(AntId::new(1), u64::MAX));
         assert_eq!(plan.style(), CrashStyle::AtHome);
+    }
+
+    #[test]
+    fn len_counts_every_covered_ant() {
+        assert_eq!(CrashPlan::none(5).len(), 5);
+        let plan = CrashPlan::from_schedule(vec![None, Some(3), None], CrashStyle::InPlace);
+        assert_eq!(plan.len(), 3);
+        assert_eq!(plan.crash_round(AntId::new(1)), Some(3));
+        assert_eq!(plan.crash_round(AntId::new(2)), None);
     }
 
     #[test]

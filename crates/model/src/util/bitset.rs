@@ -1,216 +1,35 @@
-//! A compact fixed-capacity bit set.
+//! Compact fixed-capacity bit sets, one per row of a [`BitMatrix`].
 //!
 //! The environment tracks, for every ant, the set of candidate nests the ant
 //! *knows* (has visited or been recruited to) in order to enforce the
 //! legality of [`go`](crate::Action::Go) calls. Colonies can have tens of
-//! thousands of ants, so the per-ant knowledge set is stored as a bit set
-//! rather than a hash set.
+//! thousands of ants, so the knowledge sets are stored as rows of one bit
+//! matrix rather than as hash sets.
 //!
 //! # Examples
 //!
 //! ```
-//! use hh_model::util::BitSet;
+//! use hh_model::util::BitMatrix;
 //!
-//! let mut set = BitSet::new(100);
-//! set.insert(3);
-//! set.insert(97);
-//! assert!(set.contains(3));
-//! assert!(!set.contains(4));
-//! assert_eq!(set.iter().collect::<Vec<_>>(), vec![3, 97]);
+//! // Two rows (ants) over values 0..100 (nest ids).
+//! let mut known = BitMatrix::new(2, 100);
+//! known.insert(0, 3);
+//! known.insert(0, 97);
+//! assert!(known.contains(0, 3));
+//! assert!(!known.contains(0, 4));
+//! assert!(!known.contains(1, 3), "rows are independent");
+//! assert_eq!(known.iter_row(0).collect::<Vec<_>>(), vec![3, 97]);
+//! assert_eq!(known.first(0), Some(3));
 //! ```
-
-/// A fixed-capacity set of `usize` values in `0..capacity`, backed by a
-/// `Vec<u64>` bit array.
-///
-/// All operations other than construction are `O(1)` or `O(capacity/64)`.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BitSet {
-    words: Vec<u64>,
-    capacity: usize,
-    len: usize,
-}
-
-impl BitSet {
-    /// Creates an empty set able to hold values in `0..capacity`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use hh_model::util::BitSet;
-    /// let set = BitSet::new(10);
-    /// assert!(set.is_empty());
-    /// assert_eq!(set.capacity(), 10);
-    /// ```
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            words: vec![0; capacity.div_ceil(64)],
-            capacity,
-            len: 0,
-        }
-    }
-
-    /// Returns the maximum value (exclusive) this set can hold.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Returns the number of values currently in the set.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the set contains no values.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts `value`, returning `true` if it was not already present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value >= capacity`.
-    pub fn insert(&mut self, value: usize) -> bool {
-        assert!(
-            value < self.capacity,
-            "bit set insert out of range: {value} >= {}",
-            self.capacity
-        );
-        let (word, bit) = (value / 64, value % 64);
-        let mask = 1u64 << bit;
-        let fresh = self.words[word] & mask == 0;
-        self.words[word] |= mask;
-        self.len += usize::from(fresh);
-        fresh
-    }
-
-    /// Removes `value`, returning `true` if it was present.
-    ///
-    /// Out-of-range values are reported as absent rather than panicking so
-    /// that removal mirrors [`contains`](Self::contains).
-    pub fn remove(&mut self, value: usize) -> bool {
-        if value >= self.capacity {
-            return false;
-        }
-        let (word, bit) = (value / 64, value % 64);
-        let mask = 1u64 << bit;
-        let present = self.words[word] & mask != 0;
-        self.words[word] &= !mask;
-        self.len -= usize::from(present);
-        present
-    }
-
-    /// Returns `true` if `value` is in the set. Out-of-range values are
-    /// never contained.
-    #[must_use]
-    pub fn contains(&self, value: usize) -> bool {
-        if value >= self.capacity {
-            return false;
-        }
-        self.words[value / 64] & (1u64 << (value % 64)) != 0
-    }
-
-    /// Removes all values from the set.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.len = 0;
-    }
-
-    /// Returns the smallest value in the set, if any.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use hh_model::util::BitSet;
-    /// let mut set = BitSet::new(8);
-    /// assert_eq!(set.first(), None);
-    /// set.insert(5);
-    /// set.insert(2);
-    /// assert_eq!(set.first(), Some(2));
-    /// ```
-    #[must_use]
-    pub fn first(&self) -> Option<usize> {
-        for (w, &word) in self.words.iter().enumerate() {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Returns an iterator over the values in ascending order.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
-    }
-}
-
-impl std::fmt::Debug for BitSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl Extend<usize> for BitSet {
-    fn extend<T: IntoIterator<Item = usize>>(&mut self, iter: T) {
-        for value in iter {
-            self.insert(value);
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a BitSet {
-    type Item = usize;
-    type IntoIter = Iter<'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// Iterator over the values of a [`BitSet`] in ascending order.
-///
-/// Produced by [`BitSet::iter`].
-#[derive(Debug)]
-pub struct Iter<'a> {
-    set: &'a BitSet,
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for Iter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let bit = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                return Some(self.word_idx * 64 + bit);
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
-                return None;
-            }
-            self.current = self.set.words[self.word_idx];
-        }
-    }
-}
 
 /// A dense matrix of fixed-capacity bit sets: `rows` sets over values in
 /// `0..capacity`, backed by **one** contiguous `Vec<u64>`.
 ///
 /// The environment keeps one knowledge set per ant; storing them as
-/// per-ant [`BitSet`]s means one heap allocation and one pointer chase
-/// per ant — poison for the executor's per-round legality checks and
-/// recruitment learning loop. `BitMatrix` packs all rows back to back
-/// (for `capacity ≤ 64`, one word per ant), so a colony's entire
+/// separate per-ant sets would mean one heap allocation and one pointer
+/// chase per ant — poison for the executor's per-round legality checks
+/// and recruitment learning loop. `BitMatrix` packs all rows back to
+/// back (for `capacity ≤ 64`, one word per ant), so a colony's entire
 /// knowledge state is a single cache-friendly allocation.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitMatrix {
@@ -449,90 +268,7 @@ impl std::fmt::Debug for BitMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn new_set_is_empty() {
-        let set = BitSet::new(100);
-        assert!(set.is_empty());
-        assert_eq!(set.len(), 0);
-        assert_eq!(set.capacity(), 100);
-        assert_eq!(set.first(), None);
-        assert_eq!(set.iter().count(), 0);
-    }
-
-    #[test]
-    fn insert_and_contains() {
-        let mut set = BitSet::new(130);
-        assert!(set.insert(0));
-        assert!(set.insert(63));
-        assert!(set.insert(64));
-        assert!(set.insert(129));
-        assert!(!set.insert(64), "double insert reports not-fresh");
-        assert_eq!(set.len(), 4);
-        for v in [0, 63, 64, 129] {
-            assert!(set.contains(v), "expected {v} present");
-        }
-        assert!(!set.contains(1));
-        assert!(!set.contains(500), "out of range is absent");
-    }
-
-    #[test]
-    fn remove_values() {
-        let mut set = BitSet::new(70);
-        set.insert(10);
-        set.insert(65);
-        assert!(set.remove(10));
-        assert!(!set.remove(10), "second remove is a no-op");
-        assert!(!set.remove(999), "out of range remove is a no-op");
-        assert_eq!(set.len(), 1);
-        assert!(set.contains(65));
-    }
-
-    #[test]
-    fn iter_is_sorted_and_complete() {
-        let mut set = BitSet::new(300);
-        let values = [7usize, 0, 299, 64, 128, 63, 65];
-        set.extend(values.iter().copied());
-        let mut expected: Vec<usize> = values.to_vec();
-        expected.sort_unstable();
-        assert_eq!(set.iter().collect::<Vec<_>>(), expected);
-    }
-
-    #[test]
-    fn first_returns_minimum() {
-        let mut set = BitSet::new(200);
-        set.insert(150);
-        assert_eq!(set.first(), Some(150));
-        set.insert(3);
-        assert_eq!(set.first(), Some(3));
-        set.remove(3);
-        assert_eq!(set.first(), Some(150));
-    }
-
-    #[test]
-    fn clear_empties_the_set() {
-        let mut set = BitSet::new(64);
-        set.insert(1);
-        set.insert(2);
-        set.clear();
-        assert!(set.is_empty());
-        assert!(!set.contains(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn insert_out_of_range_panics() {
-        let mut set = BitSet::new(4);
-        set.insert(4);
-    }
-
-    #[test]
-    fn zero_capacity_set_works() {
-        let set = BitSet::new(0);
-        assert!(set.is_empty());
-        assert!(!set.contains(0));
-        assert_eq!(set.iter().count(), 0);
-    }
+    use std::collections::BTreeSet;
 
     #[test]
     fn bit_matrix_rows_are_independent() {
@@ -554,18 +290,34 @@ mod tests {
     }
 
     #[test]
-    fn bit_matrix_matches_bitset_behaviour() {
-        let mut matrix = BitMatrix::new(1, 130);
-        let mut set = BitSet::new(130);
-        for value in [0usize, 63, 64, 129, 7, 64] {
-            assert_eq!(matrix.insert(0, value), set.insert(value));
+    fn bit_matrix_matches_btreeset_model() {
+        // Three rows over three words each, values straddling the word
+        // boundaries, each row checked against its own BTreeSet.
+        let mut matrix = BitMatrix::new(3, 130);
+        let mut model = vec![BTreeSet::new(); 3];
+        for (row, value) in [
+            (0, 0),
+            (0, 63),
+            (1, 64),
+            (0, 129),
+            (2, 7),
+            (1, 64),
+            (2, 128),
+            (0, 64),
+        ] {
+            assert_eq!(matrix.insert(row, value), model[row].insert(value));
         }
-        assert_eq!(
-            matrix.iter_row(0).collect::<Vec<_>>(),
-            set.iter().collect::<Vec<_>>()
-        );
-        assert_eq!(matrix.first(0), set.first());
-        assert_eq!(matrix.row_len(0), set.len());
+        for (row, set) in model.iter().enumerate() {
+            for value in 0..140 {
+                assert_eq!(matrix.contains(row, value), set.contains(&value));
+            }
+            assert_eq!(matrix.first(row), set.first().copied());
+            assert_eq!(matrix.row_len(row), set.len());
+            assert_eq!(
+                matrix.iter_row(row).collect::<Vec<_>>(),
+                set.iter().copied().collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -573,14 +325,5 @@ mod tests {
     fn bit_matrix_insert_out_of_range_panics() {
         let mut m = BitMatrix::new(2, 4);
         m.insert(0, 4);
-    }
-
-    #[test]
-    fn debug_is_never_empty() {
-        let set = BitSet::new(4);
-        assert_eq!(format!("{set:?}"), "{}");
-        let mut set = BitSet::new(4);
-        set.insert(2);
-        assert_eq!(format!("{set:?}"), "{2}");
     }
 }

@@ -2,4 +2,4 @@
 
 mod bitset;
 
-pub use bitset::{BitMatrix, BitSet, Iter as BitSetIter, RowBandMut};
+pub use bitset::{BitMatrix, RowBandMut};

@@ -29,7 +29,8 @@
 //! re-dispatching into all n agents. Only the [`Location`]
 //! (`ConvergenceRule::Location`) rule still walks the colony — it asks
 //! about physical positions, which live in the environment, and even
-//! there the honest/live membership test comes from cached flags.
+//! there the honest/live membership test comes from cached honesty and
+//! the crash plan.
 
 use hh_model::{AntId, NestId};
 
@@ -250,8 +251,8 @@ fn is_good(sim: &Simulation, nest: NestId) -> bool {
 }
 
 /// The candidate nest all live honest ants stand at, if they all stand
-/// at one. Membership comes from cached honesty/crash flags; locations
-/// from the environment.
+/// at one. Membership comes from cached honesty and the crash plan;
+/// locations from the environment.
 fn honest_colocation(sim: &Simulation) -> Option<NestId> {
     let mut at: Option<NestId> = None;
     for idx in 0..sim.env().n() {

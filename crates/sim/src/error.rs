@@ -19,6 +19,14 @@ pub enum SimError {
         /// Environment colony size `n`.
         n: usize,
     },
+    /// The crash plan handed to the simulation was built for a colony of
+    /// another size.
+    PlanSizeMismatch {
+        /// Number of ants the crash plan covers.
+        plan: usize,
+        /// Environment colony size `n`.
+        n: usize,
+    },
     /// A scenario axis holds a value no simulation can be built from.
     InvalidScenario {
         /// The offending axis (`"profile"`, ...).
@@ -35,6 +43,12 @@ impl fmt::Display for SimError {
             SimError::AgentCountMismatch { agents, n } => {
                 write!(f, "got {agents} agents for an environment of {n} ants")
             }
+            SimError::PlanSizeMismatch { plan, n } => {
+                write!(
+                    f,
+                    "got a crash plan for {plan} ants for an environment of {n} ants"
+                )
+            }
             SimError::InvalidScenario { axis, reason } => {
                 write!(f, "invalid scenario {axis}: {reason}")
             }
@@ -46,7 +60,9 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Model(err) => Some(err),
-            SimError::AgentCountMismatch { .. } | SimError::InvalidScenario { .. } => None,
+            SimError::AgentCountMismatch { .. }
+            | SimError::PlanSizeMismatch { .. }
+            | SimError::InvalidScenario { .. } => None,
         }
     }
 }
@@ -69,6 +85,13 @@ mod tests {
 
         let err = SimError::AgentCountMismatch { agents: 3, n: 5 };
         assert!(err.to_string().contains("3 agents"));
+        assert!(err.source().is_none());
+
+        let err = SimError::PlanSizeMismatch { plan: 5, n: 10 };
+        assert_eq!(
+            err.to_string(),
+            "got a crash plan for 5 ants for an environment of 10 ants"
+        );
         assert!(err.source().is_none());
 
         let err = SimError::InvalidScenario {

@@ -153,6 +153,36 @@ mod tests {
     }
 
     #[test]
+    fn crash_plans_for_another_colony_size_are_rejected() {
+        let n = 10;
+        let spec = |crash: CrashPlan| {
+            ScenarioSpec::new(n, QualitySpec::all_good(2))
+                .seed(4)
+                .perturbations(Perturbations {
+                    crash,
+                    delay: DelayPlan::new(0.1, 1),
+                })
+        };
+        for crash in [
+            CrashPlan::fraction(n - 1, 0.2, 3, CrashStyle::InPlace, 4),
+            CrashPlan::fraction(n + 1, 0.2, 3, CrashStyle::InPlace, 4),
+            CrashPlan::none(5),
+        ] {
+            let plan = crash.len();
+            assert_eq!(
+                spec(crash)
+                    .build_simulation(colony::simple(n, 4))
+                    .unwrap_err(),
+                SimError::PlanSizeMismatch { plan, n }
+            );
+        }
+        let mut sim = spec(CrashPlan::fraction(n, 0.2, 3, CrashStyle::InPlace, 4))
+            .build_simulation(colony::simple(n, 4))
+            .unwrap();
+        sim.step().unwrap();
+    }
+
+    #[test]
     fn spec_is_reusable_across_trials() {
         let spec = ScenarioSpec::new(8, QualitySpec::all_good(1)).seed(3);
         let a = spec.build_simulation(colony::simple(8, 3)).unwrap();

@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use house_hunting::model::recruitment::{pair_ants, pair_ants_into, Pairing, RecruitCall};
 use house_hunting::model::seeding::{derive_seed, StreamKind};
-use house_hunting::model::util::BitSet;
+use house_hunting::model::util::BitMatrix;
 use house_hunting::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -466,28 +466,33 @@ proptest! {
         }
     }
 
-    /// BitSet agrees with a reference BTreeSet model under arbitrary
-    /// insert/remove interleavings.
+    /// Every row of a BitMatrix agrees with its own reference BTreeSet
+    /// model under arbitrary inserts spread over the rows: insert,
+    /// contains, first, row_len and iter_row, with no row bleeding into
+    /// another.
     #[test]
     fn bitset_matches_btreeset_model(
+        rows in 1usize..6,
         capacity in 1usize..200,
-        ops in proptest::collection::vec((any::<bool>(), 0usize..220), 0..100),
+        ops in proptest::collection::vec((0usize..6, 0usize..220), 0..100),
     ) {
-        let mut set = BitSet::new(capacity);
-        let mut model: BTreeSet<usize> = BTreeSet::new();
-        for (insert, value) in ops {
-            if insert {
-                if value < capacity {
-                    prop_assert_eq!(set.insert(value), model.insert(value));
-                }
-            } else {
-                prop_assert_eq!(set.remove(value), model.remove(&value));
+        let mut matrix = BitMatrix::new(rows, capacity);
+        let mut model: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); rows];
+        for (row, value) in ops {
+            let row = row % rows;
+            if value < capacity {
+                prop_assert_eq!(matrix.insert(row, value), model[row].insert(value));
             }
-            prop_assert_eq!(set.len(), model.len());
+            prop_assert_eq!(matrix.contains(row, value), model[row].contains(&value));
         }
-        let mut expected: Vec<usize> = model.into_iter().collect();
-        expected.sort_unstable();
-        prop_assert_eq!(set.iter().collect::<Vec<_>>(), expected);
+        for (row, set) in model.iter().enumerate() {
+            prop_assert_eq!(matrix.first(row), set.first().copied());
+            prop_assert_eq!(matrix.row_len(row), set.len());
+            prop_assert_eq!(
+                matrix.iter_row(row).collect::<Vec<_>>(),
+                set.iter().copied().collect::<Vec<_>>()
+            );
+        }
     }
 
     /// Delay plans are pure functions of (ant, round) and respect the
