@@ -1,5 +1,5 @@
-//! F18 — ablation of the adaptive-rate design (DESIGN.md clarification
-//! 10).
+//! F18 — ablation of the adaptive-rate design
+//! ([clarification 7](hh_model::clarifications#7-the-adaptive-rate-schedule)).
 //!
 //! The paper's Section 6 sketch fixes no schedule for the adaptive
 //! recruitment rate; `hh-core::adaptive` documents two instantiations

@@ -6,6 +6,8 @@ use hh_model::QualitySpec;
 use hh_sim::registry::Scenario;
 use hh_sim::{run_trials, solved_rounds, success_rate, ConvergenceRule, ScenarioSpec, Simulation};
 
+use super::Finding;
+
 /// Base seed for all experiments; every (experiment, cell, trial) derives
 /// from it so the whole harness is reproducible.
 pub const BASE_SEED: u64 = 0x20150514; // the paper's arXiv date
@@ -121,6 +123,27 @@ pub fn build_sim(n: usize, spec: QualitySpec, seed: u64, agents: Colony) -> Simu
         .expect("valid experiment configuration")
 }
 
+/// A sanity gate on an experiment's fit inputs, not a paper claim: every
+/// cell, given as `(label, success rate)`, must solve more than
+/// `threshold` of its trials, or the fit would measure failures instead
+/// of rounds. The finding states the threshold and the lowest cell's
+/// success; a failed gate fails the experiment without stopping the run.
+#[must_use]
+pub fn success_gate(subject: &str, threshold: f64, cells: &[(String, f64)]) -> Finding {
+    let claim = format!(
+        "sanity gate: {subject} more than {}% of the trials in every cell",
+        threshold * 100.0
+    );
+    match cells.iter().min_by(|a, b| a.1.total_cmp(&b.1)) {
+        Some((cell, success)) => Finding::new(
+            claim,
+            format!("lowest cell ({cell}): {:.1}% solved", success * 100.0),
+            *success > threshold,
+        ),
+        None => Finding::new(claim, "no cell measured", false),
+    }
+}
+
 /// Formats a `doubling sweep` of n values: 2^lo ..= 2^hi.
 #[must_use]
 pub fn doubling(lo: u32, hi: u32) -> Vec<usize> {
@@ -140,6 +163,23 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
+    }
+
+    #[test]
+    fn a_cell_below_the_gate_fails_its_finding_without_panicking() {
+        assert!(!success_gate("optimal solves", 0.75, &[]).pass);
+        let cells = [("n=64, k=2", 1.0), ("n=64, k=8", 0.75), ("n=128, k=8", 0.9)]
+            .map(|(cell, success)| (cell.to_string(), success));
+        let finding = success_gate("optimal solves", 0.75, &cells);
+        assert!(!finding.pass, "0.75 is not more than 0.75");
+        assert!(finding.claim.contains("more than 75%"), "{}", finding.claim);
+        assert!(
+            finding.measured.contains("n=64, k=8"),
+            "{}",
+            finding.measured
+        );
+        assert!(finding.measured.contains("75.0%"), "{}", finding.measured);
+        assert!(success_gate("simple solves", 0.9, &cells[..1]).pass);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use hh_analysis::{fmt_f64, Table};
 use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, QualityProfile, Scenario};
 use hh_sim::ConvergenceRule;
 
-use super::common::{cell_seed, measure_scenario};
+use super::common::{cell_seed, measure_scenario, success_gate};
 use super::{ExperimentReport, Finding, Mode};
 
 /// Runs experiment F7.
@@ -50,10 +50,12 @@ pub fn run(mode: Mode) -> ExperimentReport {
 
     let mut table = Table::new(["k", "optimal (rounds)", "simple (rounds)", "simple/optimal"]);
     let mut ratios = Vec::new();
+    let mut cells = Vec::new();
     for (ki, &k) in ks.iter().enumerate() {
         let optimal = measure_scenario(trials, &race_cell(Algorithm::Optimal, k, ki as u64 * 2));
         let simple = measure_scenario(trials, &race_cell(Algorithm::Simple, k, ki as u64 * 2 + 1));
-        assert!(optimal.success > 0.9 && simple.success > 0.9);
+        cells.push((format!("optimal, k={k}"), optimal.success));
+        cells.push((format!("simple, k={k}"), simple.success));
         let ratio = simple.median_rounds() / optimal.median_rounds();
         ratios.push(ratio);
         table.row([
@@ -65,6 +67,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
     }
 
     let findings = vec![
+        success_gate("each algorithm solves", 0.9, &cells),
         Finding::new(
             "the simple/optimal round ratio grows with k (the O(k) gap)",
             format!(
@@ -107,6 +110,8 @@ mod tests {
     fn quick_mode_produces_rows() {
         let report = run(Mode::Quick);
         assert!(report.body.contains("simple/optimal"));
-        assert_eq!(report.findings.len(), 2);
+        // The success gate, then the two shape findings.
+        assert_eq!(report.findings.len(), 3);
+        assert!(report.findings[0].claim.starts_with("sanity gate"));
     }
 }

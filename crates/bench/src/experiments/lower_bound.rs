@@ -12,7 +12,7 @@ use hh_core::{colony, SpreadStrategy};
 use hh_model::QualitySpec;
 use hh_sim::{ConvergenceRule, ScenarioSpec};
 
-use super::common::{doubling, measure_cell};
+use super::common::{doubling, measure_cell, success_gate};
 use super::{ExperimentReport, Finding, Mode};
 
 /// The analytic floor from the proof of Theorem 3.2 (constants dropped):
@@ -52,6 +52,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
     ]);
     let mut means: Vec<Vec<f64>> = vec![Vec::new(); strategies.len()];
     let mut all_above_bound = true;
+    let mut cells = Vec::new();
 
     for (ni, &n) in ns.iter().enumerate() {
         let mut row = vec![n.to_string()];
@@ -65,7 +66,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
                 move |_| ScenarioSpec::new(n, QualitySpec::single_good(2, 1)),
                 move |seed| colony::spreaders(n, seed, strategy),
             );
-            assert!(cell.success > 0.99, "spreaders must always finish");
+            cells.push((format!("n={n}, {strategy:?}"), cell.success));
             let mean = cell.mean_rounds();
             if mean < theorem_3_2_floor(n) {
                 all_above_bound = false;
@@ -77,7 +78,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
         table.row(row);
     }
 
-    let mut findings = Vec::new();
+    let mut findings = vec![success_gate("spreaders finish", 0.99, &cells)];
     findings.push(Finding::new(
         "no strategy beats the Theorem 3.2 floor (log2 n)/4",
         if all_above_bound {

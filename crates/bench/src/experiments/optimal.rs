@@ -12,7 +12,7 @@ use hh_core::{colony, CyclePhase};
 use hh_model::QualitySpec;
 use hh_sim::{ConvergenceRule, RoundSnapshot};
 
-use super::common::{build_sim, cell_seed, doubling, measure_cell, plain_scenario};
+use super::common::{build_sim, cell_seed, doubling, measure_cell, plain_scenario, success_gate};
 use super::{ExperimentReport, Finding, Mode};
 
 /// Runs experiment F3 (scaling in `n`).
@@ -27,6 +27,7 @@ pub fn run_f3(mode: Mode) -> ExperimentReport {
 
     let mut table = Table::new(["n", "k=4 (median rounds)", "k=8 (median rounds)"]);
     let mut means: Vec<Vec<f64>> = vec![Vec::new(); ks.len()];
+    let mut cells = Vec::new();
     for (ni, &n) in ns.iter().enumerate() {
         let mut row = vec![n.to_string()];
         for (ki, &k) in ks.iter().enumerate() {
@@ -39,18 +40,17 @@ pub fn run_f3(mode: Mode) -> ExperimentReport {
                 plain_scenario(n, k, k / 2),
                 move |_| colony::optimal(n),
             );
-            // Sanity gate that the fit inputs are meaningful, not a
-            // paper claim: success is whp in n, so the smallest cells
-            // (n=64) genuinely fail ~5% of trials, and at quick-mode
-            // trial counts a 0.9 cutoff flakes on the seed stream.
-            assert!(cell.success > 0.75, "optimal must solve n={n}, k={k}");
+            cells.push((format!("n={n}, k={k}"), cell.success));
             means[ki].push(cell.median_rounds());
             row.push(fmt_f64(cell.median_rounds(), 1));
         }
         table.row(row);
     }
 
-    let mut findings = Vec::new();
+    // Success is whp in n, so the smallest cells (n=64) genuinely fail
+    // ~5% of trials, and at quick-mode trial counts a 0.9 cutoff flakes
+    // on the seed stream.
+    let mut findings = vec![success_gate("optimal solves", 0.75, &cells)];
     for (ki, &k) in ks.iter().enumerate() {
         let fit = fit_log2(&ns, &means[ki]).expect("fit");
         findings.push(Finding::new(
@@ -96,6 +96,7 @@ pub fn run_f4(mode: Mode) -> ExperimentReport {
 
     let mut table = Table::new(["k", "rounds (mean)", "success"]);
     let mut means = Vec::new();
+    let mut cells = Vec::new();
     for (ki, &k) in ks.iter().enumerate() {
         let cell = measure_cell(
             trials,
@@ -106,7 +107,7 @@ pub fn run_f4(mode: Mode) -> ExperimentReport {
             plain_scenario(n, k, k),
             move |_| colony::optimal(n),
         );
-        assert!(cell.success > 0.9, "optimal must solve k={k}");
+        cells.push((format!("k={k}"), cell.success));
         means.push(cell.mean_rounds());
         table.row([
             k.to_string(),
@@ -117,15 +118,18 @@ pub fn run_f4(mode: Mode) -> ExperimentReport {
 
     let spread = means.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
         / means.iter().cloned().fold(f64::INFINITY, f64::min);
-    let findings = vec![Finding::new(
-        "rounds nearly independent of k (only a log k term)",
-        format!(
-            "max/min over the k sweep: {:.2} (linear growth would give ≈ {})",
-            spread,
-            ks.last().unwrap() / ks[0]
+    let findings = vec![
+        success_gate("optimal solves", 0.9, &cells),
+        Finding::new(
+            "rounds nearly independent of k (only a log k term)",
+            format!(
+                "max/min over the k sweep: {:.2} (linear growth would give ≈ {})",
+                spread,
+                ks.last().unwrap() / ks[0]
+            ),
+            spread <= 3.0,
         ),
-        spread <= 3.0,
-    )];
+    ];
 
     let body = format!("n = {n}, all nests good, {trials} trials per cell\n\n{table}");
     ExperimentReport {

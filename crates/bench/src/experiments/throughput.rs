@@ -52,7 +52,7 @@ pub fn measure_throughput(n: usize, rounds: u64, cell: u64) -> [Throughput; 2] {
         ColonyMix::Uniform(Algorithm::Simple),
     )
     .base_seed_value(cell_seed(22, cell, 0));
-    let mut sims = [EngineKind::Soa, EngineKind::Scalar].map(|engine| {
+    let mut sims = [EngineKind::Fused, EngineKind::Scalar].map(|engine| {
         let scenario = scenario.clone().engine(engine);
         let mut sim = scenario
             .build(scenario.trial_seed(0))

@@ -32,7 +32,8 @@
 //! * Case 3 (recruited to a new nest) updates the remembered count to the
 //!   R3 population when the ant stays active — the paper's prose ("the ant
 //!   updates that count") makes the intent clear even though the
-//!   pseudocode omits the assignment; see DESIGN.md.
+//!   pseudocode omits the assignment; see
+//!   [clarification 4](hh_model::clarifications#4-case-3-updates-the-remembered-count).
 //! * The algorithm relies on exact synchrony and exact counts. Under the
 //!   Section 6 perturbations (noise, delays, crashes) it does not panic —
 //!   unexpected observations merely mark the ant derailed and its
@@ -460,6 +461,51 @@ mod tests {
         // ...then passive from the next cycle.
         assert_eq!(ant.role(), AgentRole::Passive);
         assert_eq!(ant.choose(6), Action::Go(nest));
+    }
+
+    #[test]
+    fn case_3_adopts_the_new_nests_count() {
+        // Recruited away from nest 1 in R1, the ant follows its recruiter
+        // to nest 2 (Case 3) and, still competing in R3, remembers nest
+        // 2's population: the assignment the pseudocode omits.
+        let mut ant = OptimalAnt::new();
+        let (own, other) = (NestId::candidate(1), NestId::candidate(2));
+        ant.choose(1);
+        ant.observe(
+            1,
+            &Outcome::Search {
+                nest: own,
+                quality: hh_model::Quality::GOOD,
+                count: 10,
+            },
+        );
+        assert_eq!(ant.choose(2), Action::recruit_active(own));
+        ant.observe(
+            2,
+            &Outcome::Recruit {
+                nest: other,
+                home_count: 12,
+            },
+        );
+        assert_eq!(ant.choose(3), Action::Go(other));
+        ant.observe(
+            3,
+            &Outcome::Go {
+                count: 7,
+                quality: None,
+            },
+        );
+        assert_eq!(ant.committed_nest(), Some(other));
+        assert_eq!(ant.choose(4), Action::Go(other));
+        ant.observe(
+            4,
+            &Outcome::Go {
+                count: 9,
+                quality: None,
+            },
+        );
+        assert_eq!(ant.role(), AgentRole::Active);
+        assert_eq!(ant.remembered_count(), 9);
     }
 
     #[test]

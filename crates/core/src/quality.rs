@@ -75,7 +75,7 @@ impl QualityAnt {
     ///
     /// # Panics
     ///
-    /// Panics if `gamma` is negative or NaN.
+    /// Panics if `gamma` is negative, NaN or infinite.
     #[must_use]
     pub fn new(n: usize, seed: u64, gamma: f64) -> Self {
         assert!(

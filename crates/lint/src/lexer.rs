@@ -384,7 +384,7 @@ pub fn cfg_test_regions(lexed: &Lexed) -> Vec<(u32, u32)> {
 
 /// Returns the line ranges of `impl … <Type> … { … }` blocks whose
 /// pre-brace tokens mention any identifier in `types` (e.g. the
-/// chunk-phase view types `RelocationChunk` / `OutcomeChunk`).
+/// chunk-phase view type `AntChunk`).
 pub fn impl_regions(lexed: &Lexed, types: &[&str]) -> Vec<(u32, u32)> {
     let toks = &lexed.tokens;
     let mut regions = Vec::new();

@@ -9,12 +9,10 @@
 //!
 //! ## The determinism contract
 //!
-//! 1. **Unsafe confinement** (`unsafe-confinement`): the `unsafe`
-//!    keyword appears in exactly one file, `crates/sim/src/pool.rs` —
-//!    the worker pool's lifetime-erased job dispatch, with its soundness
-//!    argument documented in place. Every other crate root forbids
-//!    unsafe code outright (`hh-sim` denies it, since `forbid` could
-//!    not be overridden by the pool's single reviewed `#[allow]`).
+//! 1. **No unsafe** (`unsafe-confinement`): the `unsafe` keyword
+//!    appears in no file, test code included, and every crate root
+//!    forbids unsafe code outright (rule 8). The round workers borrow
+//!    their chunks inside `std::thread::scope` instead.
 //! 2. **No order-unstable state** (`hash-container`): engine crates
 //!    (`hh-model`, `hh-core`, `hh-sim`) never touch `HashMap`/`HashSet`
 //!    outside test code — their iteration order is randomized per
@@ -27,13 +25,13 @@
 //!    comes from a stream derived via `hh_model::seeding::derive_seed`;
 //!    `thread_rng`/`from_entropy`/`OsRng` never appear, test code
 //!    included.
-//! 5. **Per-ant streams under the pool** (`shared-stream`): chunk-phase
-//!    code — everything that runs under the intra-round worker pool —
-//!    may draw only from the per-ant streams
+//! 5. **Per-ant streams on the round workers** (`shared-stream`):
+//!    chunk-phase code — everything that runs on the intra-round round
+//!    workers — may draw only from the per-ant streams
 //!    (`StreamKind::AgentEnvironment`, `StreamKind::AgentNoise`). A
 //!    shared-stream draw there would make outcomes depend on ant
 //!    processing order, which is exactly what `round_threads`
-//!    determinism (PR 5) forbids.
+//!    determinism forbids.
 //! 6. **Confined row draws** (`raw-row-draw`): the executor's shared
 //!    round bodies never draw a per-row coin inline. Every agent coin
 //!    is drawn inside the agents' own state machines (the urn ants'
@@ -46,7 +44,8 @@
 //!    diverge from the scalar oracle the first time either copy
 //!    changes.
 //! 7. **Audited atomics** (`atomic-ordering`): every `Ordering::` use
-//!    in the pool and the lock-free trial runner sits on an explicit
+//!    in the round workers' phase handshake and the lock-free trial
+//!    runner sits on an explicit
 //!    per-file allowlist and carries a `// ordering:` justification
 //!    comment, so the memory-ordering protocol stays reviewable.
 //! 8. **Conformant crate roots** (`lint-header`): crate roots carry the
@@ -77,7 +76,7 @@
 //! cargo run -p hh_lint -- --workspace          # lint every tracked .rs file
 //! cargo run -p hh_lint -- --workspace --docs   # …plus the EXPERIMENTS.md drift rule
 //! cargo run -p hh_lint -- --workspace --json   # machine-readable report
-//! cargo run -p hh_lint -- --as crates/sim/src/pool.rs some/file.rs
+//! cargo run -p hh_lint -- --as crates/sim/src/handshake.rs some/file.rs
 //! ```
 //!
 //! Exit status is the number of files with violations clamped to 1 —
@@ -197,7 +196,7 @@ mod tests {
     #[test]
     fn walk_skips_vendor_target_and_fixtures() {
         let files = workspace_files(&default_root()).unwrap();
-        assert!(files.iter().any(|f| f == "crates/sim/src/pool.rs"));
+        assert!(files.iter().any(|f| f == "crates/sim/src/handshake.rs"));
         assert!(files.iter().any(|f| f == "src/lib.rs"));
         assert!(!files.iter().any(|f| f.starts_with("vendor/")));
         assert!(!files.iter().any(|f| f.starts_with("target/")));

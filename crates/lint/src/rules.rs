@@ -5,27 +5,19 @@
 use crate::lexer::{cfg_test_regions, impl_regions, lex, Lexed, TokenKind};
 use crate::report::Diagnostic;
 
-/// The one file allowed to contain the `unsafe` keyword.
-pub const UNSAFE_SANCTUARY: &str = "crates/sim/src/pool.rs";
-
-/// The crate whose root declares `#![deny(unsafe_code)]` instead of
-/// `#![forbid(unsafe_code)]` (its `pool` module carves out the single
-/// reviewed `#[allow]`; `forbid` cannot be overridden).
-pub const DENY_UNSAFE_ROOT: &str = "crates/sim/src/lib.rs";
-
 /// Crates whose sources feed deterministic simulation state. The
 /// determinism lints (hash containers, wall clock, ambient randomness)
 /// apply to non-test code in these path prefixes.
 pub const ENGINE_PREFIXES: [&str; 3] = ["crates/model/src/", "crates/core/src/", "crates/sim/src/"];
 
-/// Files whose *entire* non-test body runs under (or dispatches onto)
-/// the intra-round worker pool.
+/// Files whose *entire* non-test body runs on (or hands work to) the
+/// intra-round round workers.
 pub const CHUNK_PHASE_FILES: [&str; 1] = ["crates/sim/src/executor.rs"];
 
 /// Types whose `impl` blocks are chunk-phase code wherever they live:
-/// the per-chunk round views workers iterate in parallel. Their impls
+/// the per-ant chunk round workers iterate in parallel. Their impls
 /// must draw only from per-ant randomness.
-pub const CHUNK_PHASE_TYPES: [&str; 2] = ["RelocationChunk", "OutcomeChunk"];
+pub const CHUNK_PHASE_TYPES: [&str; 1] = ["AntChunk"];
 
 /// Method names that advance an RNG stream on their receiver. A call to
 /// one of these inside the executor's shared round bodies is raw
@@ -57,12 +49,12 @@ pub const PER_ANT_STREAMS: [&str; 2] = ["AgentEnvironment", "AgentNoise"];
 /// `Ordering::<variant>` token in these files must use a listed variant
 /// *and* carry an attached `// ordering:` justification comment.
 pub const ORDERING_ALLOWLIST: [(&str, &[&str]); 2] = [
-    // The fork–join pool's epoch/done protocol is pure release/acquire
-    // handshakes (plus one AcqRel swap on the panic flag); SeqCst would
-    // paper over a misunderstanding and Relaxed would be a bug.
+    // The round workers' phase handshake is pure release/acquire
+    // publication (plus one relaxed counter reset that a release store
+    // publishes); SeqCst would paper over a misunderstanding.
     (
-        "crates/sim/src/pool.rs",
-        &["Acquire", "Release", "AcqRel", "Relaxed"],
+        "crates/sim/src/handshake.rs",
+        &["Acquire", "Release", "Relaxed"],
     ),
     // The trial runner needs acquire/release only for the abort flag;
     // the work-stealing cursor is intentionally relaxed.
@@ -110,23 +102,17 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     diags
 }
 
-/// Rule `unsafe-confinement`: the `unsafe` keyword may appear only in
-/// [`UNSAFE_SANCTUARY`] (test code included — there is no such thing as
-/// test-only unsafety).
+/// Rule `unsafe-confinement`: the `unsafe` keyword may appear in no
+/// file (test code included — there is no such thing as test-only
+/// unsafety).
 fn unsafe_confinement(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic>) {
-    if path == UNSAFE_SANCTUARY {
-        return;
-    }
     for tok in &lexed.tokens {
         if tok.kind == TokenKind::Ident && tok.text == "unsafe" {
             diags.push(Diagnostic::new(
                 "unsafe-confinement",
                 path,
                 tok.line,
-                format!(
-                    "`unsafe` is confined to {UNSAFE_SANCTUARY}; move the code behind the \
-                     reviewed pool primitive or make it safe"
-                ),
+                "`unsafe` is forbidden in this workspace; make the code safe".to_string(),
             ));
         }
     }
@@ -134,21 +120,16 @@ fn unsafe_confinement(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic>) {
 
 /// Rule `lint-header`: every crate root (`crates/*/src/lib.rs` and the
 /// facade `src/lib.rs`) carries the agreed preamble —
-/// `#![forbid(unsafe_code)]` (`deny` for hh-sim), `#![warn(missing_docs)]`,
-/// and `#![warn(missing_debug_implementations)]`.
+/// `#![forbid(unsafe_code)]`, `#![warn(missing_docs)]`, and
+/// `#![warn(missing_debug_implementations)]`.
 fn lint_header(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic>) {
     let is_crate_root =
         path == "src/lib.rs" || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"));
     if !is_crate_root {
         return;
     }
-    let unsafe_level = if path == DENY_UNSAFE_ROOT {
-        "deny"
-    } else {
-        "forbid"
-    };
     let required: [(&str, &str); 3] = [
-        (unsafe_level, "unsafe_code"),
+        ("forbid", "unsafe_code"),
         ("warn", "missing_docs"),
         ("warn", "missing_debug_implementations"),
     ];
@@ -163,24 +144,6 @@ fn lint_header(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
-    }
-    // The inverse check: a root that *forbids* when it must deny (or
-    // vice versa) gets a targeted message instead of a missing-attr one.
-    let wrong_level = if unsafe_level == "deny" {
-        "forbid"
-    } else {
-        "deny"
-    };
-    if has_inner_attr(lexed, wrong_level, "unsafe_code") {
-        diags.push(Diagnostic::new(
-            "lint-header",
-            path,
-            1,
-            format!(
-                "crate root declares `#![{wrong_level}(unsafe_code)]` but the agreed level \
-                 here is `{unsafe_level}`"
-            ),
-        ));
     }
 }
 
@@ -252,9 +215,9 @@ fn determinism(
 /// Rule `shared-stream`: inside chunk-phase code (the whole body of
 /// [`CHUNK_PHASE_FILES`], and `impl` blocks of [`CHUNK_PHASE_TYPES`]
 /// anywhere in the engine), only per-ant streams may be named. A draw
-/// from a shared stream inside code that runs under the worker pool
+/// from a shared stream inside code that runs on the round workers
 /// would make outcomes depend on ant processing order — exactly the bug
-/// class the per-ant stream split (PR 5) exists to rule out.
+/// class the per-ant stream split exists to rule out.
 fn shared_stream(
     path: &str,
     lexed: &Lexed,
@@ -289,7 +252,7 @@ fn shared_stream(
                 line,
                 format!(
                     "`StreamKind::{variant}` is a shared stream; chunk-phase code running \
-                     under the worker pool may draw only from the per-ant streams \
+                     on the round workers may draw only from the per-ant streams \
                      (`StreamKind::AgentEnvironment`, `StreamKind::AgentNoise`)"
                 ),
             ));
@@ -425,12 +388,14 @@ mod tests {
     }
 
     #[test]
-    fn sanctuary_file_may_be_unsafe_but_sim_root_must_deny() {
-        assert!(lint_source(UNSAFE_SANCTUARY, "unsafe { }").is_empty());
-        let diags = lint_source("crates/sim/src/lib.rs", "#![forbid(unsafe_code)]\n");
-        assert!(diags
-            .iter()
-            .any(|d| d.message.contains("agreed level here is `deny`")));
+    fn the_sim_root_must_forbid() {
+        let preamble = "#![warn(missing_docs)]\n#![warn(missing_debug_implementations)]\n";
+        let forbid = format!("#![forbid(unsafe_code)]\n{preamble}");
+        assert!(lint_source("crates/sim/src/lib.rs", &forbid).is_empty());
+        let deny = format!("#![deny(unsafe_code)]\n{preamble}");
+        let diags = lint_source("crates/sim/src/lib.rs", &deny);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("#![forbid(unsafe_code)]"));
     }
 
     #[test]

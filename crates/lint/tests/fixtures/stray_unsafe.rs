@@ -1,4 +1,4 @@
-// Fixture: the `unsafe` keyword outside crates/sim/src/pool.rs.
+// Fixture: the `unsafe` keyword, which no file may contain.
 // The mentions in this comment and in the string below must NOT trip
 // the rule; only the real keyword on line 8 may.
 pub fn grow(buffer: &mut Vec<u8>, extra: usize) {

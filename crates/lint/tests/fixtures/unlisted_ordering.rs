@@ -1,4 +1,4 @@
-// Fixture: an `Ordering::SeqCst` in the audited pool file. SeqCst is
+// Fixture: an `Ordering::SeqCst` in the audited handshake file. SeqCst is
 // not on the allowlist, so even a justification comment cannot save it.
 use std::sync::atomic::{AtomicUsize, Ordering};
 

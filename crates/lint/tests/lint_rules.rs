@@ -24,9 +24,11 @@ fn stray_unsafe_is_confined() {
 }
 
 #[test]
-fn stray_unsafe_is_fine_in_the_sanctuary() {
-    let diags = lint_fixture("stray_unsafe.rs", "crates/sim/src/pool.rs");
-    assert!(diags.is_empty(), "sanctuary must allow unsafe: {diags:?}");
+fn stray_unsafe_is_flagged_in_the_sim_crate_too() {
+    for path in ["crates/sim/src/handshake.rs", "crates/sim/src/executor.rs"] {
+        let diags = lint_fixture("stray_unsafe.rs", path);
+        assert_eq!(diags, vec![("unsafe-confinement".to_string(), 8)], "{path}");
+    }
 }
 
 #[test]
@@ -130,7 +132,7 @@ fn every_keyed_row_draw_is_flagged_in_chunk_phase_files() {
 
 #[test]
 fn unlisted_ordering_is_flagged_despite_justification() {
-    let diags = lint_fixture("unlisted_ordering.rs", "crates/sim/src/pool.rs");
+    let diags = lint_fixture("unlisted_ordering.rs", "crates/sim/src/handshake.rs");
     assert_eq!(diags, vec![("atomic-ordering".to_string(), 8)]);
 }
 

@@ -165,7 +165,8 @@ impl ColonyConfig {
     /// the nest's quality in addition to its count, letting recruited ants
     /// re-assess where they were taken. The strict Section 2 model returns
     /// only the count; Section 6's non-binary-quality and fault-tolerance
-    /// discussions implicitly need this richer sensing (see DESIGN.md).
+    /// discussions implicitly need this richer sensing (see
+    /// [clarification 5](crate::clarifications#5-the-assessing-go)).
     #[must_use]
     pub fn reveal_quality_on_go(mut self) -> Self {
         self.reveal_quality_on_go = true;

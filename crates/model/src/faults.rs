@@ -243,10 +243,10 @@ pub fn noop_action(env: &Environment, ant: AntId, style: CrashStyle) -> Action {
 /// The in-place location-preserving no-op given an ant's location and
 /// lowest known nest — the **single** definition of the no-op
 /// semantics, shared by [`noop_action`] and the chunked executor
-/// sandbox ([`RelocationChunk::noop_in_place`]), so the serial and
+/// sandbox ([`AntChunk::noop_in_place`]), so the serial and
 /// chunked paths cannot drift apart.
 ///
-/// [`RelocationChunk::noop_in_place`]: crate::RelocationChunk::noop_in_place
+/// [`AntChunk::noop_in_place`]: crate::AntChunk::noop_in_place
 pub(crate) fn in_place_noop(location: NestId, first_known: Option<NestId>) -> Action {
     if !location.is_home() {
         return Action::Go(location);

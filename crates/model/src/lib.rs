@@ -42,10 +42,11 @@
 //! ## Model clarifications
 //!
 //! The implementation resolves a handful of ambiguities in the paper's
-//! prose (documented in detail in the repository's `DESIGN.md`):
-//! `go(i)`/`recruit(·, i)` legality is *knowledge*-based (visited **or**
-//! recruited-to), round 1 therefore only admits `search()`, and
-//! self-recruitment pairs are allowed as in Lemma 3.1.
+//! prose, each recorded with its code site and pinning test in the
+//! [`clarifications`] ledger: `go(i)`/`recruit(·, i)` legality is
+//! *knowledge*-based (visited **or** recruited-to), round 1 therefore
+//! only admits `search()`, and self-recruitment pairs are allowed as in
+//! Lemma 3.1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,6 +59,7 @@ mod error;
 mod ids;
 mod nest;
 
+pub mod clarifications;
 pub mod faults;
 pub mod noise;
 pub mod recruitment;
@@ -66,9 +68,7 @@ pub mod util;
 
 pub use actions::{Action, Outcome};
 pub use config::{ColonyConfig, QualitySpec};
-pub use env::{
-    Environment, OutcomeChunk, OutcomeCtx, RecruitmentReport, RelocationChunk, StepReport,
-};
+pub use env::{AntChunk, Environment, RecruitmentReport, SharedRound, StepReport};
 pub use error::ModelError;
 pub use ids::{AntId, NestId};
 pub use nest::{Nest, Quality};

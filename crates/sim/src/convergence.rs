@@ -32,9 +32,9 @@
 //! there the honest/live membership test comes from cached honesty and
 //! the crash plan.
 
-use hh_model::{AntId, NestId};
+use hh_model::{AntId, Nest, NestId};
 
-use crate::executor::Simulation;
+use crate::executor::{LiveTally, Simulation};
 
 /// What counts as "solved", plus how long it must hold.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -180,7 +180,30 @@ impl Detector {
     /// Checks the simulation's current state; returns the detection once
     /// the rule's window is satisfied.
     pub fn check(&mut self, sim: &Simulation) -> Option<Solved> {
-        let tally = sim.live_tally();
+        let colocated = match self.rule {
+            ConvergenceRule::Location { .. } => honest_colocation(sim),
+            _ => None,
+        };
+        self.check_tally(sim.live_tally(), colocated, sim.round(), sim.env().nests())
+    }
+
+    /// [`check`](Self::check) after completed round `round`, from the
+    /// live tally and, for [`ConvergenceRule::Location`], the nest every
+    /// live honest ant stands at. The executor's round workers call it
+    /// directly: they hold the per-ant state while a segment runs, so a
+    /// segment never runs the `Location` rule.
+    pub(crate) fn check_tally(
+        &mut self,
+        tally: &LiveTally,
+        colocated: Option<NestId>,
+        round: u64,
+        nests: &[Nest],
+    ) -> Option<Solved> {
+        let is_good = |nest: NestId| {
+            nest.candidate_index()
+                .and_then(|idx| nests.get(idx))
+                .is_some_and(|nest| nest.quality().is_good())
+        };
         let (agreed, window) = match self.rule {
             ConvergenceRule::Commitment {
                 stable_rounds,
@@ -188,29 +211,26 @@ impl Detector {
             } => {
                 let nest = tally
                     .consensus()
-                    .filter(|&nest| !require_good || is_good(sim, nest));
+                    .filter(|&nest| !require_good || is_good(nest));
                 (nest, stable_rounds)
             }
             ConvergenceRule::AllFinal => {
                 let nest = tally
                     .consensus()
-                    .filter(|&nest| is_good(sim, nest))
+                    .filter(|&nest| is_good(nest))
                     .filter(|_| tally.all_final());
                 (nest, 1)
             }
-            ConvergenceRule::Location { stable_rounds } => (
-                honest_colocation(sim).filter(|&nest| is_good(sim, nest)),
-                stable_rounds,
-            ),
+            ConvergenceRule::Location { stable_rounds } => {
+                (colocated.filter(|&nest| is_good(nest)), stable_rounds)
+            }
             ConvergenceRule::Quorum {
                 fraction,
                 stable_rounds,
             } => (
                 // Re-sanitize: the variant's fields are public, so a
                 // hand-built rule can bypass the constructor.
-                tally.quorum(sanitize_quorum_fraction(fraction), |nest| {
-                    is_good(sim, nest)
-                }),
+                tally.quorum(sanitize_quorum_fraction(fraction), is_good),
                 stable_rounds,
             ),
         };
@@ -234,20 +254,14 @@ impl Detector {
         if self.streak >= window {
             let nest = self.candidate.expect("streak implies candidate");
             Some(Solved {
-                round: sim.round() + 1 - self.streak,
+                round: round + 1 - self.streak,
                 nest,
-                good: is_good(sim, nest),
+                good: is_good(nest),
             })
         } else {
             None
         }
     }
-}
-
-fn is_good(sim: &Simulation, nest: NestId) -> bool {
-    sim.env()
-        .quality_of(nest)
-        .is_some_and(|quality| quality.is_good())
 }
 
 /// The candidate nest all live honest ants stand at, if they all stand

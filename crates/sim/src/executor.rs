@@ -33,16 +33,19 @@
 //! * **Deterministic intra-round parallelism.** Agents are independent
 //!   within a round, so the per-ant phases — validate/relocate/tally and
 //!   the fused outcome/observe/choose/refresh pass — run over disjoint
-//!   colony chunks on a persistent worker pool
-//!   ([`Simulation::with_round_threads`]), spawned once and reused every
-//!   round. Every random draw attributable to an ant comes from that
-//!   ant's own stream (see the `hh_model::env` docs on randomness
-//!   ownership), each worker writes only its own slots, and per-worker
-//!   tally/count deltas are merged in chunk order at the barrier
-//!   — so every thread count, including the serial `round_threads = 1`
-//!   default (the same code run inline), produces **bit-identical**
-//!   results. Only the Algorithm 1 pairing stays serial, as the paper's
-//!   one colony-level process.
+//!   colony chunks ([`Simulation::with_round_threads`]). Each
+//!   [`run_to_convergence`](Simulation::run_to_convergence) call spawns
+//!   its round workers once, inside `std::thread::scope`, and each worker
+//!   borrows one chunk of the per-ant state for the whole segment; the
+//!   stepping APIs run the same chunk code inline on the calling thread.
+//!   Every random draw attributable to an ant comes from that ant's own
+//!   stream (see the `hh_model::env` docs on randomness ownership), each
+//!   chunk writes only its own rows, and per-chunk tally/count deltas
+//!   are merged in chunk order at the barrier — so every thread count,
+//!   including the serial `round_threads = 1` default, produces
+//!   **bit-identical** results. Only the Algorithm 1 pairing stays
+//!   serial, as the paper's one colony-level process; it reads and
+//!   writes no per-ant state.
 //! * **Fault state only where there are faults.** An unperturbed
 //!   simulation holds no fault plan and makes no per-ant fault query.
 //!   A perturbed one runs every round on the serial scalar path,
@@ -53,19 +56,18 @@
 //!   colony size of the crash and delay sweeps, where round threads
 //!   cannot help either.
 
-use std::sync::Mutex;
+use std::ops::DerefMut;
+use std::sync::{Mutex, MutexGuard, RwLock};
 
 use hh_core::colony::AgentSnapshot;
 use hh_core::{AnyAgent, Colony};
 use hh_model::faults::{noop_action, CrashPlan, CrashStyle, DelayPlan};
 use hh_model::recruitment::RecruitCall;
-use hh_model::{
-    Action, AntId, Environment, NestId, Outcome, OutcomeChunk, RelocationChunk, StepReport,
-};
+use hh_model::{Action, AntChunk, AntId, Environment, NestId, Outcome, SharedRound, StepReport};
 
 use crate::convergence::{ConvergenceRule, Detector, Solved};
 use crate::error::SimError;
-use crate::pool::{scatter, WorkerPool, MAX_ROUND_THREADS};
+use crate::handshake::{Handshake, Leader, Phase, MAX_ROUND_THREADS};
 
 pub use hh_core::RoleCensus;
 
@@ -97,16 +99,16 @@ impl Perturbations {
 
 /// Which round engine drives an unperturbed simulation.
 ///
-/// Both engines implement the identical round semantics; the registry's
-/// `soa_equivalence` suite pins them bit-identical (equal seeds produce
-/// equal [`RunOutcome`]s and equal round-by-round census tallies) across
-/// the whole scenario catalog.
+/// Both engines implement the identical round semantics; the
+/// `oracle_equivalence` suite pins them bit-identical (equal seeds
+/// produce equal [`RunOutcome`]s and equal round-by-round census
+/// tallies) across the whole scenario catalog.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The scalar oracle: one match-per-ant pass per phase, always
     /// serial. This is the path perturbed rounds run on, here with no
     /// fault plan to consult — the simplest correct rendering of the
-    /// round semantics, kept as the reference the SoA engine is
+    /// round semantics, kept as the reference the fused engine is
     /// bit-identity-tested against.
     Scalar,
     /// The fast path: one fused observe/choose/refresh pass per round
@@ -114,7 +116,7 @@ pub enum EngineKind {
     /// intra-round chunk parallelism
     /// ([`Simulation::with_round_threads`]).
     #[default]
-    Soa,
+    Fused,
 }
 
 /// Outcome of a bounded run (see [`Simulation::run_to_convergence`]).
@@ -134,11 +136,9 @@ pub struct RunOutcome {
 /// steady state.
 #[derive(Debug, Default)]
 struct RoundScratch {
-    /// One action per ant for the round being assembled.
+    /// One action per ant: the round's, or, between fast-path rounds,
+    /// the next round's pre-chosen one (see `step_round_fast`).
     actions: Vec<Action>,
-    /// The fast path's pre-chosen actions for the *next* round (see
-    /// `step_round`).
-    next_actions: Vec<Action>,
     /// `chose[a]`: agent `a`'s `choose` ran this round (its state may
     /// have changed, so its snapshot needs a refresh).
     chose: Vec<bool>,
@@ -278,11 +278,14 @@ impl LiveTally {
     }
 }
 
-/// Per-worker round state: everything a chunk writes besides its
-/// disjoint slots, merged serially in chunk order at the barriers so
-/// results never depend on the thread count. Buffers persist across
-/// rounds — the steady state allocates nothing.
+/// Per-chunk round state: everything a chunk writes besides its own
+/// rows, merged serially in chunk order at the barriers so results never
+/// depend on the thread count. Buffers persist across rounds — the
+/// steady state allocates nothing. Aligned so that neighbouring chunks'
+/// counters share no cache line: about 2 % more rounds/s on 16 384 ants
+/// at two round threads (5 of 5 interleaved pairs).
 #[derive(Debug, Default)]
+#[repr(align(128))]
 struct WorkerScratch {
     /// Phase 1: this chunk's population tally (length `k + 1`).
     counts: Vec<usize>,
@@ -290,6 +293,9 @@ struct WorkerScratch {
     calls: Vec<RecruitCall>,
     /// Phase 1: illegal actions sandboxed in this chunk.
     illegal: u64,
+    /// Serial middle → phase 2: the chunk's first recruiter rank among
+    /// the round's calls (its call cursor start).
+    cursor: usize,
     /// Phase 2: this chunk's live-tally delta.
     tally: LiveTally,
 }
@@ -325,7 +331,7 @@ pub struct Simulation {
     /// Which engine steps unperturbed rounds (perturbed rounds always
     /// run the scalar path).
     engine: EngineKind,
-    /// Fast path: `scratch.next_actions` holds the upcoming round's
+    /// Fast path: `scratch.actions` holds the upcoming round's
     /// pre-chosen actions.
     prechosen: bool,
     live: LiveTally,
@@ -335,10 +341,9 @@ pub struct Simulation {
     round_threads: usize,
     /// Ant-chunk boundaries, length `round_threads + 1`.
     chunk_bounds: Vec<usize>,
-    /// One scratch per part, merged in part order at the barriers.
+    /// One scratch per part, merged in part order at the barriers. The
+    /// inline paths use only the first.
     worker_scratch: Vec<WorkerScratch>,
-    /// The persistent pool (`round_threads > 1`, unperturbed only).
-    pool: Option<WorkerPool>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -421,23 +426,26 @@ impl Simulation {
             round_threads: 1,
             chunk_bounds: vec![0, n],
             worker_scratch: vec![WorkerScratch::default()],
-            pool: None,
         })
     }
 
-    /// Sets the number of intra-round parts and spawns the persistent
-    /// worker pool behind them (once; the threads are reused every
-    /// round). `threads` is clamped to `1..=16`; 1 restores the serial
-    /// engine.
+    /// Sets the number of intra-round parts. `threads` is clamped to
+    /// `1..=16`; 1 restores the serial engine.
+    ///
+    /// Each [`run_to_convergence`](Self::run_to_convergence) call spawns
+    /// `threads - 1` round workers that live for that call only and runs
+    /// chunk 0 on the calling thread. The stepping APIs and the
+    /// [`ConvergenceRule::Location`] rule, which reads per-ant locations
+    /// every round, run the same chunk code inline.
     ///
     /// **Determinism contract:** every thread count produces
-    /// bit-identical executions — the serial path is the same chunked
-    /// code run inline, all per-ant randomness lives in per-ant streams,
-    /// and per-worker deltas merge in chunk order. The registry
+    /// bit-identical executions — inline and on workers the rounds run
+    /// the same chunk code, all per-ant randomness lives in per-ant
+    /// streams, and per-chunk deltas merge in chunk order. The registry
     /// conformance suite enforces this across the whole catalog.
     ///
     /// **Perturbed simulations ignore this setting at execution time**:
-    /// their rounds always run on the serial scalar path, no pool is
+    /// their rounds always run on the serial scalar path, no worker is
     /// spawned, and the outcomes are bit-identical to the serial run by
     /// construction — the setting is remembered but inert. The same
     /// applies to `Scenario::round_threads` in the registry. Running
@@ -452,14 +460,14 @@ impl Simulation {
         self.chunk_bounds = (0..=threads).map(|part| part * n / threads).collect();
         self.worker_scratch
             .resize_with(threads, WorkerScratch::default);
-        self.rebuild_pool();
         self
     }
 
-    /// Overrides the ant-chunk boundaries used by the SoA engine's
-    /// intra-round phases — a **testing hook** for driving the chunked
-    /// code through adversarial splits (width-1 chunks, `n - 1` cuts,
-    /// prime strides) that the even `with_round_threads` division never
+    /// Overrides the ant-chunk boundaries the round workers of
+    /// [`run_to_convergence`](Self::run_to_convergence) split the colony
+    /// at — a **testing hook** for driving the chunked code through
+    /// adversarial splits (width-1 chunks, `n - 1` cuts, prime strides,
+    /// empty chunks) that the even `with_round_threads` division never
     /// produces. The determinism contract says every valid split is
     /// bit-identical to serial; `tests/property_runner.rs` enforces it
     /// through this hook.
@@ -492,38 +500,22 @@ impl Simulation {
         self.chunk_bounds = bounds;
         self.worker_scratch
             .resize_with(threads, WorkerScratch::default);
-        self.rebuild_pool();
         self
     }
 
     /// Selects the engine for unperturbed rounds (default:
-    /// [`EngineKind::Soa`]).
+    /// [`EngineKind::Fused`]).
     ///
-    /// The scalar engine always runs serially, so choosing it releases
-    /// any worker pool; switching back to SoA re-applies the configured
-    /// `round_threads`. The builders commute: any order of
-    /// `with_round_threads` / `with_engine` / `with_chunk_bounds` calls
-    /// ends at the same configuration, thread count included (pinned by
+    /// The scalar engine always runs serially; switching back to the
+    /// fused engine re-applies the configured `round_threads`. The
+    /// builders commute: any order of `with_round_threads` /
+    /// `with_engine` / `with_chunk_bounds` calls ends at the same
+    /// configuration, thread count included (pinned by
     /// `builder_order_never_drops_threads`).
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self.rebuild_pool();
         self
-    }
-
-    /// Reconciles the worker pool with the current configuration — the
-    /// single pool gate shared by every builder, so no call order can
-    /// drop the requested thread count. An already-matching pool is kept
-    /// (no thread churn when e.g. toggling the engine away and back).
-    fn rebuild_pool(&mut self) {
-        let wanted =
-            (self.round_threads > 1 && self.runs_fast_path()).then_some(self.round_threads - 1);
-        match (wanted, &self.pool) {
-            (Some(workers), Some(pool)) if pool.workers() == workers => {}
-            (Some(workers), _) => self.pool = Some(WorkerPool::new(workers)),
-            (None, _) => self.pool = None,
-        }
     }
 
     /// The engine driving unperturbed rounds.
@@ -581,10 +573,10 @@ impl Simulation {
         self.illegal_actions
     }
 
-    /// `true` if rounds run on the fast path: no fault plan and the SoA
-    /// engine.
+    /// `true` if rounds run on the fast path: no fault plan and the
+    /// fused engine.
     fn runs_fast_path(&self) -> bool {
-        self.perturbations.is_none() && self.engine == EngineKind::Soa
+        self.perturbations.is_none() && self.engine == EngineKind::Fused
     }
 
     /// Executes one synchronous round into the persistent scratch.
@@ -598,86 +590,100 @@ impl Simulation {
     /// materializing only adds the per-slot copy into the (persistent)
     /// report buffer, so instrumented and convergence runs are one code
     /// path and report identical [`RunOutcome`]s.
-    fn step_round(&mut self, materialize: bool) -> Result<(), SimError> {
+    fn step_round(&mut self, materialize: bool) {
         if self.runs_fast_path() {
-            self.step_round_fast(materialize)?;
+            self.step_round_fast(materialize);
         } else {
-            self.step_round_scalar(materialize)?;
+            self.step_round_scalar(materialize);
         }
         if materialize {
             self.env.export_pairs(&mut self.scratch.report);
         } else {
             self.scratch.report.recruitment.pairs.clear();
         }
-        Ok(())
     }
 
-    /// The unperturbed fast path: no fault plan to consult, and every
-    /// agent chooses every round, so the `chose` mask is a constant
-    /// `true` and is not materialized.
+    /// The unperturbed fast path, one round inline on the calling
+    /// thread: no fault plan to consult, and every agent chooses every
+    /// round, so the `chose` mask is a constant `true` and is not
+    /// materialized.
     ///
     /// The engine is memory-bound at scale — the dominant cost of a
     /// round is streaming the agent array — so the fast path makes
     /// exactly ONE pass over the agents per round: round r's observe is
     /// fused with round r+1's choose (agents are independent, and
     /// between rounds nothing else touches them), and the pre-chosen
-    /// actions are stashed in `next_actions` for the next step. Only a
-    /// round that finds the pipeline unprimed — the first fast-path
-    /// round, or the first after a switch back from
-    /// [`EngineKind::Scalar`] — runs a dedicated serial choose pass.
+    /// actions wait in `actions` for the next round. Only a round
+    /// that finds the pipeline unprimed — the first fast-path round, or
+    /// the first after a switch back from [`EngineKind::Scalar`] — runs
+    /// a dedicated choose pass first (`prime_fast_path`).
     ///
-    /// Both per-ant phases (validate/relocate/tally, then the fused
-    /// outcome/observe/choose/refresh pass) run over `round_threads`
-    /// disjoint ant chunks — inline when serial, on the persistent pool
-    /// otherwise — with per-worker deltas merged in chunk order between
-    /// the phases; only the Algorithm 1 pairing runs serially. See the
-    /// module docs for why every thread count is bit-identical.
+    /// The round runs the segment workers' chunk code (`run_segment`)
+    /// over one full-range chunk; see the module docs for why every
+    /// chunk split is bit-identical.
     ///
     /// Legality is still checked at the top of the round the action
     /// executes in (identical sandboxing semantics and counters), and
     /// the per-ant crash/delay semantics that forbid pre-choosing — a
     /// skipped ant must not advance its state machine — cannot occur
     /// here by definition.
-    fn step_round_fast(&mut self, materialize: bool) -> Result<(), SimError> {
+    fn step_round_fast(&mut self, materialize: bool) {
+        self.prime_fast_path();
         let n = self.env.n();
-        let round = self.env.round() + 1;
-        let prechosen = std::mem::replace(&mut self.prechosen, true);
+        let k1 = self.env.k() + 1;
         let Self {
             env,
             colony,
             scratch,
             worker_scratch,
             live,
-            pool,
-            chunk_bounds,
             illegal_actions,
             ..
         } = self;
-        if !prechosen {
-            scratch.next_actions.clear();
-            scratch
-                .next_actions
-                .extend((0..n).map(|idx| colony.choose(idx, round)));
-        }
         let (agents, snapshots) = colony.engine_split();
-        run_batched_round(
-            env,
+        let (ants, mut shared) = env.split_round();
+        let mut chunk = Chunk {
+            env: ants,
             agents,
             snapshots,
-            scratch,
-            worker_scratch,
-            pool.as_mut(),
-            chunk_bounds,
+            actions: &mut scratch.actions,
+            ran: &mut scratch.ran,
+        };
+        let ws = &mut worker_scratch[0];
+        chunk.relocate(k1, ws);
+        serial_middle(
+            &mut shared,
+            &mut [&mut *ws],
+            &mut scratch.report.recruitment.calls,
             illegal_actions,
-            round,
-            materialize,
         );
-        // The round barrier: fold the per-chunk tally deltas in chunk
-        // order.
-        for ws in worker_scratch.iter() {
-            live.merge(&ws.tally);
+        // In the eliding mode each outcome lives only for the instant
+        // its agent consumes it; materializing adds a copy into the
+        // report's persistent buffer.
+        let outcomes = &mut scratch.report.outcomes;
+        outcomes.clear();
+        if materialize {
+            outcomes.resize(n, PLACEHOLDER);
         }
-        Ok(())
+        chunk.deliver(&shared, ws, materialize.then_some(outcomes.as_mut_slice()));
+        live.merge(&ws.tally);
+    }
+
+    /// Fills the fast path's pipeline with every ant's `choose` for the
+    /// next round, unless the previous fast-path round already did.
+    fn prime_fast_path(&mut self) {
+        let n = self.env.n();
+        if !std::mem::replace(&mut self.prechosen, true) {
+            let round = self.env.round() + 1;
+            let colony = &mut self.colony;
+            self.scratch.actions.clear();
+            self.scratch
+                .actions
+                .extend((0..n).map(|idx| colony.choose(idx, round)));
+        }
+        // Phase 1 writes every slot before phase 2 reads it, so the mask
+        // only needs its length.
+        self.scratch.ran.resize(n, true);
     }
 
     /// The scalar path: one match-per-ant pass per phase, always serial
@@ -692,17 +698,17 @@ impl Simulation {
     ///   they stay off the fused pass).
     /// * **[`EngineKind::Scalar`]** routes unperturbed rounds here too,
     ///   with no fault plan and so no per-ant fault query. That makes
-    ///   this loop the *bit-identity oracle* for the SoA
+    ///   this loop the *bit-identity oracle* for the fused
     ///   engine: the per-agent call sequence (`choose(r)` then
     ///   `observe(r)`), the per-ant RNG streams, the serial pairing fed
     ///   in ant order, and the sandboxing timing are all identical to
     ///   the fast path's, so equal seeds must produce bit-identical
-    ///   runs. `tests/soa_equivalence.rs` enforces exactly that across
+    ///   runs. `tests/oracle_equivalence.rs` enforces exactly that across
     ///   the registry catalog.
-    fn step_round_scalar(&mut self, materialize: bool) -> Result<(), SimError> {
+    fn step_round_scalar(&mut self, materialize: bool) {
         let round = self.env.round() + 1;
         let n = self.env.n();
-        // If the previous round ran on the pre-chosen pipeline (the SoA
+        // If the previous round ran on the pre-chosen pipeline (the fused
         // engine fuses `choose(round + 1)` into its agent pass), the
         // agents have *already* made this round's choices. The Agent
         // contract allows `choose(r)` to be called at most once per
@@ -717,7 +723,7 @@ impl Simulation {
         // consulted in that case.
         let prechosen = std::mem::replace(&mut self.prechosen, false);
         let scratch = &mut self.scratch;
-        scratch.actions.clear();
+        scratch.actions.resize(n, Action::Search);
         scratch.ran.clear();
         scratch.ran.resize(n, false);
         scratch.chose.clear();
@@ -744,49 +750,35 @@ impl Simulation {
                         .then_some(CrashStyle::InPlace)
                 };
                 if let Some(style) = noop {
-                    scratch.actions.push(noop_action(&self.env, ant, style));
+                    scratch.actions[idx] = noop_action(&self.env, ant, style);
                     self.replaced_actions += 1;
                     continue;
                 }
             }
-            let action = if prechosen {
-                scratch.next_actions[idx]
-            } else {
-                self.colony.choose(idx, round)
-            };
+            if !prechosen {
+                scratch.actions[idx] = self.colony.choose(idx, round);
+            }
             scratch.chose[idx] = true;
-            if self.env.check_action(ant, &action).is_ok() {
+            if self.env.check_action(ant, &scratch.actions[idx]).is_ok() {
                 scratch.ran[idx] = true;
-                scratch.actions.push(action);
             } else {
                 self.illegal_actions += 1;
-                scratch
-                    .actions
-                    .push(noop_action(&self.env, ant, CrashStyle::InPlace));
+                scratch.actions[idx] = noop_action(&self.env, ant, CrashStyle::InPlace);
             }
         }
 
-        // Every pushed action was either checked above or is a
+        // Every action was either checked above or is a
         // location-preserving no-op, legal by construction. Resolve the
         // round over one full-range chunk.
-        scratch.report.recruitment.calls.clear();
-        {
-            let ws = &mut self.worker_scratch[0];
-            ws.counts.clear();
-            ws.counts.resize(self.env.k() + 1, 0);
-            let mut view = self.env.relocation_view();
-            for (idx, action) in scratch.actions.iter().enumerate() {
-                view.apply(
-                    idx,
-                    *action,
-                    &mut ws.counts,
-                    &mut scratch.report.recruitment.calls,
-                );
-            }
-        }
-        self.env
-            .merge_counts(std::iter::once(self.worker_scratch[0].counts.as_slice()));
-        self.env.pair_round(&scratch.report.recruitment.calls);
+        let calls = &mut scratch.report.recruitment.calls;
+        calls.clear();
+        let ws = &mut self.worker_scratch[0];
+        ws.counts.clear();
+        ws.counts.resize(self.env.k() + 1, 0);
+        let (mut chunk, mut shared) = self.env.split_round();
+        chunk.apply_all(&scratch.actions, &mut ws.counts, calls);
+        shared.merge_counts(std::iter::once(ws.counts.as_slice()));
+        shared.pair_round(calls);
 
         // Outcome + observe + refresh, fused per ant. Refresh covers
         // every agent whose `choose` ran — observe or not, choosing
@@ -794,33 +786,23 @@ impl Simulation {
         // the live tally.
         scratch.report.outcomes.clear();
         if materialize {
-            scratch.report.outcomes.resize(
-                n,
-                Outcome::Go {
-                    count: 0,
-                    quality: None,
-                },
-            );
+            scratch.report.outcomes.resize(n, PLACEHOLDER);
         }
-        {
-            let (mut chunk, ctx) = self.env.outcome_view();
-            let mut cursor = 0usize;
-            for (idx, &action) in scratch.actions.iter().enumerate() {
-                let outcome = chunk.outcome(&ctx, idx, action, &mut cursor);
-                if materialize {
-                    scratch.report.outcomes[idx] = outcome;
-                }
-                if !scratch.chose[idx] {
-                    continue;
-                }
-                if scratch.ran[idx] {
-                    self.colony.observe(idx, round, &outcome);
-                }
-                let (old, new) = self.colony.refresh(idx);
-                self.live.apply(&old, &new);
+        let mut cursor = 0usize;
+        for (idx, &action) in scratch.actions.iter().enumerate() {
+            let outcome = chunk.outcome(&shared, idx, action, &mut cursor);
+            if materialize {
+                scratch.report.outcomes[idx] = outcome;
             }
+            if !scratch.chose[idx] {
+                continue;
+            }
+            if scratch.ran[idx] {
+                self.colony.observe(idx, round, &outcome);
+            }
+            let (old, new) = self.colony.refresh(idx);
+            self.live.apply(&old, &new);
         }
-        Ok(())
     }
 
     /// Executes one synchronous round and returns the environment's
@@ -836,7 +818,7 @@ impl Simulation {
     /// Propagates environment errors; these indicate harness bugs, since
     /// agent actions are validated and sandboxed before execution.
     pub fn step(&mut self) -> Result<StepReport, SimError> {
-        self.step_round(true)?;
+        self.step_round(true);
         Ok(self.scratch.report.clone())
     }
 
@@ -848,41 +830,52 @@ impl Simulation {
     ///
     /// Same conditions as [`step`](Self::step).
     pub fn step_in_place(&mut self) -> Result<&StepReport, SimError> {
-        self.step_round(true)?;
+        self.step_round(true);
         Ok(&self.scratch.report)
     }
 
     /// Runs until `rule` detects convergence or `max_rounds` rounds have
-    /// executed (counted from the simulation's current round).
+    /// executed (counted from the simulation's current round), on round
+    /// workers where [`with_round_threads`](Self::with_round_threads)
+    /// says so.
     ///
     /// # Errors
     ///
     /// Propagates [`Self::step`] errors.
+    ///
+    /// # Panics
+    ///
+    /// Propagates an agent's panic, from whichever thread ran its chunk.
+    /// The simulation's state is then inconsistent.
     pub fn run_to_convergence(
         &mut self,
         rule: ConvergenceRule,
         max_rounds: u64,
     ) -> Result<RunOutcome, SimError> {
-        let mut detector = Detector::new(rule);
         let start = self.env.round();
-        let mut solved = None;
-        while self.env.round() - start < max_rounds {
-            self.step_round(false)?;
-            if let Some(found) = detector.check(self) {
-                solved = Some(found);
-                break;
+        let solved = if self.round_threads > 1
+            && self.runs_fast_path()
+            && !matches!(rule, ConvergenceRule::Location { .. })
+        {
+            self.run_segment(rule, max_rounds)
+        } else {
+            let mut detector = Detector::new(rule);
+            let mut solved = None;
+            while self.env.round() - start < max_rounds {
+                self.step_round(false);
+                solved = detector.check(self);
+                if solved.is_some() {
+                    break;
+                }
             }
-        }
-        Ok(RunOutcome {
-            solved,
-            rounds_run: self.env.round() - start,
-            replaced_actions: self.replaced_actions,
-            illegal_actions: self.illegal_actions,
-        })
+            solved
+        };
+        Ok(self.run_outcome(start, solved))
     }
 
     /// Like [`run_to_convergence`](Self::run_to_convergence), invoking
     /// `on_round` after every executed round (for metrics recording).
+    /// Every round runs inline on the calling thread.
     ///
     /// # Errors
     ///
@@ -900,20 +893,134 @@ impl Simulation {
         let start = self.env.round();
         let mut solved = None;
         while self.env.round() - start < max_rounds {
-            self.step_round(true)?;
+            self.step_round(true);
             let this = &*self;
             on_round(this, &this.scratch.report);
-            if let Some(found) = detector.check(self) {
-                solved = Some(found);
+            solved = detector.check(self);
+            if solved.is_some() {
                 break;
             }
         }
-        Ok(RunOutcome {
+        Ok(self.run_outcome(start, solved))
+    }
+
+    fn run_outcome(&self, start: u64, solved: Option<Solved>) -> RunOutcome {
+        RunOutcome {
             solved,
             rounds_run: self.env.round() - start,
             replaced_actions: self.replaced_actions,
             illegal_actions: self.illegal_actions,
-        })
+        }
+    }
+
+    /// The fast path of `run_to_convergence` on round workers. Spawns
+    /// one worker per chunk but the first inside one `std::thread::scope`;
+    /// each borrows its chunk of the per-ant state for the whole segment
+    /// and runs a phase per handshake (see `handshake`). The calling
+    /// thread runs chunk 0, the serial middle, the tally merge and the
+    /// detector. The middle and the outcome phase share the colony-level
+    /// state through one lock, taken once per phase and never per ant.
+    fn run_segment(&mut self, rule: ConvergenceRule, max_rounds: u64) -> Option<Solved> {
+        if max_rounds == 0 {
+            return None;
+        }
+        self.prime_fast_path();
+        let start = self.env.round();
+        let k1 = self.env.k() + 1;
+        let Self {
+            env,
+            colony,
+            scratch,
+            worker_scratch,
+            live,
+            chunk_bounds,
+            illegal_actions,
+            ..
+        } = self;
+        let (agents, snapshots) = colony.engine_split();
+        let (ants, shared) = env.split_round();
+        let nests = shared.nests();
+        let mut chunks = Vec::with_capacity(chunk_bounds.len() - 1);
+        let mut rest = Chunk {
+            env: ants,
+            agents,
+            snapshots,
+            actions: &mut scratch.actions,
+            ran: &mut scratch.ran,
+        };
+        for &end in &chunk_bounds[1..] {
+            let (head, tail) = rest.split_at(end);
+            chunks.push(head);
+            rest = tail;
+        }
+        let slots: Vec<Mutex<WorkerScratch>> = worker_scratch
+            .iter_mut()
+            .map(|ws| Mutex::new(std::mem::take(ws)))
+            .collect();
+        let shared = RwLock::new(shared);
+        let handshake = Handshake::default();
+        let calls = &mut scratch.report.recruitment.calls;
+        let mut detector = Detector::new(rule);
+
+        let solved = std::thread::scope(|scope| {
+            let mut leader = Leader::new(&handshake);
+            let mut chunks = chunks.into_iter();
+            let mut own = chunks.next().expect("chunk 0");
+            for (part, (mut chunk, slot)) in (1..).zip(chunks.zip(&slots[1..])) {
+                let (handshake, shared) = (&handshake, &shared);
+                let worker = std::thread::Builder::new()
+                    .name(format!("hh-round-{part}"))
+                    .spawn_scoped(scope, move || {
+                        let mut seen = 0;
+                        loop {
+                            match handshake.next_phase(&mut seen) {
+                                Phase::Relocate => {
+                                    handshake.work(|| chunk.relocate(k1, &mut lock(slot)));
+                                }
+                                Phase::Deliver => handshake.work(|| {
+                                    let shared = shared.read().expect("the middle finished");
+                                    chunk.deliver(&shared, &mut lock(slot), None);
+                                }),
+                                Phase::Stop => break,
+                            }
+                        }
+                    })
+                    .expect("spawn a round worker");
+                leader.enlist(worker.thread().clone());
+            }
+            let mut held = Vec::with_capacity(slots.len());
+            for rounds_run in 1..=max_rounds {
+                leader.run(Phase::Relocate, || {
+                    own.relocate(k1, &mut lock(&slots[0]));
+                });
+                held.extend(slots.iter().map(lock));
+                serial_middle(
+                    &mut shared.write().expect("no chunk holds the shared state"),
+                    &mut held,
+                    calls,
+                    illegal_actions,
+                );
+                held.clear();
+                leader.run(Phase::Deliver, || {
+                    let shared = shared.read().expect("the middle finished");
+                    own.deliver(&shared, &mut lock(&slots[0]), None);
+                });
+                for slot in &slots {
+                    live.merge(&lock(slot).tally);
+                }
+                let solved = detector.check_tally(live, None, start + rounds_run, nests);
+                if solved.is_some() {
+                    return solved;
+                }
+            }
+            None
+        });
+        for (ws, slot) in worker_scratch.iter_mut().zip(slots) {
+            *ws = slot.into_inner().expect("every chunk finished");
+        }
+        scratch.report.outcomes.clear();
+        scratch.report.recruitment.pairs.clear();
+        solved
     }
 
     /// Returns `true` if `ant` has not crashed as of the current round.
@@ -952,231 +1059,143 @@ impl Simulation {
     }
 }
 
-/// The body of `step_round_fast`: one unperturbed round — phase 1
-/// (validate/sandbox/relocate/tally), the serial pairing middle, phase 2
-/// (outcome → observe → choose, snapshot refresh) — over the agent
-/// vector. The caller merges the per-worker tally deltas afterwards.
-#[allow(clippy::too_many_arguments)]
-fn run_batched_round(
-    env: &mut Environment,
-    full_agents: &mut [AnyAgent],
-    full_snapshots: &mut [AgentSnapshot],
-    scratch: &mut RoundScratch,
-    worker_scratch: &mut [WorkerScratch],
-    mut pool: Option<&mut WorkerPool>,
-    bounds: &[usize],
-    illegal_actions: &mut u64,
-    round: u64,
-    materialize: bool,
-) {
-    let n = env.n();
-    let k1 = env.k() + 1;
-    let threads = bounds.len() - 1;
+/// The value a materialized outcome slot holds until its ant's outcome
+/// overwrites it.
+const PLACEHOLDER: Outcome = Outcome::Go {
+    count: 0,
+    quality: None,
+};
 
-    std::mem::swap(&mut scratch.actions, &mut scratch.next_actions);
-    // Both buffers are written slot-by-slot for every ant (phase 1
-    // fills `ran`, phase 2 fills `next_actions`), so at steady state
-    // they only need their length established — refilling defaults
-    // every round would be two redundant full-colony write passes.
-    if scratch.next_actions.len() != n {
-        scratch.next_actions.resize(n, Action::Search);
-    }
-    if scratch.ran.len() != n {
-        scratch.ran.resize(n, true);
-    }
+/// One chunk of the colony's per-ant state: everything the two per-ant
+/// phases of a fast-path round read or write for the chunk's ants. A
+/// segment worker borrows its chunk for the whole segment; the inline
+/// path runs one full-range chunk.
+struct Chunk<'a> {
+    env: AntChunk<'a>,
+    agents: &'a mut [AnyAgent],
+    snapshots: &'a mut [AgentSnapshot],
+    /// The round's pre-chosen actions on entry to phase 1, sandboxed in
+    /// place; phase 2 overwrites each with the ant's choice for the
+    /// next round.
+    actions: &'a mut [Action],
+    /// Phase 1 → phase 2: `ran[i]` is set if the ant's own action ran,
+    /// so it observes.
+    ran: &'a mut [bool],
+}
 
-    // ── Phase 1 (chunked): validate + sandbox, relocate, tally
-    // populations, collect recruit calls.
-    {
-        struct RelocPart<'a> {
-            chunk: RelocationChunk<'a>,
-            actions: &'a mut [Action],
-            ran: &'a mut [bool],
-            scratch: &'a mut WorkerScratch,
-        }
-        let slots: [Mutex<Option<RelocPart>>; MAX_ROUND_THREADS] =
-            std::array::from_fn(|_| Mutex::new(None));
-        let mut rest_chunk = Some(env.relocation_view());
-        let mut rest_actions = scratch.actions.as_mut_slice();
-        let mut rest_ran = scratch.ran.as_mut_slice();
-        let mut scratch_iter = worker_scratch.iter_mut();
-        for (part, slot) in slots.iter().take(threads).enumerate() {
-            let len = bounds[part + 1] - bounds[part];
-            let chunk = if part + 1 == threads {
-                rest_chunk.take().expect("chunk remainder")
-            } else {
-                let (head, tail) = rest_chunk
-                    .take()
-                    .expect("chunk remainder")
-                    .split_at(bounds[part + 1]);
-                rest_chunk = Some(tail);
-                head
-            };
-            let (actions, tail) = std::mem::take(&mut rest_actions).split_at_mut(len);
-            rest_actions = tail;
-            let (ran, tail) = std::mem::take(&mut rest_ran).split_at_mut(len);
-            rest_ran = tail;
-            *slot.lock().expect("slot") = Some(RelocPart {
-                chunk,
-                actions,
-                ran,
-                scratch: scratch_iter.next().expect("worker scratch"),
-            });
-        }
-        scatter(
-            pool.as_deref_mut(),
-            threads,
-            &slots,
-            |_, part: RelocPart<'_>| {
-                let RelocPart {
-                    mut chunk,
-                    actions,
-                    ran,
-                    scratch,
-                } = part;
-                scratch.counts.clear();
-                scratch.counts.resize(k1, 0);
-                scratch.calls.clear();
-                scratch.illegal = 0;
-                let start = chunk.start();
-                // Validate and sandbox every ant first, then relocate
-                // them all: one merged per-ant loop measured about 5 %
-                // fewer rounds/s on a 16 384-ant colony than these two.
-                for (local, action) in actions.iter_mut().enumerate() {
-                    let idx = start + local;
-                    let legal = chunk.check_action(idx, action).is_ok();
-                    ran[local] = legal;
-                    if !legal {
-                        scratch.illegal += 1;
-                        *action = chunk.noop_in_place(idx);
-                    }
-                }
-                chunk.apply_all(actions, &mut scratch.counts, &mut scratch.calls);
+impl<'a> Chunk<'a> {
+    /// Splits at global ant id `mid` (see [`AntChunk::split_at`]).
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let len = mid - self.env.start();
+        let (env_a, env_b) = self.env.split_at(mid);
+        let (agents_a, agents_b) = self.agents.split_at_mut(len);
+        let (snapshots_a, snapshots_b) = self.snapshots.split_at_mut(len);
+        let (actions_a, actions_b) = self.actions.split_at_mut(len);
+        let (ran_a, ran_b) = self.ran.split_at_mut(len);
+        (
+            Chunk {
+                env: env_a,
+                agents: agents_a,
+                snapshots: snapshots_a,
+                actions: actions_a,
+                ran: ran_a,
             },
-        );
+            Chunk {
+                env: env_b,
+                agents: agents_b,
+                snapshots: snapshots_b,
+                actions: actions_b,
+                ran: ran_b,
+            },
+        )
     }
 
-    // ── Serial middle: merge the per-chunk tallies and calls (chunk
-    // order reproduces ant order), then run Algorithm 1.
-    for ws in worker_scratch.iter() {
-        *illegal_actions += ws.illegal;
+    /// Phase 1: validates and sandboxes every ant's action, relocates
+    /// the ants, and tallies populations, recruit calls and illegal
+    /// actions into `ws`.
+    fn relocate(&mut self, k1: usize, ws: &mut WorkerScratch) {
+        ws.counts.clear();
+        ws.counts.resize(k1, 0);
+        ws.calls.clear();
+        ws.illegal = 0;
+        let start = self.env.start();
+        // Validate and sandbox every ant first, then relocate them all:
+        // one merged per-ant loop measured about 5 % fewer rounds/s on a
+        // 16 384-ant colony than these two.
+        for (local, action) in self.actions.iter_mut().enumerate() {
+            let idx = start + local;
+            let legal = self.env.check_action(idx, action).is_ok();
+            self.ran[local] = legal;
+            if !legal {
+                ws.illegal += 1;
+                *action = self.env.noop_in_place(idx);
+            }
+        }
+        self.env
+            .apply_all(self.actions, &mut ws.counts, &mut ws.calls);
     }
-    env.merge_counts(worker_scratch.iter().map(|ws| ws.counts.as_slice()));
-    let calls = &mut scratch.report.recruitment.calls;
+
+    /// Phase 2, the single agent pass: computes each ant's outcome
+    /// (recruit participants learn their nest), observes round `round`,
+    /// chooses round `round + 1`, refreshes the cache-hot snapshot — one
+    /// `AnyAgent::observe_choose` per ant — and accumulates the chunk's
+    /// live-tally delta in `ws`. `outcomes`, if given, receives a copy
+    /// of each outcome.
+    fn deliver(
+        &mut self,
+        shared: &SharedRound<'_>,
+        ws: &mut WorkerScratch,
+        mut outcomes: Option<&mut [Outcome]>,
+    ) {
+        let round = shared.round();
+        let mut cursor = ws.cursor;
+        ws.tally.clear();
+        let start = self.env.start();
+        for (local, agent) in self.agents.iter_mut().enumerate() {
+            // Every row computes its outcome, in order: that advances
+            // the chunk's recruit-call cursor.
+            let outcome = self
+                .env
+                .outcome(shared, start + local, self.actions[local], &mut cursor);
+            if let Some(out) = outcomes.as_deref_mut() {
+                out[local] = outcome;
+            }
+            let observed = self.ran[local].then_some(&outcome);
+            let (action, new) = agent.observe_choose(round, observed);
+            self.actions[local] = action;
+            let old = self.snapshots[local];
+            if new != old {
+                ws.tally.apply(&old, &new);
+                self.snapshots[local] = new;
+            }
+        }
+    }
+}
+
+/// The serial middle of a fast-path round: folds the chunks' population
+/// tallies, recruit calls and illegal counts in chunk order (chunk order
+/// reproduces ant order), gives each chunk the call cursor its outcome
+/// pass starts at, and runs Algorithm 1. It touches no per-ant state.
+fn serial_middle<W: DerefMut<Target = WorkerScratch>>(
+    shared: &mut SharedRound<'_>,
+    parts: &mut [W],
+    calls: &mut Vec<RecruitCall>,
+    illegal_actions: &mut u64,
+) {
+    shared.merge_counts(parts.iter().map(|ws| ws.counts.as_slice()));
     calls.clear();
-    for ws in worker_scratch.iter() {
+    for ws in parts.iter_mut() {
+        *illegal_actions += ws.illegal;
+        ws.cursor = calls.len();
         calls.extend_from_slice(&ws.calls);
     }
-    env.pair_round(calls);
+    shared.pair_round(calls);
+}
 
-    // ── Phase 2 (chunked): the single agent pass — compute the
-    // outcome, observe round `round`, choose round `round + 1`,
-    // refresh the (cache-hot) snapshot — one `AnyAgent::observe_choose` per
-    // ant — and accumulate a tally delta per worker. In the
-    // eliding mode each outcome lives only for the instant its agent
-    // consumes it; materializing adds a copy into the report's
-    // persistent buffer.
-    scratch.report.outcomes.clear();
-    if materialize {
-        scratch.report.outcomes.resize(
-            n,
-            Outcome::Go {
-                count: 0,
-                quality: None,
-            },
-        );
-    }
-    {
-        struct OutcomePart<'a> {
-            chunk: OutcomeChunk<'a>,
-            agents: &'a mut [AnyAgent],
-            snapshots: &'a mut [AgentSnapshot],
-            next: &'a mut [Action],
-            outcomes: Option<&'a mut [Outcome]>,
-            scratch: &'a mut WorkerScratch,
-            /// This chunk's first recruiter rank (call cursor start).
-            cursor: usize,
-        }
-        let slots: [Mutex<Option<OutcomePart<'_>>>; MAX_ROUND_THREADS] =
-            std::array::from_fn(|_| Mutex::new(None));
-        let (full_chunk, ctx) = env.outcome_view();
-        let mut rest_agents = full_agents;
-        let mut rest_snapshots = full_snapshots;
-        let mut rest_chunk = Some(full_chunk);
-        let mut rest_next = scratch.next_actions.as_mut_slice();
-        let mut rest_outcomes = materialize.then_some(scratch.report.outcomes.as_mut_slice());
-        let mut scratch_iter = worker_scratch.iter_mut();
-        let mut cursor = 0usize;
-        for (part, slot) in slots.iter().take(threads).enumerate() {
-            let len = bounds[part + 1] - bounds[part];
-            let chunk = if part + 1 == threads {
-                rest_chunk.take().expect("chunk remainder")
-            } else {
-                let (head, tail) = rest_chunk
-                    .take()
-                    .expect("chunk remainder")
-                    .split_at(bounds[part + 1]);
-                rest_chunk = Some(tail);
-                head
-            };
-            let (agents, tail) = std::mem::take(&mut rest_agents).split_at_mut(len);
-            rest_agents = tail;
-            let (snapshots, tail) = std::mem::take(&mut rest_snapshots).split_at_mut(len);
-            rest_snapshots = tail;
-            let (next, tail) = std::mem::take(&mut rest_next).split_at_mut(len);
-            rest_next = tail;
-            let outcomes = rest_outcomes.take().map(|rest| {
-                let (head, tail) = rest.split_at_mut(len);
-                rest_outcomes = Some(tail);
-                head
-            });
-            let ws = scratch_iter.next().expect("worker scratch");
-            let part_cursor = cursor;
-            cursor += ws.calls.len();
-            *slot.lock().expect("slot") = Some(OutcomePart {
-                chunk,
-                agents,
-                snapshots,
-                next,
-                outcomes,
-                scratch: ws,
-                cursor: part_cursor,
-            });
-        }
-        let actions = scratch.actions.as_slice();
-        let ran = scratch.ran.as_slice();
-        scatter(pool, threads, &slots, |_, part: OutcomePart<'_>| {
-            let OutcomePart {
-                mut chunk,
-                agents,
-                snapshots,
-                next,
-                mut outcomes,
-                scratch,
-                mut cursor,
-            } = part;
-            let tally = &mut scratch.tally;
-            tally.clear();
-            let start = chunk.start();
-            for (local, agent) in agents.iter_mut().enumerate() {
-                // Every row computes its outcome, in order: that advances
-                // the chunk's recruit-call cursor.
-                let idx = start + local;
-                let outcome = chunk.outcome(&ctx, idx, actions[idx], &mut cursor);
-                if let Some(out) = outcomes.as_deref_mut() {
-                    out[local] = outcome;
-                }
-                let observed = ran[idx].then_some(&outcome);
-                let (action, new) = agent.observe_choose(round, observed);
-                next[local] = action;
-                let old = snapshots[local];
-                if new != old {
-                    tally.apply(&old, &new);
-                    snapshots[local] = new;
-                }
-            }
-        });
-    }
+/// Locks a chunk's scratch. Only a chunk that panicked can poison it,
+/// and the segment then ends without locking it again.
+fn lock(slot: &Mutex<WorkerScratch>) -> MutexGuard<'_, WorkerScratch> {
+    slot.lock().expect("no chunk panicked")
 }
 
 #[cfg(test)]
@@ -1587,7 +1606,7 @@ mod tests {
         // Convergence-loop rounds skip exporting their pairs; the `step`
         // right after such a segment must still report exactly its own
         // round's matching, on both engines.
-        for engine in [EngineKind::Soa, EngineKind::Scalar] {
+        for engine in [EngineKind::Fused, EngineKind::Scalar] {
             let mut sim = Simulation::new(env(64, 3, 61), colony::simple(64, 61))
                 .unwrap()
                 .with_engine(engine);
@@ -1654,61 +1673,42 @@ mod tests {
 
     #[test]
     fn builder_order_never_drops_threads() {
-        // The pool gate depends on three builder-set fields; every call
-        // order must land on the same configuration, worker pool
-        // included. Before `rebuild_pool` centralized the gate, a
-        // `with_engine(Scalar)` → `with_engine(Soa)` round trip came
-        // back with `round_threads` remembered but no pool.
-        let pool_workers = |sim: &Simulation| sim.pool.as_ref().map_or(0, |pool| pool.workers());
+        // The round workers depend on three builder-set fields; every
+        // call order must land on the same configuration: the thread
+        // count and the chunk bounds the segment splits the colony at.
+        let config = |sim: &Simulation| (sim.round_threads(), sim.chunk_bounds.clone());
         let fresh = || Simulation::new(env(32, 2, 40), colony::simple(32, 40)).unwrap();
+        let eight = (8, vec![0, 4, 8, 12, 16, 20, 24, 28, 32]);
 
-        let direct = fresh().with_round_threads(8);
-        assert_eq!(direct.round_threads(), 8);
-        assert_eq!(pool_workers(&direct), 7, "8 threads = main + 7 workers");
-
+        assert_eq!(config(&fresh().with_round_threads(8)), eight);
         let round_trip = fresh()
             .with_round_threads(8)
             .with_engine(EngineKind::Scalar)
-            .with_engine(EngineKind::Soa);
-        assert_eq!(round_trip.round_threads(), 8);
-        assert_eq!(
-            pool_workers(&round_trip),
-            7,
-            "engine round trip dropped the pool"
-        );
-
+            .with_engine(EngineKind::Fused);
+        assert_eq!(config(&round_trip), eight, "engine round trip");
         let threads_last = fresh()
             .with_engine(EngineKind::Scalar)
-            .with_engine(EngineKind::Soa)
+            .with_engine(EngineKind::Fused)
             .with_round_threads(8);
-        assert_eq!(pool_workers(&threads_last), 7);
-
+        assert_eq!(config(&threads_last), eight);
         let bounds_between = fresh()
             .with_round_threads(8)
             .with_engine(EngineKind::Scalar)
             .with_chunk_bounds(vec![0, 3, 32])
-            .with_engine(EngineKind::Soa);
-        assert_eq!(
-            pool_workers(&bounds_between),
-            1,
-            "2 chunks = main + 1 worker"
-        );
-
-        // The scalar engine never holds a pool, whatever the order.
+            .with_engine(EngineKind::Fused);
+        assert_eq!(config(&bounds_between), (2, vec![0, 3, 32]));
+        // The scalar engine remembers the setting, though it runs
+        // serially.
         let scalar = fresh()
             .with_round_threads(8)
             .with_engine(EngineKind::Scalar);
-        assert_eq!(pool_workers(&scalar), 0);
-        assert_eq!(
-            scalar.round_threads(),
-            8,
-            "the setting itself is remembered"
-        );
+        assert_eq!(config(&scalar), eight);
+        assert!(!scalar.runs_fast_path());
     }
 
     #[test]
     fn mid_run_engine_switch_matches_pure_scalar() {
-        // The SoA fast path leaves the colony pre-chosen for the next
+        // The fused fast path leaves the colony pre-chosen for the next
         // round (fused `choose(round + 1)`). A mid-run switch to the
         // scalar engine must consume those buffered actions instead of
         // calling `choose` again — the Agent contract allows one call
@@ -1782,16 +1782,16 @@ mod tests {
             // the fast path re-primes with a dedicated choose pass.
             switched.step().unwrap();
             scalar.step().unwrap();
-            switched = switched.with_engine(EngineKind::Soa);
-            let mut soa_oracle = Simulation::new(env(n, 3, 52), build()).unwrap();
+            switched = switched.with_engine(EngineKind::Fused);
+            let mut fused_twin = Simulation::new(env(n, 3, 52), build()).unwrap();
             for _ in 0..31 {
-                soa_oracle.step().unwrap();
+                fused_twin.step().unwrap();
             }
             for round in 31..41 {
                 assert_eq!(
                     switched.step().unwrap(),
-                    soa_oracle.step().unwrap(),
-                    "diverged at round {round} after switching back to SoA"
+                    fused_twin.step().unwrap(),
+                    "diverged at round {round} after switching back to the fused engine"
                 );
             }
         }
@@ -1820,7 +1820,6 @@ mod tests {
         };
         let mut serial = build(1);
         let mut threaded = build(8);
-        assert!(threaded.pool.is_none(), "perturbed runs never spawn a pool");
         for round in 0..40 {
             assert_eq!(
                 serial.step().unwrap(),
@@ -1841,21 +1840,28 @@ mod tests {
         // single materializing steps must match an uninterrupted
         // scalar-engine twin: the pre-chosen pipeline carries across
         // every run/step boundary.
+        // At two round threads the segments run on workers and the
+        // steps inline; 25-round segments leave the pipeline primed
+        // after both even and odd round counts.
         let n = 128;
         let rule = ConvergenceRule::stable_commitment(2);
-        let mut soa = Simulation::new(env(n, 3, 83), colony::simple(n, 83)).unwrap();
-        let mut oracle = Simulation::new(env(n, 3, 83), colony::simple(n, 83))
-            .unwrap()
-            .with_engine(EngineKind::Scalar);
-        for _ in 0..4 {
-            let a = soa.run_to_convergence(rule, 25).unwrap();
-            let b = oracle.run_to_convergence(rule, 25).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(soa.step().unwrap(), oracle.step().unwrap());
+        for threads in [1, 2] {
+            let mut fused = Simulation::new(env(n, 3, 83), colony::simple(n, 83))
+                .unwrap()
+                .with_round_threads(threads);
+            let mut oracle = Simulation::new(env(n, 3, 83), colony::simple(n, 83))
+                .unwrap()
+                .with_engine(EngineKind::Scalar);
+            for _ in 0..4 {
+                let a = fused.run_to_convergence(rule, 25).unwrap();
+                let b = oracle.run_to_convergence(rule, 25).unwrap();
+                assert_eq!(a, b, "{threads} round threads");
+                assert_eq!(fused.step().unwrap(), oracle.step().unwrap());
+            }
+            assert_eq!(fused.role_census(), oracle.role_census());
+            assert_eq!(fused.env().counts(), oracle.env().counts());
+            assert_eq!(fused.env().locations(), oracle.env().locations());
         }
-        assert_eq!(soa.role_census(), oracle.role_census());
-        assert_eq!(soa.env().counts(), oracle.env().counts());
-        assert_eq!(soa.env().locations(), oracle.env().locations());
     }
 
     #[test]
@@ -1939,6 +1945,66 @@ mod tests {
         .unwrap()
         .with_round_threads(2);
         assert!(sim.perturbations.is_none());
-        assert!(sim.pool.is_some(), "an empty plan keeps the fast path");
+        assert!(sim.runs_fast_path(), "an empty plan keeps the fast path");
+    }
+
+    /// A simple ant that panics when it observes round `fuse`.
+    struct Bomb {
+        inner: hh_core::SimpleAnt,
+        fuse: u64,
+    }
+
+    impl Agent for Bomb {
+        fn choose(&mut self, round: u64) -> Action {
+            self.inner.choose(round)
+        }
+        fn observe(&mut self, round: u64, outcome: &Outcome) {
+            assert_ne!(round, self.fuse, "the fuse went off");
+            self.inner.observe(round, outcome);
+        }
+        fn committed_nest(&self) -> Option<NestId> {
+            self.inner.committed_nest()
+        }
+        fn label(&self) -> &'static str {
+            "bomb"
+        }
+    }
+
+    /// Runs a 64-ant segment at `threads` round threads in which ant
+    /// `bomb` panics in `observe` in round 5, and reports whether
+    /// `run_to_convergence` panicked (it must not hang either).
+    fn segment_panics(threads: usize, bomb: usize) -> bool {
+        let n = 64;
+        let mut agents = colony::simple(n, 90);
+        agents.replace(
+            bomb,
+            AnyAgent::custom(Bomb {
+                inner: hh_core::SimpleAnt::new(n, 91),
+                fuse: 5,
+            }),
+        );
+        let mut sim = Simulation::new(env(n, 3, 90), agents)
+            .unwrap()
+            .with_round_threads(threads);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.run_to_convergence(ConvergenceRule::commitment(), 50)
+        }))
+        .is_err()
+    }
+
+    #[test]
+    fn a_panic_in_a_worker_chunk_propagates() {
+        // The last ant is in the last chunk, which a spawned worker runs.
+        for threads in [2, 4] {
+            assert!(segment_panics(threads, 63), "{threads} round threads");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_calling_threads_chunk_propagates() {
+        // Ant 0 is in chunk 0, which the calling thread runs.
+        for threads in [2, 4] {
+            assert!(segment_panics(threads, 0), "{threads} round threads");
+        }
     }
 }

@@ -37,18 +37,15 @@
 //! # Ok::<(), hh_sim::SimError>(())
 //! ```
 
-// Deny, not forbid: the worker pool behind intra-round parallelism
-// (`pool`) carries the crate's single reviewed `#[allow(unsafe_code)]`
-// for its lifetime-erased job dispatch. Everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod convergence;
 mod error;
 mod executor;
+mod handshake;
 mod metrics;
-mod pool;
 mod runner;
 mod scenario;
 

@@ -102,6 +102,13 @@ impl Algorithm {
     }
 
     /// Builds a uniform colony of `n` agents running this algorithm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this is [`Algorithm::Quality`] with a `gamma` that is
+    /// negative, NaN or infinite (see [`hh_core::QualityAnt::new`]).
+    /// [`Scenario::build`] checks the exponent first and returns
+    /// [`SimError::InvalidScenario`] instead.
     #[must_use]
     pub fn build(&self, n: usize, seed: u64) -> Colony {
         match self {
@@ -350,6 +357,12 @@ impl ColonyMix {
     }
 
     /// Builds the colony of `n` agents for base seed `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mix runs an [`Algorithm::Quality`] whose `gamma` is
+    /// negative, NaN or infinite ([`Algorithm::build`]);
+    /// [`Scenario::build`] returns [`SimError::InvalidScenario`] instead.
     #[must_use]
     pub fn build(&self, n: usize, seed: u64) -> Colony {
         match self {
@@ -633,9 +646,9 @@ impl Scenario {
     }
 
     /// Selects the round engine every simulation this scenario builds
-    /// runs with (default [`EngineKind::Soa`]). The scalar engine is the
+    /// runs with (default [`EngineKind::Fused`]). The scalar engine is the
     /// distribution-identity oracle — outcomes are bit-identical to the
-    /// SoA engine's for equal seeds, and `tests/soa_equivalence.rs`
+    /// fused engine's for equal seeds, and `tests/oracle_equivalence.rs`
     /// holds the whole catalog to that contract.
     #[must_use]
     pub fn engine(mut self, engine: EngineKind) -> Self {
@@ -788,6 +801,13 @@ impl Scenario {
     }
 
     /// Builds the colony for one trial seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mix runs an [`Algorithm::Quality`] whose `gamma` is
+    /// negative, NaN or infinite ([`ColonyMix::build`]); it skips the axis
+    /// checks of [`build`](Self::build), which returns
+    /// [`SimError::InvalidScenario`] instead.
     #[must_use]
     pub fn colony_for(&self, seed: u64) -> Colony {
         self.mix.build(self.n, seed)
@@ -885,7 +905,7 @@ impl Scenario {
     }
 
     /// Runs `trials` independent trials (seeds derived per trial) on the
-    /// default worker pool.
+    /// trial runner's default worker count.
     ///
     /// # Errors
     ///
@@ -1461,6 +1481,31 @@ mod tests {
                 assert!(valid.run(1).is_ok(), "{:?}", valid.mix());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "quality exponent")]
+    fn algorithm_build_panics_on_a_nan_gamma() {
+        let _ = Algorithm::Quality { gamma: f64::NAN }.build(8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "quality exponent")]
+    fn colony_mix_build_panics_on_a_nan_gamma() {
+        let _ = ColonyMix::Uniform(Algorithm::Quality { gamma: f64::NAN }).build(8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "quality exponent")]
+    fn colony_for_panics_on_a_nan_gamma() {
+        let scenario = Scenario::custom(
+            "nan-gamma",
+            8,
+            QualityProfile::GoodPrefix { k: 2, good: 1 },
+            FaultSchedule::None,
+            ColonyMix::Uniform(Algorithm::Quality { gamma: f64::NAN }),
+        );
+        let _ = scenario.colony_for(1);
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn large_scenarios_match_the_scalar_oracle() {
         for threads in [1usize, 8] {
             let soa = scenario
                 .clone()
-                .engine(EngineKind::Soa)
+                .engine(EngineKind::Fused)
                 .round_threads(threads)
                 .run_trials_with_workers(TRIALS, 2)
                 .unwrap_or_else(|e| {
@@ -143,7 +143,7 @@ fn large_uniform_colony_fast_path_matches_the_scalar_oracle() {
         "n = 8192 simple colony converges"
     );
     for threads in [1usize, 8] {
-        let mut soa = build(EngineKind::Soa, threads);
+        let mut soa = build(EngineKind::Fused, threads);
         let outcome = soa.run_to_convergence(rule, 20_000).expect("SoA runs");
         assert_eq!(
             expected, outcome,

@@ -1,11 +1,12 @@
-//! SoA ↔ scalar distribution identity over the whole scenario catalog.
+//! Fused engine ↔ scalar oracle identity over the whole scenario catalog.
 //!
 //! The executor ships two renderings of the same round semantics: the
-//! fast path (`EngineKind::Soa` — one fused observe/choose/refresh agent
-//! pass per round, batched per-ant RNG draws, optional intra-round
-//! chunking) and the scalar oracle (`EngineKind::Scalar` — one match-per-ant pass per
-//! phase, always serial). This harness holds them **bit-identical**, not
-//! just statistically close: for every catalog scenario and equal seeds,
+//! fast path (`EngineKind::Fused` — one fused observe/choose/refresh
+//! agent pass per round over the colony's agents and cached snapshots,
+//! with optional intra-round chunking) and the scalar oracle
+//! (`EngineKind::Scalar` — one match-per-ant pass per phase, always
+//! serial). This harness holds them **bit-identical**, not just
+//! statistically close: for every catalog scenario and equal seeds,
 //!
 //! 1. the [`RunOutcome`]s agree exactly (solved round/nest, rounds run,
 //!    replaced/illegal action counters);
@@ -13,7 +14,7 @@
 //!    populations, honest commitment histograms, role census — checked
 //!    in lockstep after every round so a divergence names the first
 //!    round it appears in;
-//! 3. the SoA engine's agreement with the oracle survives every
+//! 3. the fused engine's agreement with the oracle survives every
 //!    intra-round thread count the determinism contract covers
 //!    ({1, 2, 8}, plus the CI thread matrix via `HH_ROUND_THREADS`).
 //!
@@ -35,7 +36,7 @@ const REPRO_TRIALS: usize = 3;
 /// first, and the full-run outcome tests cover the tail.
 const LOCKSTEP_ROUNDS: u64 = 96;
 
-/// Intra-round thread counts the SoA engine must match the oracle at.
+/// Intra-round thread counts the fused engine must match the oracle at.
 /// Mirrors `registry_conformance::round_thread_counts`, including the CI
 /// thread-matrix extension.
 fn round_thread_counts() -> Vec<usize> {
@@ -55,9 +56,9 @@ fn round_thread_counts() -> Vec<usize> {
 #[test]
 fn soa_is_the_default_engine() {
     let scenario = registry::all_scenarios().remove(0);
-    assert_eq!(scenario.engine_kind(), EngineKind::Soa);
+    assert_eq!(scenario.engine_kind(), EngineKind::Fused);
     let sim = scenario.build(scenario.base_seed()).expect("builds");
-    assert_eq!(sim.engine(), EngineKind::Soa);
+    assert_eq!(sim.engine(), EngineKind::Fused);
     let scalar = scenario.clone().engine(EngineKind::Scalar);
     assert_eq!(scalar.engine_kind(), EngineKind::Scalar);
     assert_eq!(
@@ -78,7 +79,7 @@ fn every_scenario_runs_identically_on_scalar_and_soa() {
         for &threads in &round_thread_counts() {
             let soa = scenario
                 .clone()
-                .engine(EngineKind::Soa)
+                .engine(EngineKind::Fused)
                 .round_threads(threads)
                 .run_trials_with_workers(REPRO_TRIALS, 2)
                 .unwrap_or_else(|e| {
@@ -108,7 +109,7 @@ fn every_scenario_census_matches_round_by_round() {
             .unwrap_or_else(|e| panic!("{}: scalar build failed: {e}", scenario.name()));
         let mut soa = scenario
             .clone()
-            .engine(EngineKind::Soa)
+            .engine(EngineKind::Fused)
             .round_threads(2)
             .build(seed)
             .unwrap_or_else(|e| panic!("{}: SoA build failed: {e}", scenario.name()));
@@ -178,8 +179,8 @@ fn quorum_nan_sanitization_survives_narrowed_types() {
     };
     let majority_rule = ConvergenceRule::quorum(0.5, 1);
     let scalar_nan = run(EngineKind::Scalar, nan_rule);
-    let soa_nan = run(EngineKind::Soa, nan_rule);
-    let majority = run(EngineKind::Soa, majority_rule);
+    let soa_nan = run(EngineKind::Fused, nan_rule);
+    let majority = run(EngineKind::Fused, majority_rule);
     assert_eq!(scalar_nan, soa_nan, "engines disagree under the NaN rule");
     assert_eq!(
         soa_nan, majority,
@@ -261,7 +262,7 @@ fn custom_boxed_agents_fall_back_bit_identically() {
         .run_to_convergence(rule, 10_000)
         .expect("oracle runs");
     for threads in [1usize, 2, 8] {
-        let mut soa = build(EngineKind::Soa, threads);
+        let mut soa = build(EngineKind::Fused, threads);
         let outcome = soa.run_to_convergence(rule, 10_000).expect("SoA runs");
         assert_eq!(
             expected, outcome,

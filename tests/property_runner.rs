@@ -20,6 +20,32 @@ fn build(
         .build_simulation(colony::simple(n, seed))
 }
 
+/// Runs one convergence segment of at most `rounds` rounds on `serial`
+/// and on `chunked`. `step()` runs every chunk inline; a segment runs
+/// `chunked`'s chunks on spawned round workers. The outcome, the nest
+/// counts, the locations and the role census must agree.
+fn segments_agree(mut serial: Simulation, mut chunked: Simulation, rounds: usize, label: &str) {
+    let rule = ConvergenceRule::commitment();
+    let expected = serial.run_to_convergence(rule, rounds as u64).unwrap();
+    let outcome = chunked.run_to_convergence(rule, rounds as u64).unwrap();
+    assert_eq!(expected, outcome, "{label}: segment outcome diverged");
+    assert_eq!(
+        serial.env().counts(),
+        chunked.env().counts(),
+        "{label}: counts"
+    );
+    assert_eq!(
+        serial.env().locations(),
+        chunked.env().locations(),
+        "{label}: locations"
+    );
+    assert_eq!(
+        serial.role_census(),
+        chunked.role_census(),
+        "{label}: census"
+    );
+}
+
 proptest! {
     // Each case runs up to 6 × (1 + 3) bounded simulations; keep the
     // case count CI-sized.
@@ -106,6 +132,10 @@ proptest! {
         }
         prop_assert_eq!(serial.env().counts(), chunked_a.env().counts());
         prop_assert_eq!(serial.env().locations(), chunked_a.env().locations());
+        for threads in [threads_a, threads_b] {
+            let label = format!("{threads} round threads");
+            segments_agree(build(1).unwrap(), build(threads).unwrap(), rounds, &label);
+        }
     }
 
     /// The fast path's `engine_split` survives *adversarial* chunk
@@ -185,6 +215,11 @@ proptest! {
                 );
             }
         }
+        for (bounds, _) in chunked {
+            let label = format!("chunk bounds {bounds:?}");
+            let sim = build().unwrap().with_chunk_bounds(bounds);
+            segments_agree(build().unwrap(), sim, rounds, &label);
+        }
     }
 
     /// The fast path under adversarial chunk bounds and every covered
@@ -228,7 +263,7 @@ proptest! {
         bounds.sort_unstable();
 
         let mut oracle = build(EngineKind::Scalar).unwrap();
-        let mut soa = build(EngineKind::Soa)
+        let mut soa = build(EngineKind::Fused)
             .unwrap()
             .with_round_threads(threads)
             .with_chunk_bounds(bounds);
