@@ -100,12 +100,9 @@ pub struct Experiment {
 }
 
 /// Renders the experiment-registry index exactly as embedded in
-/// `EXPERIMENTS.md` between the `BEGIN/END GENERATED` markers — the
-/// `hh_lint --docs` rule regenerates this table (statically, from this
-/// file's `id:`/`title:` literals) and fails the tier-1 lint gate when
-/// the checked-in file is stale, so the table can only be edited here.
-/// Keep the row shape `| {id} | {title} |` in sync with
-/// `crates/lint/src/docs.rs`.
+/// `EXPERIMENTS.md` between the `BEGIN/END GENERATED` markers. A tier-1
+/// test compares that block with this function's output byte for byte,
+/// so the table can only be edited here.
 #[must_use]
 pub fn experiments_index_markdown() -> String {
     let mut out = String::from("| id | title |\n|----|-------|\n");

@@ -22,6 +22,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(test)]
+mod docs;
 pub mod experiments;
 
 pub use experiments::{

@@ -22,10 +22,9 @@ pub enum TokenKind {
     Ident,
     /// A single punctuation character (`:`, `{`, `#`, …).
     Punct,
-    /// A string or byte-string literal; `text` holds the *cooked*
-    /// contents (common escapes resolved), without quotes.
+    /// A string or byte-string literal, raw or not.
     Str,
-    /// A char or byte literal (contents not cooked; rules never read it).
+    /// A char or byte literal.
     Char,
     /// A numeric literal (possibly with a type suffix).
     Number,
@@ -38,7 +37,8 @@ pub enum TokenKind {
 pub struct Token {
     /// Token class.
     pub kind: TokenKind,
-    /// Token text (cooked contents for [`TokenKind::Str`]).
+    /// Token text as spelled in the source; a literal keeps its quotes
+    /// and prefix, since no rule reads a literal's contents.
     pub text: String,
     /// 1-based line the token starts on.
     pub line: u32,
@@ -161,13 +161,20 @@ pub fn lex(source: &str) -> Lexed {
             });
             line_has_code = true; // code may follow `*/` on this line
         } else if c == '"' {
-            let (text, consumed, newlines) = cooked_string(&chars[i..]);
+            // Scan to the closing quote; a backslash escapes the next char.
+            let start = i;
+            i += 1;
+            while i < chars.len() && chars[i] != '"' {
+                i += if chars[i] == '\\' { 2 } else { 1 };
+            }
+            i = (i + 1).min(chars.len());
+            let text: String = chars[start..i].iter().collect();
+            let newlines = text.matches('\n').count() as u32;
             out.tokens.push(Token {
                 kind: TokenKind::Str,
                 text,
                 line,
             });
-            i += consumed;
             line += newlines;
             line_has_code = true;
         } else if c == '\'' {
@@ -243,12 +250,12 @@ pub fn lex(source: &str) -> Lexed {
                         }
                         k += 1;
                     }
+                    i = (k + 1 + hashes).min(chars.len());
                     out.tokens.push(Token {
                         kind: TokenKind::Str,
-                        text: chars[content_start..k.min(chars.len())].iter().collect(),
+                        text: chars[start..i].iter().collect(),
                         line,
                     });
-                    i = (k + 1 + hashes).min(chars.len());
                     line += newlines;
                 } else {
                     // `r#ident` raw identifier: emit the ident without
@@ -297,49 +304,6 @@ pub fn lex(source: &str) -> Lexed {
         }
     }
     out
-}
-
-/// Scans a cooked string literal starting at `chars[0] == '"'`. Returns
-/// (cooked contents, chars consumed, newlines crossed).
-fn cooked_string(chars: &[char]) -> (String, usize, u32) {
-    let mut text = String::new();
-    let mut i = 1usize;
-    let mut newlines = 0u32;
-    while i < chars.len() {
-        match chars[i] {
-            '"' => {
-                i += 1;
-                break;
-            }
-            '\\' => {
-                match chars.get(i + 1) {
-                    Some('n') => text.push('\n'),
-                    Some('t') => text.push('\t'),
-                    Some('r') => text.push('\r'),
-                    Some('0') => text.push('\0'),
-                    Some('\\') => text.push('\\'),
-                    Some('"') => text.push('"'),
-                    Some('\'') => text.push('\''),
-                    // \x.., \u{..}, line-continuations: keep raw; no
-                    // rule reads escaped contents byte-exactly.
-                    Some(other) => {
-                        text.push('\\');
-                        text.push(*other);
-                    }
-                    None => {}
-                }
-                i += 2;
-            }
-            c => {
-                if c == '\n' {
-                    newlines += 1;
-                }
-                text.push(c);
-                i += 1;
-            }
-        }
-    }
-    (text, i, newlines)
 }
 
 /// Returns the 1-based inclusive line ranges covered by `#[cfg(test)]`
@@ -453,6 +417,7 @@ mod tests {
 // unsafe in a line comment
 /* unsafe in a /* nested */ block */
 let s = "unsafe in a string";
+let e = "an escaped \" quote, then unsafe";
 let r = r#"unsafe in a raw string"#;
 let ok = true;
 "##;
@@ -493,17 +458,6 @@ let ok = true;
         let closes = lexed.tokens.iter().filter(|t| t.text == "}").count();
         assert_eq!(opens, closes);
         assert_eq!(opens, 2);
-    }
-
-    #[test]
-    fn string_contents_are_cooked() {
-        let lexed = lex(r#"let s = "a\n\"b\"";"#);
-        let s = lexed
-            .tokens
-            .iter()
-            .find(|t| t.kind == TokenKind::Str)
-            .unwrap();
-        assert_eq!(s.text, "a\n\"b\"");
     }
 
     #[test]

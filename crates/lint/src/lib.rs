@@ -52,10 +52,6 @@
 //!    agreed preamble (`#![forbid(unsafe_code)]`,
 //!    `#![warn(missing_docs)]`,
 //!    `#![warn(missing_debug_implementations)]`).
-//! 9. **No doc drift** (`docs-drift`, behind `--docs`): the generated
-//!    experiment index in `EXPERIMENTS.md` matches the registry
-//!    declared in `hh-bench` — doc drift and source drift report
-//!    through this one tool.
 //!
 //! Rules 2–6 accept an explicit, reviewable waiver: a comment
 //! `// hh-lint: allow(<rule>) — <reason>` on the flagged line or the
@@ -72,28 +68,26 @@
 //!
 //! ## Invocation
 //!
-//! ```text
-//! cargo run -p hh_lint -- --workspace          # lint every tracked .rs file
-//! cargo run -p hh_lint -- --workspace --docs   # …plus the EXPERIMENTS.md drift rule
-//! cargo run -p hh_lint -- --workspace --json   # machine-readable report
-//! cargo run -p hh_lint -- --as crates/sim/src/handshake.rs some/file.rs
-//! ```
+//! The crate is a library with one caller: the `workspace_tree_is_clean`
+//! test in `crates/lint/tests/lint_rules.rs` calls
+//! [`lint_workspace`]`(&`[`default_root`]`())` and fails, printing each
+//! [`Diagnostic`] as `path:line: [rule] message`, unless the tree is
+//! clean. The crate is a default workspace member, so the tier-1
+//! `cargo test -q` runs it; alone:
 //!
-//! Exit status is the number of files with violations clamped to 1 —
-//! i.e. `0` iff the tree is clean. The tier-1 facade test
-//! (`tests/lint_gate.rs`) shells the `--workspace --docs` invocation,
-//! so a violation anywhere fails `cargo test -q`.
+//! ```text
+//! cargo test -p hh_lint
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod docs;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 
-pub use report::{render_json, Diagnostic};
+pub use report::Diagnostic;
 pub use rules::lint_source;
 
 use std::path::{Path, PathBuf};
@@ -145,7 +139,7 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<String>> {
 ///
 /// Returns the first I/O error (unreadable tree); individual files that
 /// vanish mid-walk are reported as diagnostics, not errors.
-pub fn lint_workspace(root: &Path, with_docs: bool) -> std::io::Result<(usize, Vec<Diagnostic>)> {
+pub fn lint_workspace(root: &Path) -> std::io::Result<(usize, Vec<Diagnostic>)> {
     let files = workspace_files(root)?;
     let mut diags = Vec::new();
     for rel in &files {
@@ -159,31 +153,12 @@ pub fn lint_workspace(root: &Path, with_docs: bool) -> std::io::Result<(usize, V
             )),
         }
     }
-    let mut checked = files.len();
-    if with_docs {
-        checked += 1; // EXPERIMENTS.md
-        diags.extend(check_docs_at(root));
-    }
     diags.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    Ok((checked, diags))
+    Ok((files.len(), diags))
 }
 
-/// Runs the `docs-drift` rule against the tree at `root`.
-#[must_use]
-pub fn check_docs_at(root: &Path) -> Vec<Diagnostic> {
-    let read = |rel: &str| -> Result<String, Diagnostic> {
-        std::fs::read_to_string(root.join(rel)).map_err(|err| {
-            Diagnostic::new("docs-drift", rel, 1, format!("could not read file: {err}"))
-        })
-    };
-    match (read(docs::EXPERIMENTS_DOC), read(docs::REGISTRY_SOURCE)) {
-        (Ok(doc), Ok(registry)) => docs::check_docs(&doc, &registry),
-        (doc, registry) => [doc.err(), registry.err()].into_iter().flatten().collect(),
-    }
-}
-
-/// The compiled-in default workspace root (two levels above this
-/// crate's manifest), so `cargo run -p hh_lint` works from any cwd.
+/// The compiled-in workspace root (two levels above this crate's
+/// manifest), so the lint works from any working directory.
 #[must_use]
 pub fn default_root() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))

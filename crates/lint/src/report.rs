@@ -1,4 +1,4 @@
-//! Diagnostics and report rendering (human text and `--json`).
+//! Diagnostics: one rule violation each, printed as `path:line: [rule] message`.
 
 /// One finding: a rule violation at a file:line span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,75 +35,9 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Renders the machine-readable report: a single JSON object with the
-/// file count and one entry per diagnostic, stable field order, sorted
-/// the same as the text output (path, then line, then rule).
-#[must_use]
-pub fn render_json(checked_files: usize, diags: &[Diagnostic]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"checked_files\": {checked_files},\n"));
-    out.push_str(&format!("  \"violations\": {},\n", diags.len()));
-    out.push_str("  \"diagnostics\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        out.push_str(&format!("\"rule\": \"{}\", ", escape(d.rule)));
-        out.push_str(&format!("\"file\": \"{}\", ", escape(&d.path)));
-        out.push_str(&format!("\"line\": {}, ", d.line));
-        out.push_str(&format!("\"message\": \"{}\"", escape(&d.message)));
-        out.push('}');
-    }
-    if !diags.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_report_is_well_formed() {
-        let diags = vec![Diagnostic::new(
-            "wall-clock",
-            "crates/model/src/x.rs",
-            7,
-            "uses \"Instant\"\nbadly",
-        )];
-        let json = render_json(3, &diags);
-        assert!(json.contains("\"checked_files\": 3"));
-        assert!(json.contains("\"violations\": 1"));
-        assert!(json.contains("\\\"Instant\\\"\\nbadly"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn empty_report_has_empty_array() {
-        let json = render_json(0, &[]);
-        assert!(json.contains("\"diagnostics\": []"));
-    }
 
     #[test]
     fn display_is_path_line_rule() {

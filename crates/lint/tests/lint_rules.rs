@@ -1,10 +1,29 @@
-//! Fixture conformance for the rule set: every fixture under
-//! `tests/fixtures/` deliberately violates exactly one rule (or none),
-//! and each must produce exactly its expected diagnostics — rule id,
-//! line, and nothing else. The fixtures directory is excluded from the
-//! `--workspace` walk precisely so these violations can exist in-tree.
+//! The workspace gate and the rule set's fixture conformance.
+//!
+//! `workspace_tree_is_clean` lints every `.rs` file of the repository;
+//! it is the only caller of [`lint_workspace`], and through it a rule
+//! violation anywhere in the tree fails tier-1's `cargo test -q`.
+//!
+//! Every fixture under `tests/fixtures/` deliberately violates exactly
+//! one rule (or none), and each must produce exactly its expected
+//! diagnostics — rule id, line, and nothing else. The fixtures directory
+//! is excluded from the workspace walk precisely so these violations can
+//! exist in-tree.
 
-use hh_lint::lint_source;
+use hh_lint::{default_root, lint_source, lint_workspace};
+
+#[test]
+fn workspace_tree_is_clean() {
+    let (checked, diags) = lint_workspace(&default_root()).expect("walk the workspace");
+    assert!(checked > 0, "the workspace walk found no .rs files");
+    let report: Vec<String> = diags.iter().map(ToString::to_string).collect();
+    assert!(
+        diags.is_empty(),
+        "hh_lint: {} violation(s) in {checked} files:\n{}",
+        diags.len(),
+        report.join("\n")
+    );
+}
 
 /// Reads a fixture and lints it under a virtual repo path (rule scoping
 /// is path-driven).

@@ -506,7 +506,6 @@ pub struct Scenario {
     rule: ConvergenceRule,
     max_rounds: u64,
     base_seed: u64,
-    tags: Vec<Tag>,
     expect_convergence: bool,
     round_threads: usize,
     engine: EngineKind,
@@ -516,9 +515,9 @@ impl Scenario {
     /// Assembles a scenario from the three axes.
     ///
     /// The convergence rule defaults to the natural one for the axes (see
-    /// [`Scenario::default_rule`]), the round budget to 40 000, the base
-    /// seed to a hash of `name`, and the tags to the derived tags; all are
-    /// overridable with the builder setters.
+    /// [`Scenario::default_rule`]), the round budget to 40 000, and the
+    /// base seed to a hash of `name`; all are overridable with the builder
+    /// setters. The catalog [`tags`](Self::tags) follow from the axes.
     #[must_use]
     pub fn custom(
         name: impl Into<String>,
@@ -530,7 +529,7 @@ impl Scenario {
         let name = name.into();
         let rule = Self::default_rule(&profile, &faults, &mix);
         let base_seed = name_seed(&name);
-        let mut scenario = Self {
+        Self {
             name,
             summary: String::new(),
             n,
@@ -541,13 +540,10 @@ impl Scenario {
             rule,
             max_rounds: 40_000,
             base_seed,
-            tags: Vec::new(),
             expect_convergence: true,
             round_threads: 1,
             engine: EngineKind::default(),
-        };
-        scenario.tags = scenario.derived_tags();
-        scenario
+        }
     }
 
     /// The natural success rule for a combination of axes: quorum rules
@@ -601,15 +597,6 @@ impl Scenario {
     #[must_use]
     pub fn noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
-        self
-    }
-
-    /// Declares the catalog tags explicitly. The conformance suite checks
-    /// declared tags against [`Scenario::derived_tags`], so a typo here is
-    /// a test failure, not silent misfiling.
-    #[must_use]
-    pub fn tags_declared(mut self, tags: &[Tag]) -> Self {
-        self.tags = tags.to_vec();
         self
     }
 
@@ -722,12 +709,6 @@ impl Scenario {
         self.base_seed
     }
 
-    /// The declared tags.
-    #[must_use]
-    pub fn tags(&self) -> &[Tag] {
-        &self.tags
-    }
-
     /// Whether the scenario is expected to converge within its budget
     /// (under its base seed).
     #[must_use]
@@ -735,10 +716,10 @@ impl Scenario {
         self.expect_convergence
     }
 
-    /// Recomputes the tags from the axes: size band, quality profile,
-    /// fault schedule, colony mix — always exactly four.
+    /// The catalog tags, derived from the axes: size band, quality
+    /// profile, fault schedule, colony mix — always exactly four.
     #[must_use]
-    pub fn derived_tags(&self) -> Vec<Tag> {
+    pub fn tags(&self) -> [Tag; 4] {
         let size = match self.n {
             n if n < 64 => Tag::Tiny,
             n if n < 256 => Tag::Small,
@@ -764,7 +745,7 @@ impl Scenario {
             ColonyMix::Byzantine { .. } => Tag::Byzantine,
             ColonyMix::Heterogeneous { .. } => Tag::Hetero,
         };
-        vec![size, quality, fault, mix]
+        [size, quality, fault, mix]
     }
 
     /// The seed for trial `trial` of this scenario.
@@ -956,8 +937,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Simple),
         )
         .summary("the smallest healthy colony: 16 simple ants, one good nest of two")
-        .max_rounds(6_000)
-        .tags_declared(&[Tag::Tiny, Tag::GoodPrefix, Tag::Clean, Tag::Uniform]),
+        .max_rounds(6_000),
         Scenario::custom(
             "baseline-128",
             128,
@@ -966,8 +946,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Simple),
         )
         .summary("the quickstart habitat: 128 simple ants, 6 nests, 2 good")
-        .max_rounds(20_000)
-        .tags_declared(&[Tag::Small, Tag::GoodPrefix, Tag::Clean, Tag::Uniform]),
+        .max_rounds(20_000),
         Scenario::custom(
             "all-good-race-256",
             256,
@@ -976,8 +955,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Simple),
         )
         .summary("pure symmetry breaking: every nest good, the colony must just agree")
-        .max_rounds(30_000)
-        .tags_declared(&[Tag::Medium, Tag::AllGood, Tag::Clean, Tag::Uniform]),
+        .max_rounds(30_000),
         Scenario::custom(
             "single-good-needle-128",
             128,
@@ -986,8 +964,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Simple),
         )
         .summary("the Section 3 lower-bound habitat: one good nest hidden among 8")
-        .max_rounds(40_000)
-        .tags_declared(&[Tag::Small, Tag::SingleGood, Tag::Clean, Tag::Uniform]),
+        .max_rounds(40_000),
         Scenario::custom(
             "optimal-1024",
             1024,
@@ -997,8 +974,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         )
         .summary("the O(log n) algorithm at scale, run to its all-final termination point")
         .rule(ConvergenceRule::all_final())
-        .max_rounds(20_000)
-        .tags_declared(&[Tag::Large, Tag::GoodPrefix, Tag::Clean, Tag::Uniform]),
+        .max_rounds(20_000),
         Scenario::custom(
             "mega-colony-4096",
             4096,
@@ -1008,8 +984,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         )
         .summary("the largest catalog colony: 4096 ants under the optimal algorithm")
         .rule(ConvergenceRule::all_final())
-        .max_rounds(20_000)
-        .tags_declared(&[Tag::Large, Tag::GoodPrefix, Tag::Clean, Tag::Uniform]),
+        .max_rounds(20_000),
         Scenario::custom(
             "adaptive-many-nests-512",
             512,
@@ -1018,8 +993,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Adaptive),
         )
         .summary("the adaptive-rate variant where it shines: many competing nests")
-        .max_rounds(60_000)
-        .tags_declared(&[Tag::Medium, Tag::AllGood, Tag::Clean, Tag::Uniform]),
+        .max_rounds(60_000),
         Scenario::custom(
             "quality-tie-128",
             128,
@@ -1028,8 +1002,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Algorithm::Quality { gamma: 2.0 }),
         )
         .summary("non-binary qualities: two 0.9 rivals and two 0.45 decoys")
-        .max_rounds(40_000)
-        .tags_declared(&[Tag::Small, Tag::Tie, Tag::Clean, Tag::Uniform]),
+        .max_rounds(40_000),
         Scenario::custom(
             "spreader-rumor-512",
             512,
@@ -1041,8 +1014,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         )
         .summary("the Section 3 rumor-spreading process: 512 wait-at-home spreaders")
         .rule(ConvergenceRule::all_final())
-        .max_rounds(20_000)
-        .tags_declared(&[Tag::Medium, Tag::SingleGood, Tag::Clean, Tag::Uniform]),
+        .max_rounds(20_000),
         Scenario::custom(
             "crash-quarter-128",
             128,
@@ -1055,8 +1027,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Simple),
         )
         .summary("a quarter of the colony crash-stops in place at round 10")
-        .max_rounds(30_000)
-        .tags_declared(&[Tag::Small, Tag::GoodPrefix, Tag::Crash, Tag::Uniform]),
+        .max_rounds(30_000),
         Scenario::custom(
             "crash-at-home-64",
             64,
@@ -1069,8 +1040,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Simple),
         )
         .summary("crashed ants walk home and idle there (the transportable crash style)")
-        .max_rounds(30_000)
-        .tags_declared(&[Tag::Small, Tag::GoodPrefix, Tag::Crash, Tag::Uniform]),
+        .max_rounds(30_000),
         Scenario::custom(
             "delay-light-128",
             128,
@@ -1079,8 +1049,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Simple),
         )
         .summary("partial asynchrony: every (ant, round) step delayed with p = 0.1")
-        .max_rounds(40_000)
-        .tags_declared(&[Tag::Small, Tag::GoodPrefix, Tag::Delay, Tag::Uniform]),
+        .max_rounds(40_000),
         Scenario::custom(
             "mixed-faults-128",
             128,
@@ -1093,8 +1062,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             ColonyMix::Uniform(Simple),
         )
         .summary("crashes and delays at once, both in survivable doses")
-        .max_rounds(40_000)
-        .tags_declared(&[Tag::Small, Tag::GoodPrefix, Tag::MixedFaults, Tag::Uniform]),
+        .max_rounds(40_000),
         Scenario::custom(
             "idle-quarter-128",
             128,
@@ -1106,8 +1074,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             },
         )
         .summary("a quarter of the colony idles and is carried (Afek–Gordon–Sulamy)")
-        .max_rounds(40_000)
-        .tags_declared(&[Tag::Small, Tag::GoodPrefix, Tag::Clean, Tag::Idle]),
+        .max_rounds(40_000),
         Scenario::custom(
             "idle-third-256",
             256,
@@ -1119,8 +1086,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             },
         )
         .summary("the low end of Afek–Gordon–Sulamy's studied idle range: 30% carried")
-        .max_rounds(60_000)
-        .tags_declared(&[Tag::Medium, Tag::GoodPrefix, Tag::Clean, Tag::Idle]),
+        .max_rounds(60_000),
         Scenario::custom(
             "idle-half-256",
             256,
@@ -1132,8 +1098,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             },
         )
         .summary("half the colony idles; the working half must carry everyone")
-        .max_rounds(80_000)
-        .tags_declared(&[Tag::Medium, Tag::GoodPrefix, Tag::Clean, Tag::Idle]),
+        .max_rounds(80_000),
         Scenario::custom(
             "idle-seventy-256",
             256,
@@ -1146,8 +1111,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         )
         .summary("the high end of the Afek–Gordon–Sulamy range: a 30% working minority")
         .rule(ConvergenceRule::quorum(0.6, 8))
-        .max_rounds(100_000)
-        .tags_declared(&[Tag::Medium, Tag::GoodPrefix, Tag::Clean, Tag::Idle]),
+        .max_rounds(100_000),
         Scenario::custom(
             "byzantine-handful-96",
             96,
@@ -1159,8 +1123,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             },
         )
         .summary("four bad-nest recruiters against an honest simple colony")
-        .max_rounds(30_000)
-        .tags_declared(&[Tag::Small, Tag::GoodPrefix, Tag::Clean, Tag::Byzantine]),
+        .max_rounds(30_000),
         Scenario::custom(
             "hetero-simple-adaptive-256",
             256,
@@ -1173,8 +1136,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
             },
         )
         .summary("half simple, half adaptive: mixed recruitment rates must still agree")
-        .max_rounds(60_000)
-        .tags_declared(&[Tag::Medium, Tag::AllGood, Tag::Clean, Tag::Hetero]),
+        .max_rounds(60_000),
         Scenario::custom(
             "all-crash-collapse-32",
             32,
@@ -1188,8 +1150,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         )
         .summary("the degenerate bound: everyone crashes at round 1, nothing can converge")
         .max_rounds(300)
-        .expect_no_convergence()
-        .tags_declared(&[Tag::Tiny, Tag::GoodPrefix, Tag::Crash, Tag::Uniform]),
+        .expect_no_convergence(),
     ]
 }
 

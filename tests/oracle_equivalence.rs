@@ -16,7 +16,7 @@
 //!    round it appears in;
 //! 3. the fused engine's agreement with the oracle survives every
 //!    intra-round thread count the determinism contract covers
-//!    ({1, 2, 8}, plus the CI thread matrix via `HH_ROUND_THREADS`).
+//!    ({1, 2, 4, 8}).
 //!
 //! Scenarios with fault schedules route both engines through the same
 //! serial bookkeeping path, so their rows hold trivially; they stay in
@@ -36,22 +36,9 @@ const REPRO_TRIALS: usize = 3;
 /// first, and the full-run outcome tests cover the tail.
 const LOCKSTEP_ROUNDS: u64 = 96;
 
-/// Intra-round thread counts the fused engine must match the oracle at.
-/// Mirrors `registry_conformance::round_thread_counts`, including the CI
-/// thread-matrix extension.
-fn round_thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 8];
-    if let Ok(matrix) = std::env::var("HH_ROUND_THREADS") {
-        let threads: usize = matrix
-            .trim()
-            .parse()
-            .unwrap_or_else(|e| panic!("HH_ROUND_THREADS={matrix:?} is not a thread count: {e}"));
-        if !counts.contains(&threads) {
-            counts.push(threads);
-        }
-    }
-    counts
-}
+/// Intra-round thread counts the fused engine must match the oracle at,
+/// the same set `registry_conformance` reproduces across.
+const ROUND_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
 fn soa_is_the_default_engine() {
@@ -76,7 +63,7 @@ fn every_scenario_runs_identically_on_scalar_and_soa() {
             .run_trials_with_workers(REPRO_TRIALS, 2)
             .unwrap_or_else(|e| panic!("{}: scalar trials failed: {e}", scenario.name()));
         assert_eq!(oracle.len(), REPRO_TRIALS);
-        for &threads in &round_thread_counts() {
+        for threads in ROUND_THREADS {
             let soa = scenario
                 .clone()
                 .engine(EngineKind::Fused)
@@ -261,7 +248,7 @@ fn custom_boxed_agents_fall_back_bit_identically() {
     let expected = oracle
         .run_to_convergence(rule, 10_000)
         .expect("oracle runs");
-    for threads in [1usize, 2, 8] {
+    for threads in ROUND_THREADS {
         let mut soa = build(EngineKind::Fused, threads);
         let outcome = soa.run_to_convergence(rule, 10_000).expect("SoA runs");
         assert_eq!(

@@ -204,7 +204,16 @@ fn kernel_matches_reference_at_colony_scale() {
 // against that law. A configuration fails if it samples a matching of
 // probability 0, or if the statistic's Wilson–Hilferty z exceeds 5: a
 // one-sided false-alarm rate of about 3·10⁻⁷ per configuration for an
-// unbiased kernel. The seeds are fixed, so every run gives the same z.
+// unbiased kernel.
+//
+// The enumeration also counts, per participant, the cases in which it
+// succeeds — `(idx, ·) ∈ M`, self-pairs included, the event of Lemma 2.1.
+// Every active participant's exact success probability must be at least
+// 1/16. The kernel's success frequency over the same draws must equal
+// it where it is 0 or 1, and otherwise lie within |z| ≤ 5 of it (normal
+// approximation to the binomial): a two-sided false-alarm rate of about
+// 6·10⁻⁷ per participant. The seeds are fixed, so every run gives the
+// same z.
 
 /// Kernel matchings drawn per configuration.
 const LAW_SAMPLES: u64 = 200_000;
@@ -233,10 +242,12 @@ fn for_each_permutation(items: &mut [usize], k: usize, visit: &mut impl FnMut(&[
 
 /// The exact law of Algorithm 1's matching: for each matching (keyed by
 /// [`matching_key`]), how many of the m!·m^m equally likely (order,
-/// target vector) cases produce it.
-fn exact_matching_law(active: &[bool]) -> BTreeMap<u64, u64> {
+/// target vector) cases produce it; and for each participant, how many
+/// of those cases it succeeds in.
+fn exact_matching_law(active: &[bool]) -> (BTreeMap<u64, u64>, Vec<u64>) {
     let m = active.len();
     let mut law = BTreeMap::new();
+    let mut successes = vec![0; m];
     let mut order: Vec<usize> = (0..m).collect();
     for_each_permutation(&mut order, 0, &mut |order| {
         for targets in 0..m.pow(m as u32) {
@@ -259,24 +270,33 @@ fn exact_matching_law(active: &[bool]) -> BTreeMap<u64, u64> {
             }
             *law.entry(matching_key(m, |idx| recruited_by[idx]))
                 .or_insert(0) += 1;
+            for (tally, &succeeded) in successes.iter_mut().zip(&recruited) {
+                *tally += u64::from(succeeded);
+            }
         }
     });
-    law
+    (law, successes)
 }
 
 /// Chi-squares [`LAW_SAMPLES`] kernel matchings on the given active
-/// pattern against [`exact_matching_law`], as the header above states.
+/// pattern against [`exact_matching_law`], and checks each participant's
+/// success against Lemma 2.1 and its exact probability, as the header
+/// above states.
 fn assert_kernel_follows_exact_law(active: &[bool], seed: u64) {
     let m = active.len();
-    let law = exact_matching_law(active);
+    let (law, exact_successes) = exact_matching_law(active);
     let cases: u64 = law.values().sum();
     let calls = calls_from(active.iter().map(|&active| (active, 1)));
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut observed: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut successes = vec![0u64; m];
     for _ in 0..LAW_SAMPLES {
         let pairing = pair_ants(&calls, &mut rng);
         let key = matching_key(m, |idx| pairing.recruited_by(idx));
         *observed.entry(key).or_insert(0) += 1;
+        for (idx, tally) in successes.iter_mut().enumerate() {
+            *tally += u64::from(pairing.succeeded(idx));
+        }
     }
     for key in observed.keys() {
         assert!(
@@ -299,6 +319,29 @@ fn assert_kernel_follows_exact_law(active: &[bool], seed: u64) {
         z <= 5.0,
         "{active:?}: chi-square {chi_square:.1} on {df} degrees of freedom, z = {z:.2}"
     );
+
+    for (idx, (&exact, &seen)) in exact_successes.iter().zip(&successes).enumerate() {
+        let p = exact as f64 / cases as f64;
+        assert!(
+            !active[idx] || 16 * exact >= cases,
+            "{active:?}: participant {idx} succeeds with probability {p:.4} < 1/16"
+        );
+        if exact == 0 || exact == cases {
+            assert_eq!(
+                seen * cases,
+                exact * LAW_SAMPLES,
+                "{active:?}: participant {idx} succeeded {seen} times; its probability is {p}"
+            );
+        } else {
+            let samples = LAW_SAMPLES as f64;
+            let z = (seen as f64 - samples * p) / (samples * p * (1.0 - p)).sqrt();
+            assert!(
+                z.abs() <= 5.0,
+                "{active:?}: participant {idx} succeeded {seen} times, \
+                 exact probability {p:.4}, z = {z:.2}"
+            );
+        }
+    }
 }
 
 #[test]

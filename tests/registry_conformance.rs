@@ -9,14 +9,20 @@
 //! 2. *runs to its declared budget* — executes under its own convergence
 //!    rule without harness errors, converging iff it declares so;
 //! 3. *reproduces bit-identically* — the same seed yields identical
-//!    trial outcomes across worker-thread counts and repeated runs;
-//! 4. *matches its declared tags* — the hand-declared catalog tags agree
-//!    with the tags derived from the axes.
+//!    trial outcomes across worker-thread counts, round-thread counts
+//!    and repeated runs.
+//!
+//! The tag filters partition the catalog along each axis; the tags
+//! themselves are derived from the axes, so they cannot disagree. And
+//! off the catalog, hostile values on every axis at once make
+//! `Scenario::build` return an error, never panic.
 
 use std::collections::BTreeSet;
 
+use house_hunting::model::faults::CrashStyle;
 use house_hunting::prelude::*;
 use house_hunting::sim::registry::{self, ColonyMix};
+use proptest::prelude::*;
 
 /// Trials per scenario for the reproducibility checks (kept small: the
 /// full catalog spans colonies up to 4096 ants).
@@ -170,35 +176,19 @@ fn every_scenario_reproduces_bit_identically_across_worker_counts() {
     }
 }
 
-/// Intra-round thread counts every scenario must reproduce across. The
-/// CI thread matrix extends the set through `HH_ROUND_THREADS`, so the
-/// determinism contract is enforced at the matrix's count on every push.
-fn round_thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 8];
-    if let Ok(matrix) = std::env::var("HH_ROUND_THREADS") {
-        // Fail loudly on a malformed value: a typo in the CI matrix must
-        // not silently turn the dedicated thread-matrix leg into a
-        // duplicate of the default set.
-        let threads: usize = matrix
-            .trim()
-            .parse()
-            .unwrap_or_else(|e| panic!("HH_ROUND_THREADS={matrix:?} is not a thread count: {e}"));
-        if !counts.contains(&threads) {
-            counts.push(threads);
-        }
-    }
-    counts
-}
+/// Intra-round thread counts every scenario must reproduce across, the
+/// first being the serial baseline the others are compared against.
+const ROUND_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
 fn every_scenario_is_bit_identical_across_round_threads() {
     for scenario in registry::all_scenarios() {
         let serial = scenario
             .clone()
-            .round_threads(1)
+            .round_threads(ROUND_THREADS[0])
             .run_trials_with_workers(REPRO_TRIALS, 2)
             .unwrap_or_else(|e| panic!("{}: serial trials failed: {e}", scenario.name()));
-        for &threads in round_thread_counts().iter().skip(1) {
+        for threads in ROUND_THREADS.into_iter().skip(1) {
             let threaded = scenario
                 .clone()
                 .round_threads(threads)
@@ -213,18 +203,6 @@ fn every_scenario_is_bit_identical_across_round_threads() {
                 scenario.name()
             );
         }
-    }
-}
-
-#[test]
-fn every_scenario_matches_its_declared_tags() {
-    for scenario in registry::all_scenarios() {
-        assert_eq!(
-            scenario.tags(),
-            scenario.derived_tags(),
-            "{}: declared tags disagree with the axes",
-            scenario.name()
-        );
     }
 }
 
@@ -252,5 +230,113 @@ fn tag_filters_partition_the_catalog_along_each_axis() {
             covered, total,
             "axis {axis:?} does not partition the catalog"
         );
+    }
+}
+
+/// Every float axis draws from these: the non-numbers, both ends and the
+/// middle of `[0, 1]`, and one value past each end.
+const HOSTILE_FLOATS: [f64; 8] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -1.0,
+    0.0,
+    0.5,
+    1.0,
+    2.0,
+];
+
+/// Algorithm `variant` (every `Algorithm` and `SpreadStrategy` variant),
+/// with `float` as its parameter where it takes one.
+fn hostile_algorithm(variant: usize, float: f64) -> Algorithm {
+    let spreader = |strategy| Algorithm::Spreader { strategy };
+    match variant {
+        0 => Algorithm::Optimal,
+        1 => Algorithm::Simple,
+        2 => Algorithm::HardenedSimple,
+        3 => Algorithm::Adaptive,
+        4 => Algorithm::Quality { gamma: float },
+        5 => spreader(SpreadStrategy::WaitAtHome),
+        6 => spreader(SpreadStrategy::SearchForever),
+        _ => spreader(SpreadStrategy::Hybrid {
+            search_probability: float,
+        }),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Hostile values on every axis at once: `build` returns `Ok` or
+    /// `Err` without panicking, and every `Ok` runs 200 rounds without
+    /// panicking. `good` and `adversaries` reach one past their valid
+    /// range. Round threads stay at most 2 and no trial runner starts,
+    /// so a case spawns at most one OS thread.
+    #[test]
+    fn hostile_axes_are_errors_or_runs_never_panics(
+        n in 1usize..=64,
+        k in 0usize..=8,
+        good in 0usize..=9,
+        profile in 0usize..5,
+        explicit in proptest::collection::vec(0usize..8, 0..9),
+        faults in 0usize..4,
+        fraction in 0usize..8,
+        probability in 0usize..8,
+        crash_round in 0u64..=20,
+        at_home in any::<bool>(),
+        mix in 0usize..4,
+        algorithms in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
+        mix_fraction in 0usize..8,
+        adversaries in 0usize..=65,
+        rule in 0usize..7,
+        quorum in 0usize..8,
+        window in 0u64..=20,
+        threads in 0usize..=2,
+        seed in any::<u64>(),
+    ) {
+        let float = |idx: usize| HOSTILE_FLOATS[idx];
+        let good = good % (k + 2);
+        let profile = match profile {
+            0 => QualityProfile::AllGood { k },
+            1 => QualityProfile::GoodPrefix { k, good },
+            2 => QualityProfile::SingleGood { k, good },
+            3 => QualityProfile::AdversarialTie { k },
+            _ => QualityProfile::Explicit(
+                explicit.iter().filter_map(|&idx| Quality::new(float(idx)).ok()).collect(),
+            ),
+        };
+        let style = if at_home { CrashStyle::AtHome } else { CrashStyle::InPlace };
+        let faults = match faults {
+            0 => FaultSchedule::None,
+            1 => FaultSchedule::Crash { fraction: float(fraction), round: crash_round, style },
+            2 => FaultSchedule::Delay { probability: float(probability) },
+            _ => FaultSchedule::Mixed {
+                crash_fraction: float(fraction),
+                crash_round,
+                delay_probability: float(probability),
+            },
+        };
+        let (a, gamma_a, b, gamma_b) = algorithms;
+        let a = hostile_algorithm(a, float(gamma_a));
+        let b = hostile_algorithm(b, float(gamma_b));
+        let mix = match mix {
+            0 => ColonyMix::Uniform(a),
+            1 => ColonyMix::IdleFraction { algorithm: a, idle: float(mix_fraction) },
+            2 => ColonyMix::Byzantine { algorithm: a, adversaries: adversaries % (n + 2) },
+            _ => ColonyMix::Heterogeneous { a, b, fraction_b: float(mix_fraction) },
+        };
+        let scenario = Scenario::custom("hostile", n, profile, faults, mix).round_threads(threads);
+        let rule = match rule {
+            0 => scenario.convergence_rule(),
+            1 => ConvergenceRule::commitment(),
+            2 => ConvergenceRule::commitment_any(),
+            3 => ConvergenceRule::stable_commitment(window),
+            4 => ConvergenceRule::all_final(),
+            5 => ConvergenceRule::location(window),
+            _ => ConvergenceRule::quorum(float(quorum), window),
+        };
+        if let Ok(mut sim) = scenario.build(seed) {
+            let _ = sim.run_to_convergence(rule, 200);
+        }
     }
 }
