@@ -1,4 +1,5 @@
-//! Bit-identity across commits: one digest over the whole catalog.
+//! Bit-identity across commits: one digest over the whole catalog, and
+//! one over noisy runs, which no catalog scenario makes.
 //!
 //! For every catalog scenario (`registry::all_scenarios()`), trials 0–2,
 //! at round threads 1 and 2, the test builds the trial's simulation,
@@ -16,19 +17,23 @@
 //! * the next step's matched pairs and outcomes, with qualities hashed
 //!   through `to_bits()`.
 //!
-//! A change that moves the digest changes some catalog outcome. That is
-//! a re-baseline: update [`DIGEST`] and record the old and new values,
-//! with the argument that the distribution is unchanged.
+//! A change that moves a digest changes some outcome. That is a
+//! re-baseline: update [`DIGEST`] or [`NOISY_DIGEST`] and record the old
+//! and new values, with the argument that the distribution is unchanged.
 //!
 //! Outcomes pass through `exp`, `ln`, `log2` and `powf`, which the
 //! platform's libm computes and which are not correctly rounded, so the
-//! constant is asserted only on x86-64 Linux (the CI target). Elsewhere
-//! the test still runs every trial and prints the digest.
+//! constants are asserted only on x86-64 Linux (the CI target). Elsewhere
+//! the tests still run every trial and print the digests.
 
+use house_hunting::model::noise::{CountNoise, QualityNoise};
 use house_hunting::prelude::*;
 
 /// The catalog digest of the current engine.
 const DIGEST: u64 = 0x0bdf_2180_52ac_ba55;
+
+/// The digest of the noisy runs of [`noisy_digest_is_unchanged`].
+const NOISY_DIGEST: u64 = 0x5c0c_feb7_1e12_4ac5;
 
 /// FNV-1a, 64-bit, fed whole `u64` words in little-endian byte order.
 struct Fnv(u64);
@@ -84,6 +89,64 @@ impl Fnv {
     }
 }
 
+/// Hashes one finished segment, then takes one more `step()` and hashes
+/// its pairs and outcomes.
+fn hash_run(hash: &mut Fnv, sim: &mut Simulation, outcome: &RunOutcome) -> Result<(), SimError> {
+    match outcome.solved {
+        None => hash.word(0),
+        Some(solved) => {
+            hash.word(1);
+            hash.word(solved.round);
+            hash.usize(solved.nest.raw());
+            hash.word(solved.good.into());
+        }
+    }
+    hash.word(outcome.rounds_run);
+    hash.word(outcome.replaced_actions);
+    hash.word(outcome.illegal_actions);
+    hash.usize(sim.env().counts().len());
+    for &count in sim.env().counts() {
+        hash.usize(count);
+    }
+    hash.usize(sim.env().locations().len());
+    for location in sim.env().locations() {
+        hash.usize(location.raw());
+    }
+    let census = sim.role_census();
+    for count in [
+        census.searching,
+        census.active,
+        census.passive,
+        census.final_count,
+        census.other,
+    ] {
+        hash.usize(count);
+    }
+    let report = sim.step()?;
+    hash.usize(report.recruitment.pairs.len());
+    for (recruiter, recruited) in &report.recruitment.pairs {
+        hash.usize(recruiter.index());
+        hash.usize(recruited.index());
+    }
+    hash.usize(report.outcomes.len());
+    for outcome in &report.outcomes {
+        hash.outcome(outcome);
+    }
+    Ok(())
+}
+
+/// Asserts `digest` against `expected` on x86-64 Linux only (see the
+/// module docs).
+fn assert_digest(name: &str, digest: u64, expected: u64, runs: usize) {
+    println!("{name} {digest:016x} over {runs} runs");
+    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        assert_eq!(
+            digest, expected,
+            "the {name} moved: some outcome changed (digest {digest:016x})"
+        );
+    }
+}
+
 #[test]
 fn catalog_digest_is_unchanged() -> Result<(), SimError> {
     let mut hash = Fnv::new();
@@ -97,57 +160,69 @@ fn catalog_digest_is_unchanged() -> Result<(), SimError> {
                     .build(scenario.trial_seed(trial))?;
                 let outcome =
                     sim.run_to_convergence(scenario.convergence_rule(), scenario.round_budget())?;
-                match outcome.solved {
-                    None => hash.word(0),
-                    Some(solved) => {
-                        hash.word(1);
-                        hash.word(solved.round);
-                        hash.usize(solved.nest.raw());
-                        hash.word(solved.good.into());
-                    }
-                }
-                hash.word(outcome.rounds_run);
-                hash.word(outcome.replaced_actions);
-                hash.word(outcome.illegal_actions);
-                hash.usize(sim.env().counts().len());
-                for &count in sim.env().counts() {
-                    hash.usize(count);
-                }
-                hash.usize(sim.env().locations().len());
-                for location in sim.env().locations() {
-                    hash.usize(location.raw());
-                }
-                let census = sim.role_census();
-                for count in [
-                    census.searching,
-                    census.active,
-                    census.passive,
-                    census.final_count,
-                    census.other,
-                ] {
-                    hash.usize(count);
-                }
-                let report = sim.step()?;
-                hash.usize(report.recruitment.pairs.len());
-                for (recruiter, recruited) in &report.recruitment.pairs {
-                    hash.usize(recruiter.index());
-                    hash.usize(recruited.index());
-                }
-                hash.usize(report.outcomes.len());
-                for outcome in &report.outcomes {
-                    hash.outcome(outcome);
-                }
+                hash_run(&mut hash, &mut sim, &outcome)?;
                 runs += 1;
             }
         }
     }
-    println!("digest {:016x} over {runs} runs", hash.0);
-    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
-        assert_eq!(
-            hash.0, DIGEST,
-            "the catalog digest moved: some outcome changed (digest {:016x})",
-            hash.0
-        );
+    assert_digest("digest", hash.0, DIGEST, runs);
+    Ok(())
+}
+
+/// The noisy channels of Section 6, one valid value each, the other
+/// channel exact.
+fn noisy_models() -> Result<[NoiseModel; 5], ModelError> {
+    let count = |count| NoiseModel {
+        count,
+        quality: QualityNoise::Exact,
+    };
+    let quality = |quality| NoiseModel {
+        count: CountNoise::Exact,
+        quality,
+    };
+    Ok([
+        count(CountNoise::multiplicative(0.3)?),
+        count(CountNoise::uniform_relative(0.4)?),
+        count(CountNoise::subsample(0.25)?),
+        quality(QualityNoise::flip(0.05)?),
+        quality(QualityNoise::jitter(0.1)?),
+    ])
+}
+
+/// Noisy realizations, which the catalog (all exact) does not reach:
+/// three scenarios under each noisy channel, trials 0–1, round threads
+/// 1 and 2. `baseline-128` runs the fast path, `quality-tie-128` has `go`
+/// reveal quality (so `go` draws quality noise too), and
+/// `mixed-faults-128` runs the scalar path. Each segment is a fixed 60
+/// rounds, since its stability window is longer than its budget, then
+/// one `step()`; the fields hashed are the catalog digest's.
+#[test]
+fn noisy_digest_is_unchanged() -> Result<(), SimError> {
+    const ROUNDS: u64 = 60;
+    let rule = ConvergenceRule::stable_commitment(ROUNDS + 1);
+    let mut hash = Fnv::new();
+    let mut runs = 0usize;
+    for name in ["baseline-128", "quality-tie-128", "mixed-faults-128"] {
+        let scenario = registry::lookup(name).expect("catalog scenario");
+        for noise in noisy_models()? {
+            for trial in 0..2 {
+                for threads in [1, 2] {
+                    let mut sim = scenario
+                        .clone()
+                        .noise(noise)
+                        .round_threads(threads)
+                        .build(scenario.trial_seed(trial))?;
+                    let outcome = sim.run_to_convergence(rule, ROUNDS)?;
+                    assert_eq!(
+                        outcome.rounds_run, ROUNDS,
+                        "{name}: the segment ended early"
+                    );
+                    hash_run(&mut hash, &mut sim, &outcome)?;
+                    runs += 1;
+                }
+            }
+        }
     }
+    assert_digest("noisy digest", hash.0, NOISY_DIGEST, runs);
     Ok(())
 }
