@@ -26,7 +26,7 @@
 //! assert_eq!(ants.census().searching, 100);
 //! ```
 
-use hh_model::seeding::{derive_seed, StreamKind};
+use hh_model::seeding::{SeedPrefix, StreamKind};
 use hh_model::NestId;
 
 use crate::adaptive::{AdaptiveAnt, AdaptivePolicy};
@@ -342,11 +342,9 @@ where
     A: Into<AnyAgent>,
     F: FnMut(usize, u64) -> A,
 {
+    let seeds = SeedPrefix::new(base_seed, StreamKind::Agent);
     (0..n)
-        .map(|i| {
-            let seed = derive_seed(base_seed, StreamKind::Agent, i as u64);
-            factory(i, seed).into()
-        })
+        .map(|i| factory(i, seeds.seed(i as u64)).into())
         .collect()
 }
 

@@ -160,10 +160,11 @@ pub fn lex(source: &str) -> Lexed {
                 own_line,
             });
             line_has_code = true; // code may follow `*/` on this line
-        } else if c == '"' {
-            // Scan to the closing quote; a backslash escapes the next char.
+        } else if c == '"' || (c == 'b' && chars.get(i + 1) == Some(&'"')) {
+            // A string or byte string: scan to the closing quote; a
+            // backslash escapes the next char.
             let start = i;
-            i += 1;
+            i += if c == 'b' { 2 } else { 1 };
             while i < chars.len() && chars[i] != '"' {
                 i += if chars[i] == '\\' { 2 } else { 1 };
             }
@@ -221,8 +222,8 @@ pub fn lex(source: &str) -> Lexed {
                 i += 1;
             }
             let ident: String = chars[start..i].iter().collect();
-            // Raw/byte string prefixes: r"..", r#".."#, b"..", br#".."#.
-            let is_raw_prefix = matches!(ident.as_str(), "r" | "b" | "br");
+            // Raw string prefixes: r"..", r#".."#, br"..", br#".."#.
+            let is_raw_prefix = matches!(ident.as_str(), "r" | "br");
             if is_raw_prefix && matches!(chars.get(i), Some('"') | Some('#')) {
                 let mut hashes = 0usize;
                 let mut j = i;
@@ -231,7 +232,7 @@ pub fn lex(source: &str) -> Lexed {
                     j += 1;
                 }
                 if chars.get(j) == Some(&'"') {
-                    // Raw (or plain byte) string: scan to `"` + hashes.
+                    // Raw string: scan to `"` + hashes; no escapes.
                     let content_start = j + 1;
                     let mut k = content_start;
                     let mut newlines = 0u32;
@@ -424,6 +425,17 @@ let ok = true;
         let ids = idents(src);
         assert!(!ids.contains(&"unsafe".to_string()), "ids: {ids:?}");
         assert!(ids.contains(&"ok".to_string()));
+    }
+
+    #[test]
+    fn byte_strings_end_at_their_closing_quote() {
+        // An escaped quote inside `b"…"` does not end the literal, so the
+        // code after it stays visible to the rules.
+        let ids = idents(r#"let b = b"a\"b"; unsafe { f() }"#);
+        assert!(ids.contains(&"unsafe".to_string()), "ids: {ids:?}");
+        // Its contents stay hidden, and a raw byte string has no escapes.
+        let ids = idents(r#"let b = b"unsafe \" unsafe"; let r = br"a\"; ok"#);
+        assert_eq!(ids, ["let", "b", "let", "r", "ok"]);
     }
 
     #[test]

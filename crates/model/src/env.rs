@@ -33,6 +33,13 @@
 //! bit-identical results for every thread count, through
 //! [`Environment::split_round`].
 //!
+//! Every environment holds one search stream per ant. Noise streams exist
+//! only under a noisy [`NoiseModel`]: an exact model (the Section 2
+//! model, and every catalog scenario) never draws noise, so its
+//! environment seeds and stores none. A noise stream is seeded from
+//! `(seed, ant)` alone, so leaving them out of exact models changes no
+//! noisy realization.
+//!
 //! ## Knowledge-set clarification
 //!
 //! The paper's formal precondition for `go(i)`/`recruit(·, i)` is a prior
@@ -52,7 +59,7 @@ use crate::ids::{AntId, NestId};
 use crate::nest::{Nest, Quality};
 use crate::noise::NoiseModel;
 use crate::recruitment::{pair_ants_into, Pairing, RecruitCall};
-use crate::seeding::{derive_seed, StreamKind};
+use crate::seeding::{derive_seed, SeedPrefix, StreamKind};
 use crate::util::{BitMatrix, RowBandMut};
 
 /// The ground-truth state of one house-hunting execution.
@@ -86,7 +93,8 @@ pub struct Environment {
     rng: SmallRng,
     /// Per-ant environment streams (search placement), indexed by ant id.
     ant_rngs: Vec<SmallRng>,
-    /// Per-ant observation-noise streams, indexed by ant id.
+    /// Per-ant observation-noise streams, indexed by ant id; empty under
+    /// an exact noise model, which never draws.
     noise_rngs: Vec<SmallRng>,
     noise: NoiseModel,
     reveal_quality_on_go: bool,
@@ -124,9 +132,12 @@ impl Environment {
     /// # Errors
     ///
     /// Propagates configuration validation failures; see
-    /// [`ColonyConfig::validated_qualities`].
+    /// [`ColonyConfig::validated_qualities`]. Returns
+    /// [`ModelError::InvalidNoise`] if a noise variant built directly
+    /// holds a parameter its constructor would reject.
     pub fn new(config: &ColonyConfig) -> Result<Self, ModelError> {
         let qualities = config.validated_qualities()?;
+        let noise = config.noise_model().validated()?;
         let n = config.n();
         let k = qualities.len();
         let nests: Vec<Nest> = qualities
@@ -138,8 +149,9 @@ impl Environment {
         counts[0] = n;
         let base = config.base_seed();
         let per_ant = |kind| {
+            let seeds = SeedPrefix::new(base, kind);
             (0..n)
-                .map(|ant| SmallRng::seed_from_u64(derive_seed(base, kind, ant as u64)))
+                .map(|ant| SmallRng::seed_from_u64(seeds.seed(ant as u64)))
                 .collect()
         };
         Ok(Self {
@@ -150,8 +162,12 @@ impl Environment {
             round: 0,
             rng: SmallRng::seed_from_u64(derive_seed(base, StreamKind::Environment, 0)),
             ant_rngs: per_ant(StreamKind::AgentEnvironment),
-            noise_rngs: per_ant(StreamKind::AgentNoise),
-            noise: config.noise_model(),
+            noise_rngs: if noise.is_exact() {
+                Vec::new()
+            } else {
+                per_ant(StreamKind::AgentNoise)
+            },
+            noise,
             reveal_quality_on_go: config.go_reveals_quality(),
             scratch_pairing: Pairing::default(),
             scratch_perm: Vec::new(),
@@ -470,7 +486,8 @@ pub struct AntChunk<'a> {
     known: RowBandMut<'a>,
     /// Search placement, one stream per ant.
     rngs: &'a mut [SmallRng],
-    /// Observation noise, one stream per ant.
+    /// Observation noise, one stream per ant under a noisy model; empty
+    /// under an exact one.
     noise_rngs: &'a mut [SmallRng],
 }
 
@@ -505,7 +522,8 @@ impl<'a> AntChunk<'a> {
         let (loc_a, loc_b) = self.locations.split_at_mut(local);
         let (known_a, known_b) = self.known.split_at(local);
         let (rng_a, rng_b) = self.rngs.split_at_mut(local);
-        let (noise_a, noise_b) = self.noise_rngs.split_at_mut(local);
+        let noise_mid = if self.noise_rngs.is_empty() { 0 } else { local };
+        let (noise_a, noise_b) = self.noise_rngs.split_at_mut(noise_mid);
         (
             AntChunk {
                 start: self.start,
@@ -643,8 +661,10 @@ impl<'a> AntChunk<'a> {
         call_cursor: &mut usize,
     ) -> Outcome {
         let local = idx - self.start;
-        let rng = &mut self.noise_rngs[local];
-        let noise = shared.noise;
+        let mut observe = Observer {
+            noise: shared.noise,
+            rng: self.noise_rngs.get_mut(local),
+        };
         match action {
             Action::Search => {
                 let nest = self.locations[local];
@@ -652,18 +672,16 @@ impl<'a> AntChunk<'a> {
                     shared.nests[nest.candidate_index().expect("searched nest")].quality();
                 Outcome::Search {
                     nest,
-                    quality: noise.quality.observe(true_quality, rng),
-                    count: Outcome::narrow_count(
-                        noise.count.observe(shared.counts[nest.raw()], rng),
-                    ),
+                    quality: observe.quality(true_quality),
+                    count: observe.count(shared.counts[nest.raw()]),
                 }
             }
             Action::Go(nest) => Outcome::Go {
-                count: Outcome::narrow_count(noise.count.observe(shared.counts[nest.raw()], rng)),
+                count: observe.count(shared.counts[nest.raw()]),
                 quality: if shared.reveal_quality_on_go {
                     let true_quality =
                         shared.nests[nest.candidate_index().expect("candidate nest")].quality();
-                    Some(noise.quality.observe(true_quality, rng))
+                    Some(observe.quality(true_quality))
                 } else {
                     None
                 },
@@ -674,9 +692,38 @@ impl<'a> AntChunk<'a> {
                 self.known.insert(local, assigned.raw());
                 Outcome::Recruit {
                     nest: assigned,
-                    home_count: Outcome::narrow_count(noise.count.observe(shared.counts[0], rng)),
+                    home_count: observe.count(shared.counts[0]),
                 }
             }
+        }
+    }
+}
+
+/// One ant's observations in [`AntChunk::outcome`]: the round's noise
+/// model and the ant's noise stream, which only a noisy model has. Without
+/// a stream the model is exact and every observation is the true value.
+struct Observer<'r> {
+    noise: NoiseModel,
+    rng: Option<&'r mut SmallRng>,
+}
+
+impl Observer<'_> {
+    /// A population count through the count channel, narrowed for the
+    /// outcome.
+    #[inline]
+    fn count(&mut self, true_count: usize) -> u32 {
+        Outcome::narrow_count(match self.rng.as_deref_mut() {
+            Some(rng) => self.noise.count.observe(true_count, rng),
+            None => true_count,
+        })
+    }
+
+    /// A nest quality through the quality channel.
+    #[inline]
+    fn quality(&mut self, true_quality: Quality) -> Quality {
+        match self.rng.as_deref_mut() {
+            Some(rng) => self.noise.quality.observe(true_quality, rng),
+            None => true_quality,
         }
     }
 }
@@ -749,7 +796,7 @@ impl<'a> SharedRound<'a> {
 mod tests {
     use super::*;
     use crate::config::QualitySpec;
-    use crate::noise::{CountNoise, NoiseModel};
+    use crate::noise::{CountNoise, NoiseModel, QualityNoise};
 
     fn env(n: usize, k: usize, seed: u64) -> Environment {
         let config = ColonyConfig::new(n, QualitySpec::all_good(k)).seed(seed);
@@ -1041,6 +1088,57 @@ mod tests {
         assert!(distinct, "noise should perturb at least one observation");
         // But the true state is unaffected.
         assert_eq!(env.count(NestId::candidate(1)), 1000);
+    }
+
+    #[test]
+    fn only_a_noisy_model_holds_noise_streams() {
+        let mut exact = env(16, 2, 0);
+        assert_eq!(exact.ant_rngs.len(), 16);
+        assert!(exact.noise_rngs.is_empty(), "an exact model never draws");
+        // An exact model's chunks split anywhere, into empty noise halves.
+        let (head, tail) = exact.relocation_view().split_at(5);
+        assert_eq!((head.len(), tail.len()), (5, 11));
+        assert!(head.noise_rngs.is_empty() && tail.noise_rngs.is_empty());
+        for noise in [
+            NoiseModel {
+                count: CountNoise::subsample(0.5).unwrap(),
+                quality: QualityNoise::Exact,
+            },
+            NoiseModel {
+                count: CountNoise::Exact,
+                quality: QualityNoise::flip(0.1).unwrap(),
+            },
+        ] {
+            let config = ColonyConfig::new(16, QualitySpec::all_good(2)).noise(noise);
+            let mut noisy = Environment::new(&config).unwrap();
+            assert_eq!(noisy.noise_rngs.len(), 16, "{noise:?}");
+            let (head, tail) = noisy.relocation_view().split_at(5);
+            assert_eq!((head.noise_rngs.len(), tail.noise_rngs.len()), (5, 11));
+        }
+    }
+
+    #[test]
+    fn out_of_range_noise_is_an_error() {
+        for count in [
+            CountNoise::Subsample { p: 0.0 },
+            CountNoise::Multiplicative {
+                sigma: f64::INFINITY,
+            },
+            CountNoise::UniformRelative { delta: f64::NAN },
+        ] {
+            let noise = NoiseModel {
+                count,
+                quality: QualityNoise::Exact,
+            };
+            let config = ColonyConfig::new(4, QualitySpec::all_good(2)).noise(noise);
+            assert!(
+                matches!(
+                    Environment::new(&config),
+                    Err(ModelError::InvalidNoise { .. })
+                ),
+                "{count:?}"
+            );
+        }
     }
 
     #[test]

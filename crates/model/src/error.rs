@@ -17,6 +17,15 @@ pub enum ModelError {
         /// The offending value.
         value: f64,
     },
+    /// An observation-noise parameter was outside the range its
+    /// [`CountNoise`](crate::noise::CountNoise) or
+    /// [`QualityNoise`](crate::noise::QualityNoise) variant documents.
+    InvalidNoise {
+        /// The variant and field, e.g. `"Subsample::p"`.
+        parameter: &'static str,
+        /// The offending value.
+        value: f64,
+    },
     /// The colony size `n` must be at least 1.
     EmptyColony,
     /// The environment must have at least one candidate nest (`k ≥ 1`).
@@ -61,6 +70,9 @@ impl fmt::Display for ModelError {
             ModelError::InvalidQuality { value } => {
                 write!(f, "quality {value} is not in [0, 1]")
             }
+            ModelError::InvalidNoise { parameter, value } => {
+                write!(f, "noise parameter {parameter} = {value} is out of range")
+            }
             ModelError::EmptyColony => write!(f, "colony must contain at least one ant"),
             ModelError::NoCandidateNests => {
                 write!(f, "environment must contain at least one candidate nest")
@@ -100,6 +112,10 @@ mod tests {
     fn display_messages_are_lowercase_and_specific() {
         let cases: Vec<ModelError> = vec![
             ModelError::InvalidQuality { value: 1.5 },
+            ModelError::InvalidNoise {
+                parameter: "Subsample::p",
+                value: 0.0,
+            },
             ModelError::EmptyColony,
             ModelError::NoCandidateNests,
             ModelError::NoGoodNest,

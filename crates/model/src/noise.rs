@@ -50,7 +50,7 @@ pub enum CountNoise {
     /// unit mean, then round to the nearest integer. `sigma` controls the
     /// relative error; `σ = 0.3` gives roughly ±30 % typical error.
     Multiplicative {
-        /// Standard deviation of the underlying normal, `σ ≥ 0`.
+        /// Standard deviation of the underlying normal, finite and `≥ 0`.
         sigma: f64,
     },
     /// Multiply the count by a uniform factor in `[1 − delta, 1 + delta]`
@@ -75,38 +75,52 @@ impl CountNoise {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidQuality`] if `sigma` is negative or NaN
-    /// (the closest existing validation error; the value reported is
-    /// `sigma`).
+    /// Returns [`ModelError::InvalidNoise`] if `sigma` is negative, NaN or
+    /// infinite.
     pub fn multiplicative(sigma: f64) -> Result<Self, ModelError> {
-        if sigma.is_nan() || sigma < 0.0 {
-            return Err(ModelError::InvalidQuality { value: sigma });
-        }
-        Ok(CountNoise::Multiplicative { sigma })
+        CountNoise::Multiplicative { sigma }.validated()
     }
 
     /// Creates bounded uniform relative noise.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidQuality`] if `delta` is not in `[0, 1]`.
+    /// Returns [`ModelError::InvalidNoise`] if `delta` is not in `[0, 1]`.
     pub fn uniform_relative(delta: f64) -> Result<Self, ModelError> {
-        if delta.is_nan() || !(0.0..=1.0).contains(&delta) {
-            return Err(ModelError::InvalidQuality { value: delta });
-        }
-        Ok(CountNoise::UniformRelative { delta })
+        CountNoise::UniformRelative { delta }.validated()
     }
 
     /// Creates encounter-rate subsampling noise.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidQuality`] if `p` is not in `(0, 1]`.
+    /// Returns [`ModelError::InvalidNoise`] if `p` is not in `(0, 1]`.
     pub fn subsample(p: f64) -> Result<Self, ModelError> {
-        if p.is_nan() || !(0.0..=1.0).contains(&p) || p == 0.0 {
-            return Err(ModelError::InvalidQuality { value: p });
-        }
-        Ok(CountNoise::Subsample { p })
+        CountNoise::Subsample { p }.validated()
+    }
+
+    /// Returns the channel if its parameter is in the range its variant
+    /// documents. This is the one range check: the constructors call it,
+    /// and so does [`Environment::new`](crate::Environment::new), since a
+    /// variant built directly skips the constructors.
+    fn validated(self) -> Result<Self, ModelError> {
+        let (parameter, value, valid) = match self {
+            CountNoise::Exact => return Ok(self),
+            CountNoise::Multiplicative { sigma } => (
+                "Multiplicative::sigma",
+                sigma,
+                sigma.is_finite() && sigma >= 0.0,
+            ),
+            CountNoise::UniformRelative { delta } => (
+                "UniformRelative::delta",
+                delta,
+                (0.0..=1.0).contains(&delta),
+            ),
+            CountNoise::Subsample { p } => ("Subsample::p", p, p > 0.0 && p <= 1.0),
+        };
+        valid
+            .then_some(self)
+            .ok_or(ModelError::InvalidNoise { parameter, value })
     }
 
     /// Applies the noise channel to a true count.
@@ -140,7 +154,8 @@ impl CountNoise {
     }
 }
 
-/// Noise applied to every quality an ant observes at `search()`.
+/// Noise applied to every quality an ant observes: at `search()`, and at
+/// `go(i)` when the environment reveals quality on `go`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[non_exhaustive]
 pub enum QualityNoise {
@@ -167,24 +182,32 @@ impl QualityNoise {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidQuality`] if `p` is not in `[0, 1]`.
+    /// Returns [`ModelError::InvalidNoise`] if `p` is not in `[0, 1]`.
     pub fn flip(p: f64) -> Result<Self, ModelError> {
-        if p.is_nan() || !(0.0..=1.0).contains(&p) {
-            return Err(ModelError::InvalidQuality { value: p });
-        }
-        Ok(QualityNoise::Flip { p })
+        QualityNoise::Flip { p }.validated()
     }
 
     /// Creates jitter noise.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidQuality`] if `eps` is not in `[0, 1]`.
+    /// Returns [`ModelError::InvalidNoise`] if `eps` is not in `[0, 1]`.
     pub fn jitter(eps: f64) -> Result<Self, ModelError> {
-        if eps.is_nan() || !(0.0..=1.0).contains(&eps) {
-            return Err(ModelError::InvalidQuality { value: eps });
-        }
-        Ok(QualityNoise::Jitter { eps })
+        QualityNoise::Jitter { eps }.validated()
+    }
+
+    /// Returns the channel if its parameter is in `[0, 1]`: the one range
+    /// check, as for [`CountNoise::validated`].
+    fn validated(self) -> Result<Self, ModelError> {
+        let (parameter, value) = match self {
+            QualityNoise::Exact => return Ok(self),
+            QualityNoise::Flip { p } => ("Flip::p", p),
+            QualityNoise::Jitter { eps } => ("Jitter::eps", eps),
+        };
+        (0.0..=1.0)
+            .contains(&value)
+            .then_some(self)
+            .ok_or(ModelError::InvalidNoise { parameter, value })
     }
 
     /// Applies the noise channel to a true quality.
@@ -228,10 +251,20 @@ impl NoiseModel {
         Self::default()
     }
 
-    /// Returns `true` if both channels are exact.
+    /// Returns `true` if both channels are exact. An exact model never
+    /// draws, so its environment holds no noise streams.
     #[must_use]
     pub fn is_exact(&self) -> bool {
         matches!(self.count, CountNoise::Exact) && matches!(self.quality, QualityNoise::Exact)
+    }
+
+    /// Returns the model if both channels pass their constructors' range
+    /// checks, or [`ModelError::InvalidNoise`] for the first that fails,
+    /// count before quality.
+    pub(crate) fn validated(self) -> Result<Self, ModelError> {
+        self.count.validated()?;
+        self.quality.validated()?;
+        Ok(self)
     }
 }
 
@@ -306,6 +339,58 @@ mod tests {
         assert!(CountNoise::multiplicative(0.5).is_ok());
         assert!(CountNoise::uniform_relative(0.2).is_ok());
         assert!(CountNoise::subsample(0.5).is_ok());
+    }
+
+    #[test]
+    fn directly_built_variants_get_the_constructors_checks() {
+        let count = |count| NoiseModel {
+            count,
+            quality: QualityNoise::Exact,
+        };
+        let quality = |quality| NoiseModel {
+            count: CountNoise::Exact,
+            quality,
+        };
+        let bad = [
+            (
+                count(CountNoise::Multiplicative { sigma: f64::NAN }),
+                "Multiplicative::sigma",
+            ),
+            (
+                count(CountNoise::Multiplicative {
+                    sigma: f64::INFINITY,
+                }),
+                "Multiplicative::sigma",
+            ),
+            (
+                count(CountNoise::UniformRelative { delta: -0.5 }),
+                "UniformRelative::delta",
+            ),
+            (
+                count(CountNoise::UniformRelative { delta: 3.0 }),
+                "UniformRelative::delta",
+            ),
+            (count(CountNoise::Subsample { p: 0.0 }), "Subsample::p"),
+            (count(CountNoise::Subsample { p: -1.0 }), "Subsample::p"),
+            (quality(QualityNoise::Flip { p: 2.0 }), "Flip::p"),
+            (quality(QualityNoise::Flip { p: f64::NAN }), "Flip::p"),
+            (quality(QualityNoise::Jitter { eps: -0.5 }), "Jitter::eps"),
+            (
+                quality(QualityNoise::Jitter { eps: f64::INFINITY }),
+                "Jitter::eps",
+            ),
+        ];
+        for (model, name) in bad {
+            match model.validated() {
+                Err(ModelError::InvalidNoise { parameter, .. }) => assert_eq!(parameter, name),
+                other => panic!("{model:?}: {other:?}"),
+            }
+        }
+        let edges = NoiseModel {
+            count: CountNoise::Subsample { p: 1.0 },
+            quality: QualityNoise::Jitter { eps: 0.0 },
+        };
+        assert_eq!(edges.validated(), Ok(edges));
     }
 
     #[test]

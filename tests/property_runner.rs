@@ -3,6 +3,7 @@
 //! never on scheduling — exercised over random colony sizes, habitats,
 //! seeds, and worker counts.
 
+use house_hunting::model::noise::{CountNoise, QualityNoise};
 use house_hunting::prelude::*;
 use house_hunting::sim::{run_trials, run_trials_with_workers};
 use proptest::prelude::*;
@@ -18,6 +19,27 @@ fn build(
     ScenarioSpec::new(n, QualitySpec::good_prefix(k, good))
         .seed(seed)
         .build_simulation(colony::simple(n, seed))
+}
+
+/// The observation-noise axis: exact, then one valid value of each noisy
+/// channel with the other channel exact.
+fn noise_models() -> [NoiseModel; 6] {
+    let count = |count| NoiseModel {
+        count,
+        quality: QualityNoise::Exact,
+    };
+    let quality = |quality| NoiseModel {
+        count: CountNoise::Exact,
+        quality,
+    };
+    [
+        NoiseModel::exact(),
+        count(CountNoise::multiplicative(0.3).unwrap()),
+        count(CountNoise::uniform_relative(0.4).unwrap()),
+        count(CountNoise::subsample(0.25).unwrap()),
+        quality(QualityNoise::flip(0.05).unwrap()),
+        quality(QualityNoise::jitter(0.1).unwrap()),
+    ]
 }
 
 /// Runs one convergence segment of at most `rounds` rounds on `serial`
@@ -98,7 +120,8 @@ proptest! {
     /// every per-ant draw comes from that ant's own RNG stream, the
     /// per-round state is a function of per-ant state only. Two distinct
     /// thread counts give two distinct boundary layouts over the same
-    /// colony; both must match the serial engine round for round.
+    /// colony; both must match the serial engine round for round, under
+    /// exact observation and under each noisy channel.
     #[test]
     fn chunk_boundaries_never_change_round_results(
         n in 2usize..96,
@@ -108,33 +131,36 @@ proptest! {
         threads_b in 2usize..17,
         rounds in 1usize..40,
     ) {
-        let build = |threads: usize| -> Result<Simulation, SimError> {
-            Ok(ScenarioSpec::new(n, QualitySpec::good_prefix(k, 1 + k / 2))
-                .seed(seed)
-                .build_simulation(colony::simple(n, seed))?
-                .with_round_threads(threads))
-        };
-        let mut serial = build(1).unwrap();
-        let mut chunked_a = build(threads_a).unwrap();
-        let mut chunked_b = build(threads_b).unwrap();
-        for round in 0..rounds {
-            let reference = serial.step().unwrap();
-            let report_a = chunked_a.step().unwrap();
-            let report_b = chunked_b.step().unwrap();
-            prop_assert_eq!(
-                &reference, &report_a,
-                "round {}: {} threads diverged from serial", round, threads_a
-            );
-            prop_assert_eq!(
-                &reference, &report_b,
-                "round {}: {} threads diverged from serial", round, threads_b
-            );
-        }
-        prop_assert_eq!(serial.env().counts(), chunked_a.env().counts());
-        prop_assert_eq!(serial.env().locations(), chunked_a.env().locations());
-        for threads in [threads_a, threads_b] {
-            let label = format!("{threads} round threads");
-            segments_agree(build(1).unwrap(), build(threads).unwrap(), rounds, &label);
+        for noise in noise_models() {
+            let build = |threads: usize| -> Result<Simulation, SimError> {
+                Ok(ScenarioSpec::new(n, QualitySpec::good_prefix(k, 1 + k / 2))
+                    .seed(seed)
+                    .noise(noise)
+                    .build_simulation(colony::simple(n, seed))?
+                    .with_round_threads(threads))
+            };
+            let mut serial = build(1).unwrap();
+            let mut chunked_a = build(threads_a).unwrap();
+            let mut chunked_b = build(threads_b).unwrap();
+            for round in 0..rounds {
+                let reference = serial.step().unwrap();
+                let report_a = chunked_a.step().unwrap();
+                let report_b = chunked_b.step().unwrap();
+                prop_assert_eq!(
+                    &reference, &report_a,
+                    "round {}: {} threads diverged from serial under {:?}", round, threads_a, noise
+                );
+                prop_assert_eq!(
+                    &reference, &report_b,
+                    "round {}: {} threads diverged from serial under {:?}", round, threads_b, noise
+                );
+            }
+            prop_assert_eq!(serial.env().counts(), chunked_a.env().counts(), "{:?}", noise);
+            prop_assert_eq!(serial.env().locations(), chunked_a.env().locations(), "{:?}", noise);
+            for threads in [threads_a, threads_b] {
+                let label = format!("{threads} round threads under {noise:?}");
+                segments_agree(build(1).unwrap(), build(threads).unwrap(), rounds, &label);
+            }
         }
     }
 

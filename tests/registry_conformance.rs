@@ -20,6 +20,7 @@
 use std::collections::BTreeSet;
 
 use house_hunting::model::faults::CrashStyle;
+use house_hunting::model::noise::{CountNoise, QualityNoise};
 use house_hunting::prelude::*;
 use house_hunting::sim::registry::{self, ColonyMix};
 use proptest::prelude::*;
@@ -264,14 +265,35 @@ fn hostile_algorithm(variant: usize, float: f64) -> Algorithm {
     }
 }
 
+/// Observation noise with every variant built directly, past its
+/// constructor's range check, from `count`/`quality` variant picks and
+/// their parameters.
+fn hostile_noise(count: usize, count_param: f64, quality: usize, quality_param: f64) -> NoiseModel {
+    NoiseModel {
+        count: match count {
+            0 => CountNoise::Exact,
+            1 => CountNoise::Multiplicative { sigma: count_param },
+            2 => CountNoise::UniformRelative { delta: count_param },
+            _ => CountNoise::Subsample { p: count_param },
+        },
+        quality: match quality {
+            0 => QualityNoise::Exact,
+            1 => QualityNoise::Flip { p: quality_param },
+            _ => QualityNoise::Jitter { eps: quality_param },
+        },
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// Hostile values on every axis at once: `build` returns `Ok` or
     /// `Err` without panicking, and every `Ok` runs 200 rounds without
     /// panicking. `good` and `adversaries` reach one past their valid
-    /// range. Round threads stay at most 2 and no trial runner starts,
-    /// so a case spawns at most one OS thread.
+    /// range. Each case runs exact and again under noise whose every
+    /// variant is built directly. Round threads stay at most 2 and no
+    /// trial runner starts, so a case spawns at most one OS thread at a
+    /// time.
     #[test]
     fn hostile_axes_are_errors_or_runs_never_panics(
         n in 1usize..=64,
@@ -292,6 +314,7 @@ proptest! {
         quorum in 0usize..8,
         window in 0u64..=20,
         threads in 0usize..=2,
+        noise in (0usize..4, 0usize..8, 0usize..3, 0usize..8),
         seed in any::<u64>(),
     ) {
         let float = |idx: usize| HOSTILE_FLOATS[idx];
@@ -335,8 +358,14 @@ proptest! {
             5 => ConvergenceRule::location(window),
             _ => ConvergenceRule::quorum(float(quorum), window),
         };
-        if let Ok(mut sim) = scenario.build(seed) {
-            let _ = sim.run_to_convergence(rule, 200);
+        // Most hostile noise values are errors, so each case also runs
+        // exact: the other axes keep the coverage they had without noise.
+        let (count, count_param, quality, quality_param) = noise;
+        let noise = hostile_noise(count, float(count_param), quality, float(quality_param));
+        for scenario in [scenario.clone(), scenario.noise(noise)] {
+            if let Ok(mut sim) = scenario.build(seed) {
+                let _ = sim.run_to_convergence(rule, 200);
+            }
         }
     }
 }
