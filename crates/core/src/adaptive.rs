@@ -43,10 +43,19 @@
 //!   unconditionally; the adaptive schedule can only change *when* it
 //!   converges, not *whether*.
 //!
+//! `k̃(r)` is a pure function of `(τ, n, r)`: it depends on the round and
+//! not on the ant. [`AdaptivePolicy::k_estimate`] therefore computes it
+//! once per round per thread and serves every other ant of that round
+//! from a one-entry memo keyed on all three inputs, at any round-thread
+//! and trial-worker count. The schedule (model clarification 7) is
+//! unchanged; only how often it is evaluated is.
+//!
 //! Experiment F13 measures the payoff: across a `k` sweep at fixed `n`,
 //! the simple agent's convergence time grows linearly in `k` while the
 //! adaptive agent's growth is markedly flatter (the prologue's fixed
 //! polylog cost makes it slower at small `k`; it wins as `k` grows).
+
+use std::cell::Cell;
 
 use crate::simple::{RecruitPolicy, UrnAnt, UrnOptions};
 
@@ -74,14 +83,41 @@ impl AdaptivePolicy {
 
     /// The round-indexed estimate `k̃(r)` of surviving nests: decays from
     /// `√n` toward its floor of 2.
+    ///
+    /// Every ant of a colony asks for the same `(round, n, τ)` in a
+    /// recruit round, so the value is memoized per thread, keyed on that
+    /// whole input; a hit returns the bits the uncached schedule
+    /// computed for it.
     #[must_use]
     pub fn k_estimate(&self, round: u64, n: usize) -> f64 {
+        let key = (round, n, self.tau.to_bits());
+        K_ESTIMATE_MEMO.with(|memo| match memo.get() {
+            Some((hit, k)) if hit == key => k,
+            _ => {
+                let k = self.schedule(round, n);
+                memo.set(Some((key, k)));
+                k
+            }
+        })
+    }
+
+    /// The schedule itself, uncached: a pure function of `(τ, n, r)`.
+    fn schedule(&self, round: u64, n: usize) -> f64 {
         let nf = n.max(4) as f64;
         let log2n = nf.log2().max(1.0);
         let period = (self.tau * log2n).max(1.0);
         let halvings = (round as f64 / period).min(64.0);
         (nf.sqrt() * 2f64.powf(-halvings)).clamp(2.0, nf.sqrt())
     }
+}
+
+/// The `(round, n, τ bits)` key of this thread's last
+/// [`AdaptivePolicy::k_estimate`], and its value.
+type KEstimateMemo = Option<((u64, usize, u64), f64)>;
+
+// hh-lint: allow(thread-local) — pure memo keyed on every input of k_estimate
+thread_local! {
+    static K_ESTIMATE_MEMO: Cell<KEstimateMemo> = const { Cell::new(None) };
 }
 
 impl Default for AdaptivePolicy {
@@ -156,6 +192,48 @@ mod tests {
         assert_eq!(policy.k_estimate(10_000, n), 2.0);
         // And no overflow at absurd rounds.
         assert!(policy.k_estimate(u64::MAX, n).is_finite());
+    }
+
+    #[test]
+    fn memoized_estimate_is_the_schedule_bit_for_bit() {
+        // A freshly spawned thread starts with an empty memo, whatever
+        // ran before on the test harness's threads.
+        std::thread::spawn(|| {
+            let policy = |tau| AdaptivePolicy { tau, theta: 0.4 };
+            let (one, wide) = (policy(1.0), policy(2.5));
+            let calls = [
+                // First, on the empty memo: the true value is 2.0, which
+                // a memo pre-filled with a sentinel at this key misses.
+                (policy(0.0), u64::MAX, 0),
+                (one, 3, 1024),
+                (one, 3, 1024),
+                (one, 3, 4096),
+                (wide, 3, 4096),
+                (wide, 3, 1024),
+                (one, 3, 1024),
+                (one, 2, 1024),
+                (one, 0, 1024),
+                (wide, 0, 1024),
+                (wide, 0, 4096),
+                (one, 0, 4096),
+                (one, 9, 4096),
+                (one, 9, 1024),
+                (wide, 9, 1024),
+                (one, 1, 4096),
+                (policy(0.0), u64::MAX, 0),
+            ];
+            for (policy, round, n) in calls {
+                assert_eq!(
+                    policy.k_estimate(round, n).to_bits(),
+                    policy.schedule(round, n).to_bits(),
+                    "tau {}, round {round}, n {n}",
+                    policy.tau
+                );
+            }
+            assert_eq!(policy(0.0).k_estimate(u64::MAX, 0), 2.0);
+        })
+        .join()
+        .expect("the memo check panicked");
     }
 
     #[test]

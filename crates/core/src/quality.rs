@@ -63,6 +63,10 @@ pub struct QualityAnt {
     count: u32,
     /// Last observed quality of the committed nest.
     quality: f64,
+    /// `quality^γ`, the recruit-rate weight of `quality`: recomputed by
+    /// `set_quality` whenever `quality` changes, so that a recruit round
+    /// takes no power.
+    weight: f64,
     /// Previous commitment, kept for downgrade rejection.
     previous: Option<(NestId, f64, u32)>,
     /// Assess the new nest at the next `go` observation.
@@ -90,6 +94,7 @@ impl QualityAnt {
             nest: None,
             count: 0,
             quality: 0.0,
+            weight: 0.0f64.powf(gamma),
             previous: None,
             pending_assessment: false,
         }
@@ -116,9 +121,18 @@ impl QualityAnt {
         self.quality
     }
 
+    /// The one writer of `quality`, keeping `weight` equal to
+    /// `quality^γ`.
+    fn set_quality(&mut self, quality: f64) {
+        if quality.to_bits() != self.quality.to_bits() {
+            self.quality = quality;
+            self.weight = quality.powf(self.gamma);
+        }
+    }
+
     fn recruit_probability(&self) -> f64 {
         let base = self.count as f64 / self.n as f64;
-        (base * self.quality.powf(self.gamma)).clamp(0.0, 1.0)
+        (base * self.weight).clamp(0.0, 1.0)
     }
 }
 
@@ -148,7 +162,7 @@ impl Agent for QualityAnt {
             } => {
                 self.nest = Some(*nest);
                 self.count = *count;
-                self.quality = quality.value();
+                self.set_quality(quality.value());
             }
             Outcome::Recruit { nest, .. } => {
                 if Some(*nest) != self.nest {
@@ -172,14 +186,14 @@ impl Agent for QualityAnt {
                             if value + tolerance < old_quality {
                                 // Carried somewhere clearly worse: go back.
                                 self.nest = Some(old_nest);
-                                self.quality = old_quality;
+                                self.set_quality(old_quality);
                                 self.count = old_count;
                                 self.previous = None;
                                 return;
                             }
                         }
                     }
-                    self.quality = value;
+                    self.set_quality(value);
                 } else {
                     self.pending_assessment = false;
                 }
@@ -274,19 +288,100 @@ mod tests {
 
     #[test]
     fn gamma_zero_ignores_quality() {
-        let mut ant = QualityAnt::new(10, 2, 0.0);
-        ant.observe(
-            1,
-            &Outcome::Search {
-                nest: NestId::candidate(1),
-                quality: Quality::new(0.01).unwrap(),
-                count: 10,
-            },
+        // Quality 0 included: 0⁰ = 1, so even a zero-quality nest
+        // recruits at the full population rate.
+        for quality in [0.01, 0.0] {
+            let mut ant = QualityAnt::new(10, 2, 0.0);
+            ant.observe(
+                1,
+                &Outcome::Search {
+                    nest: NestId::candidate(1),
+                    quality: Quality::new(quality).unwrap(),
+                    count: 10,
+                },
+            );
+            assert_weight_is_fresh(&ant);
+            // count = n and γ = 0 → p = 1 · quality⁰ = 1: always recruits.
+            match ant.choose(2) {
+                Action::Recruit { active, .. } => assert!(active, "quality {quality}"),
+                other => panic!("expected recruit, got {other}"),
+            }
+        }
+    }
+
+    /// `recruit_probability()` must carry the bits of the rule
+    /// recomputed from the ant's current fields: a cached weight left
+    /// stale by any observation path fails here.
+    fn assert_weight_is_fresh(ant: &QualityAnt) {
+        let rule = (ant.count as f64 / ant.n as f64 * ant.quality.powf(ant.gamma)).clamp(0.0, 1.0);
+        assert_eq!(
+            ant.recruit_probability().to_bits(),
+            rule.to_bits(),
+            "γ {}, quality {}, count {}",
+            ant.gamma,
+            ant.quality,
+            ant.count
         );
-        // count = n and γ = 0 → p = 1 · 0.01⁰ = 1: always recruits.
-        match ant.choose(2) {
-            Action::Recruit { active, .. } => assert!(active),
-            other => panic!("expected recruit, got {other}"),
+    }
+
+    #[test]
+    fn cached_weight_follows_every_observation_path() {
+        let (a, b, c) = (
+            NestId::candidate(1),
+            NestId::candidate(2),
+            NestId::candidate(3),
+        );
+        let quality = |q: f64| Quality::new(q).unwrap();
+        let search = |nest, q, count| Outcome::Search {
+            nest,
+            quality: quality(q),
+            count,
+        };
+        let recruit = |nest| Outcome::Recruit {
+            nest,
+            home_count: 5,
+        };
+        let go = |count, q: Option<f64>| Outcome::Go {
+            count,
+            quality: q.map(quality),
+        };
+        for gamma in [0.0, 0.5, 1.0, 3.0] {
+            let mut ant = QualityAnt::new(10, 8, gamma).with_rejection(0.2);
+            assert_weight_is_fresh(&ant);
+            // Search.
+            ant.observe(1, &search(a, 0.6, 4));
+            assert_weight_is_fresh(&ant);
+            // Recruited, then an assessing go with a new quality.
+            ant.observe(2, &recruit(b));
+            assert_weight_is_fresh(&ant);
+            ant.observe(3, &go(6, Some(0.7)));
+            assert_eq!(ant.committed_nest(), Some(b));
+            assert_weight_is_fresh(&ant);
+            // Go without quality.
+            ant.observe(4, &recruit(a));
+            ant.observe(5, &go(7, None));
+            assert_weight_is_fresh(&ant);
+            // Downgrade-rejection walk-back. A search between the
+            // recruitment and the assessment (a lost round-1 observation
+            // re-searched) moves the quality, so walking back to b must
+            // restore b's weight, not keep c's: 0.3 + 0.2 < 0.7.
+            ant.observe(6, &recruit(b));
+            ant.observe(7, &go(6, Some(0.7)));
+            ant.observe(8, &recruit(a));
+            ant.observe(9, &search(c, 0.95, 3));
+            assert_weight_is_fresh(&ant);
+            ant.observe(11, &go(8, Some(0.3)));
+            assert_eq!(ant.committed_nest(), Some(b), "walked back");
+            assert!((ant.observed_quality() - 0.7).abs() < 1e-7);
+            assert_weight_is_fresh(&ant);
+            // A run of changing (noisy) qualities, repeats included.
+            for (i, q) in [0.7, 0.65, 0.65, 0.8, 0.0, 0.0, 1.0, 0.4, 0.4]
+                .into_iter()
+                .enumerate()
+            {
+                ant.observe(13 + 2 * i as u64, &go(5 + i as u32, Some(q)));
+                assert_weight_is_fresh(&ant);
+            }
         }
     }
 

@@ -11,7 +11,7 @@
 //!
 //! 1. **No unsafe** (`unsafe-confinement`): the `unsafe` keyword
 //!    appears in no file, test code included, and every crate root
-//!    forbids unsafe code outright (rule 8). The round workers borrow
+//!    forbids unsafe code outright (rule 9). The round workers borrow
 //!    their chunks inside `std::thread::scope` instead.
 //! 2. **No order-unstable state** (`hash-container`): engine crates
 //!    (`hh-model`, `hh-core`, `hh-sim`) never touch `HashMap`/`HashSet`
@@ -25,14 +25,20 @@
 //!    comes from a stream derived via `hh_model::seeding::derive_seed`;
 //!    `thread_rng`/`from_entropy`/`OsRng` never appear, test code
 //!    included.
-//! 5. **Per-ant streams on the round workers** (`shared-stream`):
+//! 5. **No per-thread state** (`thread-local`): engine crates declare
+//!    no `thread_local!` outside test code. Per-thread state is the
+//!    easiest way to make outcomes depend on how many round threads or
+//!    trial workers run, and on which of them steps which ant. The one
+//!    waived use is a pure memo keyed on every input of the value it
+//!    caches, which returns the same bits on any thread.
+//! 6. **Per-ant streams on the round workers** (`shared-stream`):
 //!    chunk-phase code — everything that runs on the intra-round round
 //!    workers — may draw only from the per-ant streams
 //!    (`StreamKind::AgentEnvironment`, `StreamKind::AgentNoise`). A
 //!    shared-stream draw there would make outcomes depend on ant
 //!    processing order, which is exactly what `round_threads`
 //!    determinism forbids.
-//! 6. **Confined row draws** (`raw-row-draw`): the executor's shared
+//! 7. **Confined row draws** (`raw-row-draw`): the executor's shared
 //!    round bodies never draw a per-row coin inline. Every agent coin
 //!    is drawn inside the agents' own state machines (the urn ants'
 //!    `recruit_draw`), which the fast path and the scalar oracle call
@@ -43,19 +49,19 @@
 //!    logic (probability clamp, counter convention) and silently
 //!    diverge from the scalar oracle the first time either copy
 //!    changes.
-//! 7. **Audited atomics** (`atomic-ordering`): every `Ordering::` use
+//! 8. **Audited atomics** (`atomic-ordering`): every `Ordering::` use
 //!    in the round workers' phase handshake and the lock-free trial
 //!    runner sits on an explicit
 //!    per-file allowlist and carries a `// ordering:` justification
 //!    comment, so the memory-ordering protocol stays reviewable.
-//! 8. **Conformant crate roots** (`lint-header`): crate roots carry the
+//! 9. **Conformant crate roots** (`lint-header`): crate roots carry the
 //!    agreed preamble (`#![forbid(unsafe_code)]`,
 //!    `#![warn(missing_docs)]`,
 //!    `#![warn(missing_debug_implementations)]`).
 //!
-//! Rules 2–6 accept an explicit, reviewable waiver: a comment
+//! Rules 2–7 accept an explicit, reviewable waiver: a comment
 //! `// hh-lint: allow(<rule>) — <reason>` on the flagged line or the
-//! comment block directly above it. Rules 1, 7, and 8 are unwaivable;
+//! comment block directly above it. Rules 1, 8, and 9 are unwaivable;
 //! changing them means editing the policy tables in [`rules`].
 //!
 //! The analyzer is deliberately zero-dependency and lexical: a small

@@ -68,10 +68,11 @@ pub const ORDERING_ALLOWLIST: [(&str, &[&str]); 2] = [
 /// (unsafe confinement, ordering audit, headers) are deliberately
 /// unwaivable: changing those is a policy edit in this file, reviewed
 /// as such.
-pub const WAIVABLE_RULES: [&str; 5] = [
+pub const WAIVABLE_RULES: [&str; 6] = [
     "hash-container",
     "wall-clock",
     "ambient-randomness",
+    "thread-local",
     "shared-stream",
     "raw-row-draw",
 ];
@@ -162,12 +163,13 @@ fn has_inner_attr(lexed: &Lexed, level: &str, lint: &str) -> bool {
     })
 }
 
-/// Rules `hash-container`, `wall-clock`, `ambient-randomness`: engine
-/// crates must not use order-unstable containers, read the wall clock,
-/// or draw ambient (unseeded) randomness in non-test code. Test code is
-/// exempt from the first two (a test asserting uniqueness via `HashSet`
-/// leaks no iteration order into outcomes) but not from ambient
-/// randomness — an unseeded test is unreproducible by construction.
+/// Rules `hash-container`, `wall-clock`, `ambient-randomness`,
+/// `thread-local`: engine crates must not use order-unstable
+/// containers, read the wall clock, draw ambient (unseeded) randomness,
+/// or keep per-thread state in non-test code. Test code is exempt from
+/// all but ambient randomness: a test asserting uniqueness via
+/// `HashSet` leaks no iteration order into outcomes, but an unseeded
+/// test is unreproducible by construction.
 fn determinism(
     path: &str,
     lexed: &Lexed,
@@ -195,6 +197,13 @@ fn determinism(
                      (config, seed) only — time benchmarks belong in hh-bench",
                     tok.text
                 ),
+            ),
+            "thread_local" if !in_test(tok.line) => (
+                "thread-local",
+                "`thread_local!` state is per thread, so what it holds can depend on \
+                 how ants and trials are spread over threads; only a pure memo keyed \
+                 on every input of the value it caches may waive this"
+                    .to_string(),
             ),
             "thread_rng" | "ThreadRng" | "from_entropy" | "OsRng" => (
                 "ambient-randomness",

@@ -94,6 +94,14 @@ fn ambient_randomness_is_flagged_even_in_tests() {
 }
 
 #[test]
+fn thread_locals_are_flagged_in_engine_non_test_code() {
+    let diags = lint_fixture("thread_local.rs", "crates/core/src/adaptive.rs");
+    assert_eq!(diags, vec![("thread-local".to_string(), 5)]);
+    let diags = lint_fixture("thread_local.rs", "crates/bench/src/experiments/common.rs");
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
 fn shared_stream_draws_in_chunk_impls_are_flagged() {
     let diags = lint_fixture("shared_stream_chunk.rs", "crates/model/src/env.rs");
     assert_eq!(diags, vec![("shared-stream".to_string(), 12)]);
