@@ -244,12 +244,6 @@ impl Quantiles {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// The sorted sample.
-    #[must_use]
-    pub fn as_sorted(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]

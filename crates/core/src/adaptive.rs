@@ -158,12 +158,20 @@ pub type AdaptiveAnt = UrnAnt<AdaptivePolicy>;
 
 impl AdaptiveAnt {
     /// Creates an adaptive ant with the standard schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
     #[must_use]
     pub fn new(n: usize, seed: u64) -> Self {
         Self::with_policy(n, seed, AdaptivePolicy::standard(), UrnOptions::paper())
     }
 
     /// Creates an adaptive ant with an explicit schedule and options.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
     #[must_use]
     pub fn with_schedule(n: usize, seed: u64, policy: AdaptivePolicy, options: UrnOptions) -> Self {
         Self::with_policy(n, seed, policy, options)

@@ -37,11 +37,8 @@ use crate::quality::QualityAnt;
 use crate::simple::{SimpleAnt, UrnOptions};
 use crate::spreader::{SpreadStrategy, SpreaderAnt};
 
-/// Counts of honest agents per [`AgentRole`].
-///
-/// [`Colony::census`] computes one from the colony's cached snapshots;
-/// the free-standing [`RoleCensus::of`] tallies any agent slice from
-/// scratch.
+/// Counts of honest agents per [`AgentRole`], computed by
+/// [`Colony::census`] from the colony's cached snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoleCensus {
     /// Agents still searching.
@@ -57,12 +54,6 @@ pub struct RoleCensus {
 }
 
 impl RoleCensus {
-    /// Tallies the honest agents of a colony from scratch.
-    #[must_use]
-    pub fn of<A: Agent>(agents: &[A]) -> Self {
-        Self::of_roles(agents.iter().filter(|a| a.is_honest()).map(Agent::role))
-    }
-
     fn of_roles(roles: impl Iterator<Item = AgentRole>) -> Self {
         let mut census = RoleCensus::default();
         for role in roles {
@@ -127,21 +118,16 @@ impl AgentSnapshot {
 /// A colony of agents with a cached snapshot per agent.
 ///
 /// Read access goes through `Deref<Target = [AnyAgent]>` (`len`, `iter`,
-/// indexing); mutation goes through [`replace`](Colony::replace), which
-/// keeps the cache current, or, for code that drives agents by hand,
-/// [`iter_mut`](Colony::iter_mut) / [`agents_mut`](Colony::agents_mut) —
-/// which mark the cache stale so the next census query rescans the
-/// agents.
-///
-/// The executor protocol is [`choose`](Colony::choose) /
-/// [`observe`](Colony::observe) followed by [`refresh`](Colony::refresh)
-/// for every agent whose `choose` ran; that keeps the cache exact
-/// without a rescan.
+/// indexing). The cache is current after every method except two
+/// executor hooks, whose callers restore it: [`choose`](Colony::choose) /
+/// [`observe`](Colony::observe), followed by [`refresh`](Colony::refresh)
+/// of every agent they touched, and [`engine_split`](Colony::engine_split).
+/// Code that drives agents by hand uses the same three calls, or steps
+/// a `Vec<AnyAgent>` and converts it.
 pub struct Colony {
     agents: Vec<AnyAgent>,
     /// `snapshots[i]` caches `agents[i]`'s observable state.
     snapshots: Vec<AgentSnapshot>,
-    stale: bool,
 }
 
 impl Colony {
@@ -162,51 +148,25 @@ impl Colony {
         &self.agents
     }
 
-    /// Mutable access to the agents for code that drives them by hand
-    /// (tests, bespoke loops). Marks the cache stale; it is rebuilt on
-    /// the next [`sync`](Colony::sync).
-    pub fn agents_mut(&mut self) -> &mut [AnyAgent] {
-        self.stale = true;
-        &mut self.agents
-    }
-
-    /// Mutably iterates the agents; same staleness contract as
-    /// [`agents_mut`](Colony::agents_mut).
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, AnyAgent> {
-        self.stale = true;
-        self.agents.iter_mut()
-    }
-
-    /// Rebuilds the snapshot cache if external mutation marked it stale.
+    /// Rebuilds every snapshot from its agent.
     pub fn sync(&mut self) {
-        if !self.stale {
-            return;
-        }
         self.snapshots.clear();
         self.snapshots
             .extend(self.agents.iter().map(AnyAgent::snapshot));
-        self.stale = false;
     }
 
-    /// The honest-role census: one pass over the cached snapshots, or
-    /// over the agents themselves if external mutation left the cache
-    /// stale.
+    /// The honest-role census: one pass over the cached snapshots.
     #[must_use]
     pub fn census(&self) -> RoleCensus {
-        if self.stale {
-            RoleCensus::of(&self.agents)
-        } else {
-            RoleCensus::of_roles(
-                self.snapshots
-                    .iter()
-                    .filter(|snapshot| snapshot.honest)
-                    .map(|snapshot| snapshot.role),
-            )
-        }
+        RoleCensus::of_roles(
+            self.snapshots
+                .iter()
+                .filter(|snapshot| snapshot.honest)
+                .map(|snapshot| snapshot.role),
+        )
     }
 
-    /// Agent `index`'s cached snapshot. Call [`sync`](Colony::sync) first
-    /// if the colony was mutated through [`agents_mut`](Colony::agents_mut).
+    /// Agent `index`'s cached snapshot.
     ///
     /// # Panics
     ///
@@ -214,14 +174,11 @@ impl Colony {
     #[inline]
     #[must_use]
     pub fn snapshot(&self, index: usize) -> AgentSnapshot {
-        debug_assert!(!self.stale, "snapshot read while stale; call sync()");
         self.snapshots[index]
     }
 
-    /// Iterates the cached per-agent snapshots in ant order. Same
-    /// staleness contract as [`snapshot`](Colony::snapshot).
+    /// Iterates the cached per-agent snapshots in ant order.
     pub fn iter_snapshots(&self) -> impl Iterator<Item = AgentSnapshot> + '_ {
-        debug_assert!(!self.stale, "snapshots read while stale; call sync()");
         self.snapshots.iter().copied()
     }
 
@@ -264,14 +221,10 @@ impl Colony {
     /// Executor parallel hot path: simultaneous mutable access to the
     /// agents and their cached snapshots, two equal-length slices indexed
     /// by ant id, for splitting into disjoint ant chunks with
-    /// `split_at_mut`.
-    ///
-    /// Unlike [`agents_mut`](Colony::agents_mut) this does **not** mark
-    /// the cache stale: the caller contracts to keep each touched
-    /// agent's snapshot current itself (overwrite it with the agent's
-    /// freshly computed snapshot).
+    /// `split_at_mut`. The caller contracts to keep each touched agent's
+    /// snapshot current itself (overwrite it with the agent's freshly
+    /// computed snapshot).
     pub fn engine_split(&mut self) -> (&mut [AnyAgent], &mut [AgentSnapshot]) {
-        debug_assert!(!self.stale, "engine_split on a stale colony; call sync()");
         (&mut self.agents, &mut self.snapshots)
     }
 }
@@ -298,7 +251,6 @@ impl From<Vec<AnyAgent>> for Colony {
         let mut colony = Self {
             agents,
             snapshots: Vec::new(),
-            stale: true,
         };
         colony.sync();
         colony
@@ -356,12 +308,20 @@ pub fn optimal(n: usize) -> Colony {
 }
 
 /// A colony running the paper-faithful simple algorithm (Section 5).
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX`.
 #[must_use]
 pub fn simple(n: usize, base_seed: u64) -> Colony {
     from_factory(n, base_seed, |_, seed| SimpleAnt::new(n, seed))
 }
 
 /// A simple-algorithm colony with explicit behavioural options.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX`.
 #[must_use]
 pub fn simple_with_options(n: usize, base_seed: u64, options: UrnOptions) -> Colony {
     from_factory(n, base_seed, |_, seed| {
@@ -370,12 +330,20 @@ pub fn simple_with_options(n: usize, base_seed: u64, options: UrnOptions) -> Col
 }
 
 /// A colony running the adaptive-rate variant (Section 6).
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX`.
 #[must_use]
 pub fn adaptive(n: usize, base_seed: u64) -> Colony {
     adaptive_with_policy(n, base_seed, AdaptivePolicy::standard())
 }
 
 /// An adaptive colony with an explicit schedule.
+///
+/// # Panics
+///
+/// Panics if `n` exceeds `u32::MAX`.
 #[must_use]
 pub fn adaptive_with_policy(n: usize, base_seed: u64, policy: AdaptivePolicy) -> Colony {
     from_factory(n, base_seed, |_, seed| {
@@ -449,12 +417,12 @@ mod tests {
         // Two simple ants from the same colony must not flip identical
         // coins: drive both through the same observations and compare
         // decisions statistically.
-        use crate::agent::Agent;
-        use hh_model::{NestId, Outcome, Quality};
+        use hh_model::{Outcome, Quality};
 
         let mut colony = from_factory(2, 7, |_, seed| SimpleAnt::new(10, seed));
-        for ant in colony.iter_mut() {
-            ant.observe(
+        for ant in 0..2 {
+            colony.observe(
+                ant,
                 1,
                 &Outcome::Search {
                     nest: NestId::candidate(1),
@@ -465,11 +433,9 @@ mod tests {
         }
         let mut agreements = 0;
         let trials = 200;
-        let agents = colony.agents_mut();
         for t in 0..trials {
-            let (head, tail) = agents.split_at_mut(1);
-            let a = head[0].choose(2 + 2 * t);
-            let b = tail[0].choose(2 + 2 * t);
+            let a = colony.choose(0, 2 + 2 * t);
+            let b = colony.choose(1, 2 + 2 * t);
             agreements += u32::from(a == b);
         }
         assert!(
@@ -533,25 +499,59 @@ mod tests {
         assert_eq!(census.total(), 4);
     }
 
+    /// The cached census equals a recount of every agent's
+    /// [`AgentSnapshot::of`] after each way of mutating a colony.
     #[test]
-    fn external_mutation_marks_stale_and_sync_recovers() {
+    fn census_matches_a_recount_after_every_mutation() {
         use hh_model::{Outcome, Quality};
 
-        let mut colony = simple(3, 5);
-        // Drive an agent by hand: the cache goes stale but census queries
-        // still answer correctly via the fallback scan.
-        colony.agents_mut()[0].observe(
-            1,
-            &Outcome::Search {
-                nest: NestId::candidate(1),
-                quality: Quality::BAD,
-                count: 1,
-            },
-        );
-        assert_eq!(colony.census().passive, 1);
-        colony.sync();
-        assert_eq!(colony.census().passive, 1);
-        assert_eq!(colony.snapshot(0).role, AgentRole::Passive);
+        fn assert_census_is_current(colony: &Colony, step: &str) {
+            let recount = RoleCensus::of_roles(
+                colony
+                    .iter()
+                    .map(AgentSnapshot::of)
+                    .filter(|snapshot| snapshot.honest)
+                    .map(|snapshot| snapshot.role),
+            );
+            assert_eq!(colony.census(), recount, "after {step}");
+            for (index, agent) in colony.iter().enumerate() {
+                assert_eq!(
+                    colony.snapshot(index),
+                    AgentSnapshot::of(agent),
+                    "after {step}"
+                );
+            }
+        }
+
+        let mut colony = simple(8, 5);
+        assert_census_is_current(&colony, "building");
+        colony.replace(0, optimal(1).into_iter().next().expect("one ant"));
+        assert_census_is_current(&colony, "replace");
+        plant_idlers(&mut colony, 2);
+        assert_census_is_current(&colony, "plant_idlers");
+        plant_adversaries(&mut colony, 1, |_| BadNestRecruiter::new());
+        assert_census_is_current(&colony, "plant_adversaries");
+        let search = |quality| Outcome::Search {
+            nest: NestId::candidate(1),
+            quality,
+            count: 1,
+        };
+        for round in 1..=3 {
+            for ant in 0..colony.len() {
+                colony.choose(ant, round);
+                let quality = if ant % 2 == 0 {
+                    Quality::GOOD
+                } else {
+                    Quality::BAD
+                };
+                colony.observe(ant, round, &search(quality));
+                colony.refresh(ant);
+            }
+            assert_census_is_current(&colony, "choose/observe/refresh");
+        }
+        let census = colony.census();
+        assert!(census.active + census.passive > 0, "{census:?}");
+        assert_eq!(census.total(), 7, "the adversary is not counted");
     }
 
     #[test]

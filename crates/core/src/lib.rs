@@ -27,13 +27,13 @@
 //! ## Quick example
 //!
 //! ```
-//! use hh_core::{colony, problem, Agent};
+//! use hh_core::{colony, problem, Agent, AnyAgent};
 //! use hh_model::{ColonyConfig, Environment, QualitySpec};
 //!
 //! let n = 32;
 //! let config = ColonyConfig::new(n, QualitySpec::good_prefix(4, 2)).seed(7);
 //! let mut env = Environment::new(&config)?;
-//! let mut ants = colony::simple(n, 7);
+//! let mut ants: Vec<AnyAgent> = colony::simple(n, 7).into_iter().collect();
 //!
 //! // Drive the colony until every ant is committed to one good nest.
 //! let mut consensus = None;
@@ -44,7 +44,7 @@
 //!     for (ant, outcome) in ants.iter_mut().zip(&report.outcomes) {
 //!         ant.observe(round, outcome);
 //!     }
-//!     if let Some(nest) = problem::honest_consensus(ants.as_slice()) {
+//!     if let Some(nest) = problem::honest_consensus(&ants) {
 //!         if env.quality_of(nest).is_some_and(|q| q.is_good()) {
 //!             consensus = Some((round, nest));
 //!             break;

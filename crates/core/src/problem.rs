@@ -51,27 +51,6 @@ pub fn honest_consensus<A: Agent>(agents: &[A]) -> Option<NestId> {
     consensus
 }
 
-/// Returns `true` if every honest agent reports the final/settled state.
-pub fn all_honest_final<A: Agent>(agents: &[A]) -> bool {
-    agents.iter().filter(|a| a.is_honest()).all(Agent::is_final)
-}
-
-/// Counts honest agents committed to each candidate nest of a `k`-nest
-/// environment; index 0 of the result corresponds to nest `n₁`.
-pub fn commitment_histogram<A: Agent>(agents: &[A], k: usize) -> Vec<usize> {
-    let mut histogram = vec![0usize; k];
-    for agent in agents.iter().filter(|a| a.is_honest()) {
-        if let Some(nest) = agent.committed_nest() {
-            if let Some(idx) = nest.candidate_index() {
-                if idx < k {
-                    histogram[idx] += 1;
-                }
-            }
-        }
-    }
-    histogram
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,7 +60,6 @@ mod tests {
     struct Stub {
         nest: Option<NestId>,
         honest: bool,
-        final_: bool,
     }
 
     impl Agent for Stub {
@@ -92,9 +70,6 @@ mod tests {
         fn committed_nest(&self) -> Option<NestId> {
             self.nest
         }
-        fn is_final(&self) -> bool {
-            self.final_
-        }
         fn is_honest(&self) -> bool {
             self.honest
         }
@@ -103,32 +78,31 @@ mod tests {
         }
     }
 
-    fn stub(nest: Option<usize>, honest: bool, final_: bool) -> BoxedAgent {
+    fn stub(nest: Option<usize>, honest: bool) -> BoxedAgent {
         Box::new(Stub {
             nest: nest.map(NestId::candidate),
             honest,
-            final_,
         })
     }
 
     #[test]
     fn consensus_requires_unanimity() {
-        let agents = vec![stub(Some(1), true, false), stub(Some(1), true, false)];
+        let agents = vec![stub(Some(1), true), stub(Some(1), true)];
         assert_eq!(honest_consensus(&agents), Some(NestId::candidate(1)));
 
-        let agents = vec![stub(Some(1), true, false), stub(Some(2), true, false)];
+        let agents = vec![stub(Some(1), true), stub(Some(2), true)];
         assert_eq!(honest_consensus(&agents), None);
 
-        let agents = vec![stub(Some(1), true, false), stub(None, true, false)];
+        let agents = vec![stub(Some(1), true), stub(None, true)];
         assert_eq!(honest_consensus(&agents), None);
     }
 
     #[test]
     fn adversaries_are_ignored() {
         let agents = vec![
-            stub(Some(1), true, false),
-            stub(Some(2), false, false), // Byzantine disagreement
-            stub(None, false, false),
+            stub(Some(1), true),
+            stub(Some(2), false), // Byzantine disagreement
+            stub(None, false),
         ];
         assert_eq!(honest_consensus(&agents), Some(NestId::candidate(1)));
     }
@@ -137,29 +111,7 @@ mod tests {
     fn empty_and_all_byzantine_colonies_have_no_consensus_nest() {
         let agents: Vec<BoxedAgent> = vec![];
         assert_eq!(honest_consensus(&agents), None);
-        let agents = vec![stub(Some(1), false, false)];
+        let agents = vec![stub(Some(1), false)];
         assert_eq!(honest_consensus(&agents), None);
-    }
-
-    #[test]
-    fn all_final_respects_honesty() {
-        let agents = vec![stub(Some(1), true, true), stub(Some(1), false, false)];
-        assert!(all_honest_final(&agents));
-        let agents = vec![stub(Some(1), true, true), stub(Some(1), true, false)];
-        assert!(!all_honest_final(&agents));
-    }
-
-    #[test]
-    fn histogram_counts_honest_commitments() {
-        let agents = vec![
-            stub(Some(1), true, false),
-            stub(Some(1), true, false),
-            stub(Some(3), true, false),
-            stub(Some(2), false, false), // ignored: Byzantine
-            stub(None, true, false),     // ignored: uncommitted
-        ];
-        assert_eq!(commitment_histogram(&agents, 3), vec![2, 0, 1]);
-        // Out-of-range nests are dropped rather than panicking.
-        assert_eq!(commitment_histogram(&agents, 1), vec![2]);
     }
 }

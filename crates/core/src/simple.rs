@@ -146,6 +146,10 @@ pub struct UrnAnt<P> {
 impl<P: RecruitPolicy> UrnAnt<P> {
     /// Creates an agent for a colony of `n` ants with the given policy and
     /// options; `seed` drives the agent's private coin flips.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
     #[must_use]
     pub fn with_policy(n: usize, seed: u64, policy: P, options: UrnOptions) -> Self {
         Self {
@@ -158,12 +162,6 @@ impl<P: RecruitPolicy> UrnAnt<P> {
             state: State::Searching,
             pending_assessment: false,
         }
-    }
-
-    /// Returns the last population this ant counted at its nest.
-    #[must_use]
-    pub fn last_count(&self) -> usize {
-        self.count as usize
     }
 
     /// Returns the behavioural options.
@@ -200,12 +198,20 @@ pub type SimpleAnt = UrnAnt<LinearPolicy>;
 
 impl SimpleAnt {
     /// Creates a paper-faithful simple ant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
     #[must_use]
     pub fn new(n: usize, seed: u64) -> Self {
         Self::with_policy(n, seed, LinearPolicy, UrnOptions::paper())
     }
 
     /// Creates a simple ant with explicit options.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
     #[must_use]
     pub fn with_options(n: usize, seed: u64, options: UrnOptions) -> Self {
         Self::with_policy(n, seed, LinearPolicy, options)

@@ -7,6 +7,7 @@
 use hh_model::{ColonyConfig, Environment, NestId, QualitySpec};
 
 use crate::agent::{Agent, BoxedAgent};
+use crate::problem::honest_consensus;
 
 /// Builds an exact-observation environment for tests.
 pub(crate) fn make_env(n: usize, spec: QualitySpec, seed: u64) -> Environment {
@@ -31,20 +32,6 @@ pub(crate) fn step_once(env: &mut Environment, agents: &mut [BoxedAgent]) {
     }
 }
 
-/// Returns the nest all honest agents are committed to, if they agree.
-pub(crate) fn honest_commitment(agents: &[BoxedAgent]) -> Option<NestId> {
-    let mut consensus: Option<NestId> = None;
-    for agent in agents.iter().filter(|a| a.is_honest()) {
-        let nest = agent.committed_nest()?;
-        match consensus {
-            None => consensus = Some(nest),
-            Some(existing) if existing == nest => {}
-            Some(_) => return None,
-        }
-    }
-    consensus
-}
-
 /// Drives the colony until every honest agent is committed to the same
 /// good nest, or `max_rounds` elapse. Returns the consensus round and
 /// winning nest on success, plus the environment for post-mortem
@@ -56,7 +43,7 @@ pub(crate) fn drive_to_consensus(
 ) -> (Option<(u64, NestId)>, Environment) {
     for _ in 0..max_rounds {
         step_once(&mut env, &mut agents);
-        if let Some(nest) = honest_commitment(&agents) {
+        if let Some(nest) = honest_consensus(&agents) {
             if env
                 .quality_of(nest)
                 .is_some_and(|quality| quality.is_good())

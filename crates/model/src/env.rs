@@ -135,6 +135,11 @@ impl Environment {
     /// [`ColonyConfig::validated_qualities`]. Returns
     /// [`ModelError::InvalidNoise`] if a noise variant built directly
     /// holds a parameter its constructor would reject.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` exceeds `u32::MAX`, the range of [`NestId`]
+    /// ([`NestId::candidate`]).
     pub fn new(config: &ColonyConfig) -> Result<Self, ModelError> {
         let qualities = config.validated_qualities()?;
         let noise = config.noise_model().validated()?;

@@ -15,7 +15,7 @@
 //! # Examples
 //!
 //! ```
-//! use hh_model::seeding::{derive_seed, SeedSequence, StreamKind};
+//! use hh_model::seeding::{derive_seed, StreamKind};
 //!
 //! let base = 42;
 //! let env = derive_seed(base, StreamKind::Environment, 0);
@@ -23,11 +23,6 @@
 //! let ant1 = derive_seed(base, StreamKind::Agent, 1);
 //! assert_ne!(env, ant0);
 //! assert_ne!(ant0, ant1);
-//!
-//! // Or draw an open-ended sequence of seeds:
-//! let mut seq = SeedSequence::new(base);
-//! let (a, b) = (seq.next_seed(), seq.next_seed());
-//! assert_ne!(a, b);
 //! ```
 
 /// The golden-ratio increment used by SplitMix64.
@@ -45,16 +40,13 @@ pub fn splitmix64(state: u64) -> u64 {
 
 /// Labels for the independent random streams of one execution.
 ///
-/// Adding a variant is backwards compatible for reproducibility as long as
-/// existing discriminants keep their values.
+/// Adding or removing a variant is backwards compatible for
+/// reproducibility as long as the remaining variants keep their tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum StreamKind {
     /// The environment stream: search placement, recruitment pairing.
     Environment,
-    /// Observation-noise draws (kept separate from the environment so that
-    /// enabling noise does not change where ants search).
-    Noise,
     /// One stream per agent, indexed by ant id.
     Agent,
     /// Crash-schedule sampling.
@@ -86,7 +78,6 @@ impl StreamKind {
     fn tag(self) -> u64 {
         match self {
             StreamKind::Environment => 1,
-            StreamKind::Noise => 2,
             StreamKind::Agent => 3,
             StreamKind::Crash => 4,
             StreamKind::Delay => 5,
@@ -225,31 +216,6 @@ impl DrawKey {
     }
 }
 
-/// An open-ended sequence of derived seeds.
-///
-/// Useful when a component needs an unbounded number of sub-streams (for
-/// example one seed per trial in a sweep).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeedSequence {
-    state: u64,
-}
-
-impl SeedSequence {
-    /// Creates a sequence rooted at `base`.
-    #[must_use]
-    pub fn new(base: u64) -> Self {
-        Self {
-            state: splitmix64(base),
-        }
-    }
-
-    /// Returns the next seed in the sequence.
-    pub fn next_seed(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        splitmix64(self.state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,7 +232,6 @@ mod tests {
         let mut seen = BTreeSet::new();
         for kind in [
             StreamKind::Environment,
-            StreamKind::Noise,
             StreamKind::Agent,
             StreamKind::Crash,
             StreamKind::Delay,
@@ -288,24 +253,6 @@ mod tests {
         let a = derive_seed(1, StreamKind::Agent, 0);
         let b = derive_seed(2, StreamKind::Agent, 0);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn sequence_yields_distinct_seeds() {
-        let mut seq = SeedSequence::new(99);
-        let mut seen = BTreeSet::new();
-        for _ in 0..1000 {
-            assert!(seen.insert(seq.next_seed()));
-        }
-    }
-
-    #[test]
-    fn sequence_is_reproducible() {
-        let mut a = SeedSequence::new(5);
-        let mut b = SeedSequence::new(5);
-        for _ in 0..10 {
-            assert_eq!(a.next_seed(), b.next_seed());
-        }
     }
 
     #[test]

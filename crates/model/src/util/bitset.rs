@@ -22,21 +22,35 @@
 //! assert_eq!(known.first(0), Some(3));
 //! ```
 
-/// A dense matrix of fixed-capacity bit sets: `rows` sets over values in
-/// `0..capacity`, backed by **one** contiguous `Vec<u64>`.
+/// Fixed-capacity bit sets stored back to back, one per row, over
+/// values in `0..capacity`: the one implementation of the row
+/// operations, generic over the words it reads.
 ///
 /// The environment keeps one knowledge set per ant; storing them as
 /// separate per-ant sets would mean one heap allocation and one pointer
 /// chase per ant — poison for the executor's per-round legality checks
-/// and recruitment learning loop. `BitMatrix` packs all rows back to
-/// back (for `capacity ≤ 64`, one word per ant), so a colony's entire
-/// knowledge state is a single cache-friendly allocation.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BitMatrix {
-    words: Vec<u64>,
+/// and recruitment learning loop. The rows are packed back to back (for
+/// `capacity ≤ 64`, one word per ant), so a colony's entire knowledge
+/// state is a single cache-friendly allocation, the [`BitMatrix`]; a
+/// chunk of ants borrows its rows as a [`RowBandMut`].
+pub struct BitRows<W> {
+    words: W,
     words_per_row: usize,
     capacity: usize,
 }
+
+/// The owning matrix of [`BitRows`]: `rows` sets backed by **one**
+/// contiguous `Vec<u64>`.
+pub type BitMatrix = BitRows<Vec<u64>>;
+
+/// A mutable view over a contiguous band of [`BitMatrix`] rows.
+///
+/// Rows are word-aligned (each row owns at least one whole `u64`), so
+/// bands over disjoint row ranges never alias: [`RowBandMut::split_at`]
+/// partitions a band into two independent bands that can be mutated
+/// concurrently. Row indices are band-local (the first row of a band is
+/// row 0).
+pub type RowBandMut<'a> = BitRows<&'a mut [u64]>;
 
 impl BitMatrix {
     /// Creates `rows` empty sets, each able to hold values in
@@ -51,16 +65,46 @@ impl BitMatrix {
         }
     }
 
+    /// A mutable view over all rows, splittable into disjoint row bands
+    /// for chunked (parallel) processing — see [`RowBandMut`].
+    #[must_use]
+    pub fn rows_mut(&mut self) -> RowBandMut<'_> {
+        BitRows {
+            words: &mut self.words,
+            words_per_row: self.words_per_row,
+            capacity: self.capacity,
+        }
+    }
+}
+
+impl<'a> RowBandMut<'a> {
+    /// Splits the band into `[0, row)` and `[row, rows())`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row > rows()`.
+    #[must_use]
+    pub fn split_at(self, row: usize) -> (RowBandMut<'a>, RowBandMut<'a>) {
+        let (head, tail) = self.words.split_at_mut(row * self.words_per_row);
+        let band = |words| BitRows {
+            words,
+            words_per_row: self.words_per_row,
+            capacity: self.capacity,
+        };
+        (band(head), band(tail))
+    }
+}
+
+impl<W: std::ops::Deref<Target = [u64]>> BitRows<W> {
     /// The number of rows (sets).
     #[must_use]
     pub fn rows(&self) -> usize {
         self.words.len() / self.words_per_row
     }
 
-    /// The maximum value (exclusive) each row can hold.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    fn row(&self, row: usize) -> &[u64] {
+        let start = row * self.words_per_row;
+        &self.words[start..start + self.words_per_row]
     }
 
     /// Returns `true` if row `row` contains `value`. Out-of-range values
@@ -84,10 +128,13 @@ impl BitMatrix {
     ///
     /// Panics if `row` is out of range or `value >= capacity`.
     #[inline]
-    pub fn insert(&mut self, row: usize, value: usize) -> bool {
+    pub fn insert(&mut self, row: usize, value: usize) -> bool
+    where
+        W: std::ops::DerefMut,
+    {
         assert!(
             value < self.capacity,
-            "bit matrix insert out of range: {value} >= {}",
+            "bit row insert out of range: {value} >= {}",
             self.capacity
         );
         let word = &mut self.words[row * self.words_per_row + value / 64];
@@ -104,37 +151,11 @@ impl BitMatrix {
     /// Panics if `row` is out of range.
     #[must_use]
     pub fn first(&self, row: usize) -> Option<usize> {
-        let start = row * self.words_per_row;
-        self.words[start..start + self.words_per_row]
+        self.row(row)
             .iter()
             .enumerate()
             .find(|(_, &word)| word != 0)
             .map(|(w, &word)| w * 64 + word.trailing_zeros() as usize)
-    }
-
-    /// Returns the number of values in row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    #[must_use]
-    pub fn row_len(&self, row: usize) -> usize {
-        let start = row * self.words_per_row;
-        self.words[start..start + self.words_per_row]
-            .iter()
-            .map(|word| word.count_ones() as usize)
-            .sum()
-    }
-
-    /// A mutable view over all rows, splittable into disjoint row bands
-    /// for chunked (parallel) processing — see [`RowBandMut`].
-    #[must_use]
-    pub fn rows_mut(&mut self) -> RowBandMut<'_> {
-        RowBandMut {
-            words: &mut self.words,
-            words_per_row: self.words_per_row,
-            capacity: self.capacity,
-        }
     }
 
     /// Iterates the values of row `row` in ascending order.
@@ -143,122 +164,23 @@ impl BitMatrix {
     ///
     /// Panics if `row` is out of range.
     pub fn iter_row(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
-        let start = row * self.words_per_row;
-        self.words[start..start + self.words_per_row]
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| {
-                let mut rest = word;
-                std::iter::from_fn(move || {
-                    if rest == 0 {
-                        return None;
-                    }
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    Some(w * 64 + bit)
-                })
+        self.row(row).iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(w * 64 + bit)
             })
+        })
     }
 }
 
-/// A mutable view over a contiguous band of [`BitMatrix`] rows.
-///
-/// Rows are word-aligned (each row owns at least one whole `u64`), so
-/// bands over disjoint row ranges never alias: [`RowBandMut::split_at`]
-/// partitions a band into two independent bands that can be mutated
-/// concurrently. Row indices are band-local (the first row of a band is
-/// row 0).
-#[derive(Debug)]
-pub struct RowBandMut<'a> {
-    words: &'a mut [u64],
-    words_per_row: usize,
-    capacity: usize,
-}
-
-impl<'a> RowBandMut<'a> {
-    /// The number of rows in this band.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.words.len() / self.words_per_row
-    }
-
-    /// Splits the band into `[0, row)` and `[row, rows())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row > rows()`.
-    #[must_use]
-    pub fn split_at(self, row: usize) -> (RowBandMut<'a>, RowBandMut<'a>) {
-        let (head, tail) = self.words.split_at_mut(row * self.words_per_row);
-        (
-            RowBandMut {
-                words: head,
-                words_per_row: self.words_per_row,
-                capacity: self.capacity,
-            },
-            RowBandMut {
-                words: tail,
-                words_per_row: self.words_per_row,
-                capacity: self.capacity,
-            },
-        )
-    }
-
-    /// Returns `true` if band-local row `row` contains `value`.
-    /// Out-of-range values are never contained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range for the band.
-    #[inline]
-    #[must_use]
-    pub fn contains(&self, row: usize, value: usize) -> bool {
-        if value >= self.capacity {
-            return false;
-        }
-        self.words[row * self.words_per_row + value / 64] & (1u64 << (value % 64)) != 0
-    }
-
-    /// Inserts `value` into band-local row `row`, returning `true` if it
-    /// was fresh.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range for the band or
-    /// `value >= capacity`.
-    #[inline]
-    pub fn insert(&mut self, row: usize, value: usize) -> bool {
-        assert!(
-            value < self.capacity,
-            "row band insert out of range: {value} >= {}",
-            self.capacity
-        );
-        let word = &mut self.words[row * self.words_per_row + value / 64];
-        let mask = 1u64 << (value % 64);
-        let fresh = *word & mask == 0;
-        *word |= mask;
-        fresh
-    }
-
-    /// Returns the smallest value in band-local row `row`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range for the band.
-    #[must_use]
-    pub fn first(&self, row: usize) -> Option<usize> {
-        let start = row * self.words_per_row;
-        self.words[start..start + self.words_per_row]
-            .iter()
-            .enumerate()
-            .find(|(_, &word)| word != 0)
-            .map(|(w, &word)| w * 64 + word.trailing_zeros() as usize)
-    }
-}
-
-impl std::fmt::Debug for BitMatrix {
+impl<W: std::ops::Deref<Target = [u64]>> std::fmt::Debug for BitRows<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BitMatrix")
+        f.debug_struct("BitRows")
             .field("rows", &self.rows())
             .field("capacity", &self.capacity)
             .finish()
@@ -274,7 +196,6 @@ mod tests {
     fn bit_matrix_rows_are_independent() {
         let mut m = BitMatrix::new(4, 70);
         assert_eq!(m.rows(), 4);
-        assert_eq!(m.capacity(), 70);
         assert!(m.insert(0, 3));
         assert!(m.insert(0, 65));
         assert!(m.insert(2, 3));
@@ -284,7 +205,6 @@ mod tests {
         assert!(!m.contains(0, 500), "out of range is absent");
         assert_eq!(m.first(0), Some(3));
         assert_eq!(m.first(1), None);
-        assert_eq!(m.row_len(0), 2);
         assert_eq!(m.iter_row(0).collect::<Vec<_>>(), vec![3, 65]);
         assert_eq!(m.iter_row(1).count(), 0);
     }
@@ -312,7 +232,6 @@ mod tests {
                 assert_eq!(matrix.contains(row, value), set.contains(&value));
             }
             assert_eq!(matrix.first(row), set.first().copied());
-            assert_eq!(matrix.row_len(row), set.len());
             assert_eq!(
                 matrix.iter_row(row).collect::<Vec<_>>(),
                 set.iter().copied().collect::<Vec<_>>()

@@ -2,4 +2,4 @@
 
 mod bitset;
 
-pub use bitset::{BitMatrix, RowBandMut};
+pub use bitset::{BitMatrix, BitRows, RowBandMut};

@@ -336,10 +336,9 @@ pub struct Simulation {
     prechosen: bool,
     live: LiveTally,
     scratch: RoundScratch,
-    /// Intra-round parts (1 = serial). See
+    /// Ant-chunk boundaries, one more than the intra-round parts
+    /// (`[0, n]` = serial). See
     /// [`with_round_threads`](Simulation::with_round_threads).
-    round_threads: usize,
-    /// Ant-chunk boundaries, length `round_threads + 1`.
     chunk_bounds: Vec<usize>,
     /// One scratch per part, merged in part order at the barriers. The
     /// inline paths use only the first.
@@ -355,7 +354,7 @@ impl std::fmt::Debug for Simulation {
             .field("perturbations", &self.perturbations)
             .field("replaced_actions", &self.replaced_actions)
             .field("illegal_actions", &self.illegal_actions)
-            .field("round_threads", &self.round_threads)
+            .field("round_threads", &self.round_threads())
             .finish_non_exhaustive()
     }
 }
@@ -387,8 +386,7 @@ impl Simulation {
         agents: impl Into<Colony>,
         perturbations: Option<Perturbations>,
     ) -> Result<Self, SimError> {
-        let mut colony = agents.into();
-        colony.sync();
+        let colony: Colony = agents.into();
         if colony.len() != env.n() {
             return Err(SimError::AgentCountMismatch {
                 agents: colony.len(),
@@ -423,7 +421,6 @@ impl Simulation {
             prechosen: false,
             live,
             scratch: RoundScratch::default(),
-            round_threads: 1,
             chunk_bounds: vec![0, n],
             worker_scratch: vec![WorkerScratch::default()],
         })
@@ -441,8 +438,8 @@ impl Simulation {
     /// **Determinism contract:** every thread count produces
     /// bit-identical executions — inline and on workers the rounds run
     /// the same chunk code, all per-ant randomness lives in per-ant
-    /// streams, and per-chunk deltas merge in chunk order. The registry
-    /// conformance suite enforces this across the whole catalog.
+    /// streams, and per-chunk deltas merge in chunk order. The
+    /// oracle-equivalence suite enforces this across the whole catalog.
     ///
     /// **Perturbed simulations ignore this setting at execution time**:
     /// their rounds always run on the serial scalar path, no worker is
@@ -456,7 +453,6 @@ impl Simulation {
     pub fn with_round_threads(mut self, threads: usize) -> Self {
         let threads = threads.clamp(1, MAX_ROUND_THREADS);
         let n = self.env.n();
-        self.round_threads = threads;
         self.chunk_bounds = (0..=threads).map(|part| part * n / threads).collect();
         self.worker_scratch
             .resize_with(threads, WorkerScratch::default);
@@ -496,7 +492,6 @@ impl Simulation {
             "chunk bounds must be monotonically non-decreasing"
         );
         let threads = bounds.len() - 1;
-        self.round_threads = threads;
         self.chunk_bounds = bounds;
         self.worker_scratch
             .resize_with(threads, WorkerScratch::default);
@@ -527,7 +522,7 @@ impl Simulation {
     /// The configured number of intra-round parts.
     #[must_use]
     pub fn round_threads(&self) -> usize {
-        self.round_threads
+        self.chunk_bounds.len() - 1
     }
 
     /// The environment (read-only).
@@ -846,14 +841,15 @@ impl Simulation {
     /// # Panics
     ///
     /// Propagates an agent's panic, from whichever thread ran its chunk.
-    /// The simulation's state is then inconsistent.
+    /// The simulation's state is then inconsistent. Also panics if the
+    /// operating system cannot spawn a round worker thread.
     pub fn run_to_convergence(
         &mut self,
         rule: ConvergenceRule,
         max_rounds: u64,
     ) -> Result<RunOutcome, SimError> {
         let start = self.env.round();
-        let solved = if self.round_threads > 1
+        let solved = if self.round_threads() > 1
             && self.runs_fast_path()
             && !matches!(rule, ConvergenceRule::Location { .. })
         {

@@ -16,8 +16,9 @@
 //! plus a convergence rule and a round budget. The named catalog
 //! ([`all_scenarios`], [`lookup`], [`with_tag`]) spans colony sizes 16 to
 //! 4096 across all three axes, and the repository's
-//! `tests/registry_conformance.rs` harness runs *every* entry — so adding
-//! a scenario automatically adds its tests.
+//! `tests/registry_conformance.rs` and `tests/oracle_equivalence.rs`
+//! harnesses run *every* entry — so adding a scenario automatically adds
+//! its tests.
 //!
 //! # Examples
 //!
@@ -108,7 +109,9 @@ impl Algorithm {
     /// Panics if this is [`Algorithm::Quality`] with a `gamma` that is
     /// negative, NaN or infinite (see [`hh_core::QualityAnt::new`]).
     /// [`Scenario::build`] checks the exponent first and returns
-    /// [`SimError::InvalidScenario`] instead.
+    /// [`SimError::InvalidScenario`] instead. Also panics if `n` exceeds
+    /// `u32::MAX` for [`Algorithm::Simple`], [`Algorithm::HardenedSimple`] or
+    /// [`Algorithm::Adaptive`] (see [`hh_core::SimpleAnt::new`]).
     #[must_use]
     pub fn build(&self, n: usize, seed: u64) -> Colony {
         match self {
@@ -363,6 +366,7 @@ impl ColonyMix {
     /// Panics if the mix runs an [`Algorithm::Quality`] whose `gamma` is
     /// negative, NaN or infinite ([`Algorithm::build`]);
     /// [`Scenario::build`] returns [`SimError::InvalidScenario`] instead.
+    /// Also panics where [`Algorithm::build`] does on `n > u32::MAX`.
     #[must_use]
     pub fn build(&self, n: usize, seed: u64) -> Colony {
         match self {
@@ -612,8 +616,8 @@ impl Scenario {
     /// builds runs with (default 1, the serial engine). Outcomes are
     /// bit-identical for every setting — see
     /// [`Simulation::with_round_threads`] — so this is purely a
-    /// performance knob; the conformance suite holds the whole catalog
-    /// to that contract.
+    /// performance knob; the oracle-equivalence suite holds the whole
+    /// catalog to that contract.
     ///
     /// **Perturbed scenarios ignore this setting at execution time**:
     /// crash/delay rounds always run on the serial scalar path, so the
@@ -624,12 +628,6 @@ impl Scenario {
     pub fn round_threads(mut self, threads: usize) -> Self {
         self.round_threads = threads;
         self
-    }
-
-    /// The configured intra-round thread count.
-    #[must_use]
-    pub fn intra_round_threads(&self) -> usize {
-        self.round_threads
     }
 
     /// Selects the round engine every simulation this scenario builds
@@ -788,7 +786,8 @@ impl Scenario {
     /// Panics if the mix runs an [`Algorithm::Quality`] whose `gamma` is
     /// negative, NaN or infinite ([`ColonyMix::build`]); it skips the axis
     /// checks of [`build`](Self::build), which returns
-    /// [`SimError::InvalidScenario`] instead.
+    /// [`SimError::InvalidScenario`] instead. Also panics where
+    /// [`ColonyMix::build`] does on `n > u32::MAX`.
     #[must_use]
     pub fn colony_for(&self, seed: u64) -> Colony {
         self.mix.build(self.n, seed)
@@ -804,6 +803,11 @@ impl Scenario {
     /// `[0, 1]`, more Byzantine adversaries than ants, or an
     /// [`Algorithm::Quality`] exponent that is negative or not finite.
     /// Otherwise propagates configuration validation failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`colony_for`](Self::colony_for) does on
+    /// `n > u32::MAX`.
     pub fn build(&self, seed: u64) -> Result<Simulation, SimError> {
         self.check_axes()?;
         Ok(self
@@ -880,6 +884,11 @@ impl Scenario {
     /// # Errors
     ///
     /// Propagates build and execution failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`build`](Self::build) and
+    /// [`Simulation::run_to_convergence`] do.
     pub fn run(&self, seed: u64) -> Result<RunOutcome, SimError> {
         self.build(seed)?
             .run_to_convergence(self.rule, self.max_rounds)
@@ -891,6 +900,10 @@ impl Scenario {
     /// # Errors
     ///
     /// Propagates the first build or execution failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`crate::run_trials_with_workers`] does.
     pub fn run_trials(&self, trials: usize) -> Result<Vec<TrialOutcome>, SimError> {
         crate::runner::run_trials(trials, self.max_rounds, self.rule, |trial| {
             self.build(self.trial_seed(trial))
@@ -903,6 +916,10 @@ impl Scenario {
     /// # Errors
     ///
     /// Propagates the first build or execution failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`crate::run_trials_with_workers`] does.
     pub fn run_trials_with_workers(
         &self,
         trials: usize,

@@ -45,6 +45,10 @@ pub struct TrialOutcome {
 /// Returns the first build or execution error encountered (remaining
 /// trials are abandoned).
 ///
+/// # Panics
+///
+/// Panics where [`run_trials_with_workers`] does.
+///
 /// # Examples
 ///
 /// ```
@@ -83,13 +87,19 @@ where
 /// The determinism contract is that the outcome vector depends only on
 /// the factory, never on scheduling: `run_trials_with_workers(t, m, r,
 /// 1, f)` and `run_trials_with_workers(t, m, r, w, f)` are bit-identical
-/// for every `w`. The registry conformance suite and the runner property
+/// for every `w`. The oracle-equivalence suite and the runner property
 /// tests enforce this.
 ///
 /// # Errors
 ///
 /// Returns the lowest-indexed build or execution error encountered
 /// (remaining trials are abandoned via the abort flag).
+///
+/// # Panics
+///
+/// Propagates a panic of `build` or of a trial's run
+/// ([`Simulation::run_to_convergence`]), and panics if the operating
+/// system cannot spawn a trial worker thread.
 pub fn run_trials_with_workers<F>(
     trials: usize,
     max_rounds: u64,

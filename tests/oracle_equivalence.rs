@@ -16,7 +16,10 @@
 //!    round it appears in;
 //! 3. the fused engine's agreement with the oracle survives every
 //!    intra-round thread count the determinism contract covers
-//!    ({1, 2, 4, 8}).
+//!    ({1, 2, 4, 8}) and every trial-worker count ({1, 2, 8}); the
+//!    catalog test runs each configuration once, so agreement with the
+//!    oracle is also the fused engine's reproducibility across thread
+//!    and worker counts.
 //!
 //! Scenarios with fault schedules route both engines through the same
 //! serial bookkeeping path, so their rows hold trivially; they stay in
@@ -26,8 +29,8 @@
 use house_hunting::prelude::*;
 use house_hunting::sim::registry;
 
-/// Trials per scenario for the run-outcome checks (matches the registry
-/// conformance suite; the catalog spans colonies up to 4096 ants).
+/// Trials per scenario for the run-outcome checks (kept small: the
+/// catalog spans colonies up to 4096 ants).
 const REPRO_TRIALS: usize = 3;
 
 /// Rounds compared in the lockstep census walk. Convergence for most
@@ -36,12 +39,17 @@ const REPRO_TRIALS: usize = 3;
 /// first, and the full-run outcome tests cover the tail.
 const LOCKSTEP_ROUNDS: u64 = 96;
 
-/// Intra-round thread counts the fused engine must match the oracle at,
-/// the same set `registry_conformance` reproduces across.
+/// Intra-round thread counts the fused engine must match the oracle at.
 const ROUND_THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// The catalog matrix: each fused configuration as (round threads,
+/// trial workers). Every round-thread count runs once, and the trial
+/// workers cover 1, 2 and 8, with the most round threads on one worker
+/// so the two kinds of threads do not multiply.
+const FUSED_MATRIX: [(usize, usize); 4] = [(1, 8), (2, 2), (4, 2), (8, 1)];
+
 #[test]
-fn soa_is_the_default_engine() {
+fn fused_is_the_default_engine() {
     let scenario = registry::all_scenarios().remove(0);
     assert_eq!(scenario.engine_kind(), EngineKind::Fused);
     let sim = scenario.build(scenario.base_seed()).expect("builds");
@@ -55,7 +63,7 @@ fn soa_is_the_default_engine() {
 }
 
 #[test]
-fn every_scenario_runs_identically_on_scalar_and_soa() {
+fn every_scenario_runs_identically_on_scalar_and_fused() {
     for scenario in registry::all_scenarios() {
         let oracle = scenario
             .clone()
@@ -63,22 +71,23 @@ fn every_scenario_runs_identically_on_scalar_and_soa() {
             .run_trials_with_workers(REPRO_TRIALS, 2)
             .unwrap_or_else(|e| panic!("{}: scalar trials failed: {e}", scenario.name()));
         assert_eq!(oracle.len(), REPRO_TRIALS);
-        for threads in ROUND_THREADS {
-            let soa = scenario
+        for (threads, workers) in FUSED_MATRIX {
+            let fused = scenario
                 .clone()
                 .engine(EngineKind::Fused)
                 .round_threads(threads)
-                .run_trials_with_workers(REPRO_TRIALS, 2)
+                .run_trials_with_workers(REPRO_TRIALS, workers)
                 .unwrap_or_else(|e| {
                     panic!(
-                        "{}: SoA trials ({threads} round threads) failed: {e}",
+                        "{}: fused trials ({threads} round threads, {workers} workers) failed: {e}",
                         scenario.name()
                     )
                 });
             assert_eq!(
                 oracle,
-                soa,
-                "{}: SoA engine at {threads} round threads diverged from the scalar oracle",
+                fused,
+                "{}: fused engine at {threads} round threads and {workers} workers diverged \
+                 from the scalar oracle",
                 scenario.name()
             );
         }
@@ -94,48 +103,48 @@ fn every_scenario_census_matches_round_by_round() {
             .engine(EngineKind::Scalar)
             .build(seed)
             .unwrap_or_else(|e| panic!("{}: scalar build failed: {e}", scenario.name()));
-        let mut soa = scenario
+        let mut fused = scenario
             .clone()
             .engine(EngineKind::Fused)
             .round_threads(2)
             .build(seed)
-            .unwrap_or_else(|e| panic!("{}: SoA build failed: {e}", scenario.name()));
+            .unwrap_or_else(|e| panic!("{}: fused build failed: {e}", scenario.name()));
         let rounds = LOCKSTEP_ROUNDS.min(scenario.round_budget());
         for round in 1..=rounds {
             let scalar_report = scalar.step().unwrap_or_else(|e| {
                 panic!("{}: scalar round {round} failed: {e}", scenario.name())
             });
-            let soa_report = soa
+            let fused_report = fused
                 .step()
-                .unwrap_or_else(|e| panic!("{}: SoA round {round} failed: {e}", scenario.name()));
+                .unwrap_or_else(|e| panic!("{}: fused round {round} failed: {e}", scenario.name()));
             assert_eq!(
                 scalar_report,
-                soa_report,
+                fused_report,
                 "{}: step reports diverged at round {round}",
                 scenario.name()
             );
             assert_eq!(
                 RoundSnapshot::capture(&scalar),
-                RoundSnapshot::capture(&soa),
+                RoundSnapshot::capture(&fused),
                 "{}: census tallies diverged at round {round}",
                 scenario.name()
             );
             assert_eq!(
                 scalar.env().counts(),
-                soa.env().counts(),
+                fused.env().counts(),
                 "{}: nest populations diverged at round {round}",
                 scenario.name()
             );
         }
         assert_eq!(
             scalar.env().locations(),
-            soa.env().locations(),
+            fused.env().locations(),
             "{}: ant locations diverged after the lockstep walk",
             scenario.name()
         );
         assert_eq!(
             (scalar.replaced_actions(), scalar.illegal_actions()),
-            (soa.replaced_actions(), soa.illegal_actions()),
+            (fused.replaced_actions(), fused.illegal_actions()),
             "{}: sandbox counters diverged after the lockstep walk",
             scenario.name()
         );
@@ -166,15 +175,15 @@ fn quorum_nan_sanitization_survives_narrowed_types() {
     };
     let majority_rule = ConvergenceRule::quorum(0.5, 1);
     let scalar_nan = run(EngineKind::Scalar, nan_rule);
-    let soa_nan = run(EngineKind::Fused, nan_rule);
+    let fused_nan = run(EngineKind::Fused, nan_rule);
     let majority = run(EngineKind::Fused, majority_rule);
-    assert_eq!(scalar_nan, soa_nan, "engines disagree under the NaN rule");
+    assert_eq!(scalar_nan, fused_nan, "engines disagree under the NaN rule");
     assert_eq!(
-        soa_nan, majority,
+        fused_nan, majority,
         "NaN fraction must sanitize to the simple majority"
     );
     assert!(
-        soa_nan.solved.is_some(),
+        fused_nan.solved.is_some(),
         "the idle colony reaches a majority"
     );
 }
@@ -212,9 +221,9 @@ fn adversarial_chunk_bounds_match_the_scalar_oracle() {
     for bounds in bounds_sets {
         let mut sim = scenario
             .build(seed)
-            .expect("SoA builds")
+            .expect("fused builds")
             .with_chunk_bounds(bounds.clone());
-        let outcome = sim.run_to_convergence(rule, budget).expect("SoA runs");
+        let outcome = sim.run_to_convergence(rule, budget).expect("fused runs");
         assert_eq!(
             expected, outcome,
             "chunk bounds {bounds:?} diverged from the scalar oracle"
@@ -249,16 +258,53 @@ fn custom_boxed_agents_fall_back_bit_identically() {
         .run_to_convergence(rule, 10_000)
         .expect("oracle runs");
     for threads in ROUND_THREADS {
-        let mut soa = build(EngineKind::Fused, threads);
-        let outcome = soa.run_to_convergence(rule, 10_000).expect("SoA runs");
+        let mut fused = build(EngineKind::Fused, threads);
+        let outcome = fused.run_to_convergence(rule, 10_000).expect("fused runs");
         assert_eq!(
             expected, outcome,
             "mixed colony with custom agents diverged at {threads} round threads"
         );
         assert_eq!(
             oracle.role_census(),
-            soa.role_census(),
+            fused.role_census(),
             "census diverged at {threads} round threads"
         );
+    }
+}
+
+/// The n = 4096 catalog entries run optimal ants; this row holds the
+/// fast path over a simple colony to the oracle at a size past every
+/// catalog colony.
+#[test]
+fn large_uniform_colony_fast_path_matches_the_scalar_oracle() {
+    let n = 8192;
+    let seed = 97;
+    let build = |engine: EngineKind, threads: usize| {
+        let config = ColonyConfig::new(n, QualitySpec::good_prefix(6, 3)).seed(seed);
+        let env = Environment::new(&config).expect("env builds");
+        Simulation::new(env, colony::simple(n, seed))
+            .expect("sim builds")
+            .with_engine(engine)
+            .with_round_threads(threads)
+    };
+    let rule = ConvergenceRule::stable_commitment(2);
+    let mut oracle = build(EngineKind::Scalar, 1);
+    let expected = oracle
+        .run_to_convergence(rule, 20_000)
+        .expect("oracle runs");
+    assert!(
+        expected.solved.is_some(),
+        "n = 8192 simple colony converges"
+    );
+    for threads in [1usize, 8] {
+        let mut fused = build(EngineKind::Fused, threads);
+        let outcome = fused.run_to_convergence(rule, 20_000).expect("fused runs");
+        assert_eq!(
+            expected, outcome,
+            "fast path diverged from the scalar oracle at \
+             {threads} round threads (n = {n})"
+        );
+        assert_eq!(oracle.role_census(), fused.role_census());
+        assert_eq!(oracle.env().counts(), fused.env().counts());
     }
 }

@@ -11,10 +11,11 @@ fn assert_always_legal(
     n: usize,
     spec: QualitySpec,
     seed: u64,
-    mut agents: Colony,
+    agents: Colony,
     rounds: u64,
     reveal: bool,
 ) -> Result<(), TestCaseError> {
+    let mut agents: Vec<AnyAgent> = agents.into_iter().collect();
     let mut config = ColonyConfig::new(n, spec).seed(seed);
     if reveal {
         config = config.reveal_quality_on_go();

@@ -502,39 +502,64 @@ proptest! {
     #[test]
     fn seed_streams_do_not_collide(base in any::<u64>()) {
         let mut seen = BTreeSet::new();
-        for kind in [StreamKind::Environment, StreamKind::Noise, StreamKind::Agent, StreamKind::Crash, StreamKind::Delay] {
+        for kind in [
+            StreamKind::Environment,
+            StreamKind::Agent,
+            StreamKind::Crash,
+            StreamKind::Delay,
+            StreamKind::Auxiliary,
+            StreamKind::AgentEnvironment,
+            StreamKind::AgentNoise,
+        ] {
             for index in 0..64 {
                 prop_assert!(seen.insert(derive_seed(base, kind, index)));
             }
         }
     }
 
-    /// Every row of a BitMatrix agrees with its own reference BTreeSet
-    /// model under arbitrary inserts spread over the rows: insert,
-    /// contains, first, row_len and iter_row, with no row bleeding into
-    /// another.
+    /// One row implementation serves the whole matrix and both halves of
+    /// a band split at `cut`: under arbitrary inserts spread over the
+    /// rows, each op going through the matrix or through the band half
+    /// that holds its row, every row agrees with its own reference
+    /// BTreeSet on insert, contains, first and iter_row, with no row
+    /// bleeding into another.
     #[test]
     fn bitset_matches_btreeset_model(
         rows in 1usize..6,
         capacity in 1usize..200,
-        ops in proptest::collection::vec((0usize..6, 0usize..220), 0..100),
+        cut in 0usize..7,
+        ops in proptest::collection::vec((0usize..6, 0usize..220, any::<bool>()), 0..100),
     ) {
+        let cut = cut % (rows + 1);
         let mut matrix = BitMatrix::new(rows, capacity);
         let mut model: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); rows];
-        for (row, value) in ops {
+        for (row, value, through_band) in ops {
             let row = row % rows;
-            if value < capacity {
-                prop_assert_eq!(matrix.insert(row, value), model[row].insert(value));
+            let set = &mut model[row];
+            if through_band {
+                let (mut head, mut tail) = matrix.rows_mut().split_at(cut);
+                prop_assert_eq!((head.rows(), tail.rows()), (cut, rows - cut));
+                let (band, local) = if row < cut { (&mut head, row) } else { (&mut tail, row - cut) };
+                if value < capacity {
+                    prop_assert_eq!(band.insert(local, value), set.insert(value));
+                }
+                prop_assert_eq!(band.contains(local, value), set.contains(&value));
+                prop_assert_eq!(band.first(local), set.first().copied());
+            } else {
+                if value < capacity {
+                    prop_assert_eq!(matrix.insert(row, value), set.insert(value));
+                }
+                prop_assert_eq!(matrix.contains(row, value), set.contains(&value));
             }
-            prop_assert_eq!(matrix.contains(row, value), model[row].contains(&value));
         }
         for (row, set) in model.iter().enumerate() {
+            let want: Vec<usize> = set.iter().copied().collect();
             prop_assert_eq!(matrix.first(row), set.first().copied());
-            prop_assert_eq!(matrix.row_len(row), set.len());
-            prop_assert_eq!(
-                matrix.iter_row(row).collect::<Vec<_>>(),
-                set.iter().copied().collect::<Vec<_>>()
-            );
+            prop_assert_eq!(matrix.iter_row(row).collect::<Vec<_>>(), want.clone());
+            let (head, tail) = matrix.rows_mut().split_at(cut);
+            let (band, local) = if row < cut { (&head, row) } else { (&tail, row - cut) };
+            prop_assert_eq!(band.first(local), set.first().copied());
+            prop_assert_eq!(band.iter_row(local).collect::<Vec<_>>(), want);
         }
     }
 
