@@ -7,11 +7,12 @@
 //! 1. *builds* — spec and colony materialize into a runnable simulation
 //!    of the advertised size and composition;
 //! 2. *runs to its declared budget* — executes under its own convergence
-//!    rule without harness errors, converging iff it declares so.
-//!
-//! Bit-identical reproduction across trial workers and round threads is
-//! `tests/oracle_equivalence.rs`'s catalog matrix: every configuration
-//! there must equal the scalar oracle's outcomes.
+//!    rule without harness errors, converging iff it declares so;
+//! 3. *reproduces bit-identically* — the same seed yields identical
+//!    trial outcomes across worker-thread counts, round-thread counts
+//!    and repeated runs. The shared reference, one round thread on two
+//!    workers, is the configuration `tests/oracle_equivalence.rs` holds
+//!    to the scalar oracle, so every configuration here equals it too.
 //!
 //! The tag filters partition the catalog along each axis; the tags
 //! themselves are derived from the axes, so they cannot disagree. And
@@ -25,6 +26,10 @@ use house_hunting::model::noise::{CountNoise, QualityNoise};
 use house_hunting::prelude::*;
 use house_hunting::sim::registry::{self, ColonyMix};
 use proptest::prelude::*;
+
+/// Trials per scenario for the reproducibility checks (kept small: the
+/// full catalog spans colonies up to 4096 ants).
+const REPRO_TRIALS: usize = 3;
 
 #[test]
 fn catalog_is_nonempty_and_uniquely_named() {
@@ -147,6 +152,57 @@ fn every_scenario_runs_to_its_declared_budget() {
                 outcome.illegal_actions,
                 0,
                 "{}: honest agents acted illegally",
+                scenario.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn every_scenario_reproduces_bit_identically_across_worker_counts() {
+    for scenario in registry::all_scenarios() {
+        let serial = scenario
+            .run_trials_with_workers(REPRO_TRIALS, 1)
+            .unwrap_or_else(|e| panic!("{}: serial trials failed: {e}", scenario.name()));
+        assert_eq!(serial.len(), REPRO_TRIALS);
+        for workers in [2usize, 8] {
+            let parallel = scenario
+                .run_trials_with_workers(REPRO_TRIALS, workers)
+                .unwrap_or_else(|e| panic!("{}: parallel trials failed: {e}", scenario.name()));
+            assert_eq!(
+                serial,
+                parallel,
+                "{}: outcomes diverged between 1 and {workers} workers",
+                scenario.name()
+            );
+        }
+    }
+}
+
+/// Intra-round thread counts every scenario must reproduce across, the
+/// first being the serial baseline the others are compared against.
+const ROUND_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+#[test]
+fn every_scenario_is_bit_identical_across_round_threads() {
+    for scenario in registry::all_scenarios() {
+        let serial = scenario
+            .clone()
+            .round_threads(ROUND_THREADS[0])
+            .run_trials_with_workers(REPRO_TRIALS, 2)
+            .unwrap_or_else(|e| panic!("{}: serial trials failed: {e}", scenario.name()));
+        for threads in ROUND_THREADS.into_iter().skip(1) {
+            let threaded = scenario
+                .clone()
+                .round_threads(threads)
+                .run_trials_with_workers(REPRO_TRIALS, 2)
+                .unwrap_or_else(|e| {
+                    panic!("{}: {threads}-thread trials failed: {e}", scenario.name())
+                });
+            assert_eq!(
+                serial,
+                threaded,
+                "{}: outcomes diverged between 1 and {threads} round threads",
                 scenario.name()
             );
         }
