@@ -225,9 +225,8 @@ mod tests {
 
     #[test]
     fn chosen_policy_is_the_shipped_one() {
-        // Guard: the ablation's "chosen" row must be the standard policy.
-        let standard = AdaptivePolicy::standard();
-        assert_eq!(standard.theta, 0.4);
-        assert_eq!(standard.tau, 1.0);
+        // Guard: the ablation's "chosen" row must be the shipped schedule.
+        assert_eq!(AdaptivePolicy::THETA, 0.4);
+        assert_eq!(AdaptivePolicy::TAU, 1.0);
     }
 }

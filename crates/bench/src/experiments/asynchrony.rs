@@ -12,7 +12,8 @@
 //! algorithms and reports success rate and slowdown.
 
 use hh_analysis::{fmt_f64, Table};
-use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, QualityProfile, Scenario};
+use hh_model::QualitySpec;
+use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, Scenario};
 use hh_sim::ConvergenceRule;
 
 use super::common::{cell_seed, measure_scenario};
@@ -38,7 +39,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
         Scenario::custom(
             format!("f17-{}-p{probability}", algorithm.label()),
             N,
-            QualityProfile::GoodPrefix { k: K, good: GOOD },
+            QualitySpec::GoodPrefix { k: K, good: GOOD },
             faults,
             ColonyMix::Uniform(algorithm),
         )

@@ -8,7 +8,8 @@
 //! simple/optimal ratio growing with `k`.
 
 use hh_analysis::{fmt_f64, Table};
-use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, QualityProfile, Scenario};
+use hh_model::QualitySpec;
+use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, Scenario};
 use hh_sim::ConvergenceRule;
 
 use super::common::{cell_seed, measure_scenario, success_gate};
@@ -39,7 +40,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
         Scenario::custom(
             format!("f7-{}-k{k}", algorithm.label()),
             n,
-            QualityProfile::AllGood { k },
+            QualitySpec::AllGood { k },
             FaultSchedule::None,
             ColonyMix::Uniform(algorithm),
         )

@@ -12,7 +12,7 @@ use hh_core::{colony, SleeperAnt};
 use hh_model::faults::CrashStyle;
 use hh_model::noise::CountNoise;
 use hh_model::{NoiseModel, QualitySpec};
-use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, QualityProfile, Scenario};
+use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, Scenario};
 use hh_sim::{ConvergenceRule, ScenarioSpec};
 
 use super::common::{cell_seed, measure_cell, measure_scenario};
@@ -29,8 +29,8 @@ fn rule() -> ConvergenceRule {
 }
 
 /// The shared habitat of the robustness sweeps.
-fn habitat() -> QualityProfile {
-    QualityProfile::GoodPrefix { k: K, good: GOOD }
+fn habitat() -> QualitySpec {
+    QualitySpec::GoodPrefix { k: K, good: GOOD }
 }
 
 /// One registry cell of a robustness sweep: `algorithm` under `faults`,

@@ -11,8 +11,8 @@ use std::time::Instant;
 
 use hh_analysis::{fmt_f64, Table};
 use hh_model::recruitment::{pair_ants_into, Pairing, RecruitCall};
-use hh_model::{AntId, NestId};
-use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, QualityProfile, Scenario};
+use hh_model::{AntId, NestId, QualitySpec};
+use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, Scenario};
 use hh_sim::EngineKind;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -37,17 +37,19 @@ const BLOCKS: u64 = 10;
 /// the fast path and on the scalar oracle, in that order. Both run the
 /// bit-identical process from the same seed, so they differ in wall
 /// clock only. They take turns in blocks of rounds, so a change in
-/// machine load during the measurement slows both alike.
+/// machine load during the measurement slows both alike. Also returns
+/// the lowest and the highest fast/scalar speed ratio of one block: a
+/// difference in the total ratio inside that range is unresolved.
 #[must_use]
 // Wall-clock reads are banned workspace-wide (clippy.toml mirrors the
 // hh_lint `wall-clock` rule); measuring throughput is the one job that
 // genuinely needs them, and hh-bench is outside the engine contract.
 #[allow(clippy::disallowed_methods)]
-pub fn measure_throughput(n: usize, rounds: u64, cell: u64) -> [Throughput; 2] {
+pub fn measure_throughput(n: usize, rounds: u64, cell: u64) -> ([Throughput; 2], (f64, f64)) {
     let scenario = Scenario::custom(
         format!("t2-n{n}"),
         n,
-        QualityProfile::AllGood { k: 4 },
+        QualitySpec::AllGood { k: 4 },
         FaultSchedule::None,
         ColonyMix::Uniform(Algorithm::Simple),
     )
@@ -64,10 +66,12 @@ pub fn measure_throughput(n: usize, rounds: u64, cell: u64) -> [Throughput; 2] {
         sim
     });
     let mut elapsed = [0.0f64; 2];
+    let mut ratio_range = (f64::INFINITY, f64::NEG_INFINITY);
     let mut timed = 0;
     while timed < rounds {
         let block = (rounds / BLOCKS).max(1).min(rounds - timed);
-        for (sim, elapsed) in sims.iter_mut().zip(&mut elapsed) {
+        let mut seconds = [0.0f64; 2];
+        for (sim, seconds) in sims.iter_mut().zip(&mut seconds) {
             let start = Instant::now();
             // The engine's hot path: the convergence loop (detector
             // included). Simple agents never report the final state, so
@@ -77,17 +81,23 @@ pub fn measure_throughput(n: usize, rounds: u64, cell: u64) -> [Throughput; 2] {
                 .run_to_convergence(hh_sim::ConvergenceRule::all_final(), block)
                 .expect("legal run");
             assert_eq!(out.rounds_run, block, "rule must not fire");
-            *elapsed += start.elapsed().as_secs_f64();
+            *seconds = start.elapsed().as_secs_f64();
         }
+        // Both engines ran the same rounds, so the ratio of their times
+        // is this block's fast/scalar speed ratio.
+        let ratio = seconds[1] / seconds[0].max(1e-9);
+        ratio_range = (ratio_range.0.min(ratio), ratio_range.1.max(ratio));
+        elapsed = [elapsed[0] + seconds[0], elapsed[1] + seconds[1]];
         timed += block;
     }
-    elapsed.map(|elapsed| {
+    let totals = elapsed.map(|elapsed| {
         let elapsed = elapsed.max(1e-9);
         Throughput {
             rounds_per_sec: rounds as f64 / elapsed,
             ant_rounds_per_sec: (rounds as f64 * n as f64) / elapsed,
         }
-    })
+    });
+    (totals, ratio_range)
 }
 
 /// Measures Algorithm 1 alone: nanoseconds per participant of
@@ -130,17 +140,19 @@ pub fn run(mode: Mode) -> ExperimentReport {
         "rounds/sec",
         "scalar rounds/sec",
         "fast/scalar",
+        "per-block range",
         "ant·rounds/sec",
     ]);
     let mut slowest_ant_rate = f64::INFINITY;
     for (ni, &n) in ns.iter().enumerate() {
-        let [t, scalar] = measure_throughput(n, rounds, ni as u64);
+        let ([t, scalar], (lo, hi)) = measure_throughput(n, rounds, ni as u64);
         slowest_ant_rate = slowest_ant_rate.min(t.ant_rounds_per_sec);
         table.row([
             n.to_string(),
             fmt_f64(t.rounds_per_sec, 0),
             fmt_f64(scalar.rounds_per_sec, 0),
             fmt_f64(t.rounds_per_sec / scalar.rounds_per_sec, 2),
+            format!("{}–{}", fmt_f64(lo, 2), fmt_f64(hi, 2)),
             fmt_f64(t.ant_rounds_per_sec, 0),
         ]);
     }
@@ -161,7 +173,10 @@ pub fn run(mode: Mode) -> ExperimentReport {
 
     let body = format!(
         "simple colony, all nests good, {rounds} timed rounds per row on the \
-         fast path and on the scalar oracle, in {BLOCKS} alternating blocks\n\n{table}\n\
+         fast path and on the scalar oracle, in {BLOCKS} alternating blocks; \
+         the per-block range is the lowest and highest fast/scalar ratio of \
+         one block, and a difference inside it is unresolved (perfbench is \
+         the benchmark of record)\n\n{table}\n\
          Algorithm 1 alone (pair_ants_into, reused scratch, every other \
          participant active), about {participants} participants per row\n\n{pairing}"
     );
@@ -179,10 +194,15 @@ mod tests {
 
     #[test]
     fn throughput_is_positive() {
-        for t in measure_throughput(64, 50, 9) {
+        let ([fast, scalar], (lo, hi)) = measure_throughput(64, 50, 9);
+        for t in [fast, scalar] {
             assert!(t.rounds_per_sec > 0.0);
             assert!(t.ant_rounds_per_sec > t.rounds_per_sec);
         }
+        // The total ratio is a time-weighted mean of the block ratios.
+        let total = fast.rounds_per_sec / scalar.rounds_per_sec;
+        assert!(0.0 < lo && lo <= hi, "range {lo}–{hi}");
+        assert!(lo * (1.0 - 1e-9) <= total && total <= hi * (1.0 + 1e-9));
         assert!(measure_pairing(64, 640) > 0.0);
     }
 }

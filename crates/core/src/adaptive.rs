@@ -16,6 +16,9 @@
 //! k̃(r) =  clamp( √n · 2^(−r / (τ·log₂ n)),  2,  √n )
 //! ```
 //!
+//! with the constants θ = [`AdaptivePolicy::THETA`] = 0.4 and
+//! τ = [`AdaptivePolicy::TAU`] = 1, so `k̃` halves every `log₂ n` rounds.
+//!
 //! The estimate *decays from `√n` toward 2*, tracking the shrinking
 //! survivor count from above (Theorem 5.11 already assumes
 //! `k = O(√n / log n)`, so `√n` upper-bounds any admissible `k`). The
@@ -43,11 +46,11 @@
 //!   unconditionally; the adaptive schedule can only change *when* it
 //!   converges, not *whether*.
 //!
-//! `k̃(r)` is a pure function of `(τ, n, r)`: it depends on the round and
+//! `k̃(r)` is a pure function of `(n, r)`: it depends on the round and
 //! not on the ant. [`AdaptivePolicy::k_estimate`] therefore computes it
 //! once per round per thread and serves every other ant of that round
-//! from a one-entry memo keyed on all three inputs, at any round-thread
-//! and trial-worker count. The schedule (model clarification 7) is
+//! from a one-entry memo keyed on `(n, r)`, at any round-thread and
+//! trial-worker count. The schedule (model clarification 7) is
 //! unchanged; only how often it is evaluated is.
 //!
 //! Experiment F13 measures the payoff: across a `k` sweep at fixed `n`,
@@ -61,69 +64,53 @@ use crate::simple::{RecruitPolicy, UrnAnt, UrnOptions};
 
 /// Section 6's round-indexed recruitment-rate schedule (one concrete
 /// instantiation; see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptivePolicy {
-    /// Halving period of `k̃(r)` in units of `log₂ n` rounds. Larger is
-    /// more conservative (slower decay). Default 1.
-    pub tau: f64,
-    /// Target recruit rate for surviving nests once the schedule tracks
-    /// them, `θ ∈ (0, 1)`. Default 0.4.
-    pub theta: f64,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdaptivePolicy;
 
 impl AdaptivePolicy {
-    /// The defaults used in the paper reproduction (τ = 1, θ = 0.4).
-    #[must_use]
-    pub fn standard() -> Self {
-        Self {
-            tau: 1.0,
-            theta: 0.4,
-        }
-    }
+    /// Halving period of `k̃(r)` in units of `log₂ n` rounds.
+    pub const TAU: f64 = 1.0;
+    /// Target recruit rate for surviving nests once the schedule tracks
+    /// them.
+    pub const THETA: f64 = 0.4;
 
     /// The round-indexed estimate `k̃(r)` of surviving nests: decays from
     /// `√n` toward its floor of 2.
     ///
-    /// Every ant of a colony asks for the same `(round, n, τ)` in a
-    /// recruit round, so the value is memoized per thread, keyed on that
-    /// whole input; a hit returns the bits the uncached schedule
-    /// computed for it.
+    /// Every ant of a colony asks for the same `(round, n)` in a recruit
+    /// round, so the value is memoized per thread, keyed on that whole
+    /// input; a hit returns the bits the uncached schedule computed for
+    /// it.
     #[must_use]
-    pub fn k_estimate(&self, round: u64, n: usize) -> f64 {
-        let key = (round, n, self.tau.to_bits());
+    pub fn k_estimate(round: u64, n: usize) -> f64 {
+        let key = (round, n);
         K_ESTIMATE_MEMO.with(|memo| match memo.get() {
             Some((hit, k)) if hit == key => k,
             _ => {
-                let k = self.schedule(round, n);
+                let k = Self::schedule(round, n);
                 memo.set(Some((key, k)));
                 k
             }
         })
     }
 
-    /// The schedule itself, uncached: a pure function of `(τ, n, r)`.
-    fn schedule(&self, round: u64, n: usize) -> f64 {
+    /// The schedule itself, uncached: a pure function of `(n, r)`.
+    fn schedule(round: u64, n: usize) -> f64 {
         let nf = n.max(4) as f64;
         let log2n = nf.log2().max(1.0);
-        let period = (self.tau * log2n).max(1.0);
+        let period = (Self::TAU * log2n).max(1.0);
         let halvings = (round as f64 / period).min(64.0);
         (nf.sqrt() * 2f64.powf(-halvings)).clamp(2.0, nf.sqrt())
     }
 }
 
-/// The `(round, n, τ bits)` key of this thread's last
+/// The `(round, n)` key of this thread's last
 /// [`AdaptivePolicy::k_estimate`], and its value.
-type KEstimateMemo = Option<((u64, usize, u64), f64)>;
+type KEstimateMemo = Option<((u64, usize), f64)>;
 
 // hh-lint: allow(thread-local) — pure memo keyed on every input of k_estimate
 thread_local! {
     static K_ESTIMATE_MEMO: Cell<KEstimateMemo> = const { Cell::new(None) };
-}
-
-impl Default for AdaptivePolicy {
-    fn default() -> Self {
-        Self::standard()
-    }
 }
 
 impl RecruitPolicy for AdaptivePolicy {
@@ -132,7 +119,7 @@ impl RecruitPolicy for AdaptivePolicy {
             return 0.0;
         }
         let share = count as f64 / n as f64;
-        let boosted = (self.theta * share * self.k_estimate(round, n)).min(1.0);
+        let boosted = (Self::THETA * share * Self::k_estimate(round, n)).min(1.0);
         share.max(boosted).min(1.0)
     }
 
@@ -157,24 +144,14 @@ impl RecruitPolicy for AdaptivePolicy {
 pub type AdaptiveAnt = UrnAnt<AdaptivePolicy>;
 
 impl AdaptiveAnt {
-    /// Creates an adaptive ant with the standard schedule.
+    /// Creates an adaptive ant with the paper-faithful options.
     ///
     /// # Panics
     ///
     /// Panics if `n` exceeds `u32::MAX`.
     #[must_use]
     pub fn new(n: usize, seed: u64) -> Self {
-        Self::with_policy(n, seed, AdaptivePolicy::standard(), UrnOptions::paper())
-    }
-
-    /// Creates an adaptive ant with an explicit schedule and options.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds `u32::MAX`.
-    #[must_use]
-    pub fn with_schedule(n: usize, seed: u64, policy: AdaptivePolicy, options: UrnOptions) -> Self {
-        Self::with_policy(n, seed, policy, options)
+        Self::with_policy(n, seed, AdaptivePolicy, UrnOptions::paper())
     }
 }
 
@@ -188,18 +165,15 @@ mod tests {
 
     #[test]
     fn estimate_decays_on_schedule_and_floors() {
-        let policy = AdaptivePolicy {
-            tau: 2.0,
-            theta: 0.4,
-        };
-        let n = 1024; // log2 = 10, period = 20 rounds, start √n = 32
-        assert!((policy.k_estimate(0, n) - 32.0).abs() < 1e-9);
-        assert!((policy.k_estimate(20, n) - 16.0).abs() < 1e-9);
-        assert!((policy.k_estimate(40, n) - 8.0).abs() < 1e-9);
+        let k = AdaptivePolicy::k_estimate;
+        let n = 1024; // log2 = 10, period = τ·10 = 10 rounds, start √n = 32
+        assert!((k(0, n) - 32.0).abs() < 1e-9);
+        assert!((k(10, n) - 16.0).abs() < 1e-9);
+        assert!((k(20, n) - 8.0).abs() < 1e-9);
         // Floor at 2.
-        assert_eq!(policy.k_estimate(10_000, n), 2.0);
+        assert_eq!(k(10_000, n), 2.0);
         // And no overflow at absurd rounds.
-        assert!(policy.k_estimate(u64::MAX, n).is_finite());
+        assert!(k(u64::MAX, n).is_finite());
     }
 
     #[test]
@@ -207,38 +181,31 @@ mod tests {
         // A freshly spawned thread starts with an empty memo, whatever
         // ran before on the test harness's threads.
         std::thread::spawn(|| {
-            let policy = |tau| AdaptivePolicy { tau, theta: 0.4 };
-            let (one, wide) = (policy(1.0), policy(2.5));
             let calls = [
                 // First, on the empty memo: the true value is 2.0, which
                 // a memo pre-filled with a sentinel at this key misses.
-                (policy(0.0), u64::MAX, 0),
-                (one, 3, 1024),
-                (one, 3, 1024),
-                (one, 3, 4096),
-                (wide, 3, 4096),
-                (wide, 3, 1024),
-                (one, 3, 1024),
-                (one, 2, 1024),
-                (one, 0, 1024),
-                (wide, 0, 1024),
-                (wide, 0, 4096),
-                (one, 0, 4096),
-                (one, 9, 4096),
-                (one, 9, 1024),
-                (wide, 9, 1024),
-                (one, 1, 4096),
-                (policy(0.0), u64::MAX, 0),
+                (u64::MAX, 0),
+                (3, 1024),
+                (3, 1024),
+                (3, 4096),
+                (2, 4096),
+                (2, 1024),
+                (0, 1024),
+                (0, 4096),
+                (9, 4096),
+                (9, 1024),
+                (1, 1024),
+                (1, 4096),
+                (u64::MAX, 0),
             ];
-            for (policy, round, n) in calls {
+            for (round, n) in calls {
                 assert_eq!(
-                    policy.k_estimate(round, n).to_bits(),
-                    policy.schedule(round, n).to_bits(),
-                    "tau {}, round {round}, n {n}",
-                    policy.tau
+                    AdaptivePolicy::k_estimate(round, n).to_bits(),
+                    AdaptivePolicy::schedule(round, n).to_bits(),
+                    "round {round}, n {n}"
                 );
             }
-            assert_eq!(policy(0.0).k_estimate(u64::MAX, 0), 2.0);
+            assert_eq!(AdaptivePolicy::k_estimate(u64::MAX, 0), 2.0);
         })
         .join()
         .expect("the memo check panicked");
@@ -246,7 +213,7 @@ mod tests {
 
     #[test]
     fn never_below_the_simple_rule() {
-        let adaptive = AdaptivePolicy::standard();
+        let adaptive = AdaptivePolicy;
         let simple = LinearPolicy;
         for n in [64usize, 512, 4096] {
             for count in [0usize, 1, n / 64, n / 8, n / 2, n] {
@@ -267,7 +234,7 @@ mod tests {
     fn late_schedule_degenerates_to_the_simple_rule() {
         // Once k̃ bottoms out at 2, θ·(c/n)·2 = 0.8·(c/n) < c/n, so the
         // linear floor takes over and the rule equals Algorithm 3's.
-        let policy = AdaptivePolicy::standard();
+        let policy = AdaptivePolicy;
         let n = 4096;
         for count in [1usize, 100, 2_048, 4_096] {
             let p = policy.recruit_probability(count, n, 1_000_000);
@@ -281,7 +248,7 @@ mod tests {
         // At round 0 with k̃ = √n, a fair-share nest (c = n/k, k ≤ √n)
         // recruits at the full rate: the harmless symmetric-churn
         // prologue.
-        let policy = AdaptivePolicy::standard();
+        let policy = AdaptivePolicy;
         let n = 1024;
         let p = policy.recruit_probability(n / 8, n, 0);
         assert!((p - 1.0).abs() < 1e-12, "expected saturation, got {p}");
@@ -289,7 +256,7 @@ mod tests {
 
     #[test]
     fn probability_is_monotone_in_count() {
-        let policy = AdaptivePolicy::standard();
+        let policy = AdaptivePolicy;
         let n = 4096;
         for round in [0u64, 50, 200, 1_000] {
             let mut last = -1.0;
@@ -304,7 +271,7 @@ mod tests {
 
     #[test]
     fn zero_count_is_zero_probability() {
-        let policy = AdaptivePolicy::standard();
+        let policy = AdaptivePolicy;
         assert_eq!(policy.recruit_probability(0, 100, 10), 0.0);
     }
 

@@ -29,7 +29,7 @@
 use hh_model::seeding::{SeedPrefix, StreamKind};
 use hh_model::NestId;
 
-use crate::adaptive::{AdaptiveAnt, AdaptivePolicy};
+use crate::adaptive::AdaptiveAnt;
 use crate::agent::{Agent, AgentRole, BoxedAgent};
 use crate::any::AnyAgent;
 use crate::optimal::OptimalAnt;
@@ -336,19 +336,7 @@ pub fn simple_with_options(n: usize, base_seed: u64, options: UrnOptions) -> Col
 /// Panics if `n` exceeds `u32::MAX`.
 #[must_use]
 pub fn adaptive(n: usize, base_seed: u64) -> Colony {
-    adaptive_with_policy(n, base_seed, AdaptivePolicy::standard())
-}
-
-/// An adaptive colony with an explicit schedule.
-///
-/// # Panics
-///
-/// Panics if `n` exceeds `u32::MAX`.
-#[must_use]
-pub fn adaptive_with_policy(n: usize, base_seed: u64, policy: AdaptivePolicy) -> Colony {
-    from_factory(n, base_seed, |_, seed| {
-        AdaptiveAnt::with_schedule(n, seed, policy, UrnOptions::paper())
-    })
+    from_factory(n, base_seed, |_, seed| AdaptiveAnt::new(n, seed))
 }
 
 /// A colony running the quality-weighted variant (Section 6) with

@@ -80,9 +80,12 @@
 //! * **Paper:** §6, "Improved running time": recruit at rate
 //!   `O(c(i, r)/n · k̃(r))` with `k̃(r)` estimated from the round number.
 //! * **Open:** the schedule of `k̃(r)` and the form of the rate.
-//! * **Choice:** `p = max(c/n, min(1, θ·(c/n)·k̃(r)))`, `k̃` decaying from
-//!   `√n` to 2; `hh_core::adaptive` says why two other forms fail.
-//! * **Site:** `AdaptivePolicy` (`hh_core::adaptive`).
+//! * **Choice:** `p = max(c/n, min(1, θ·(c/n)·k̃(r)))` with θ = 0.4, and
+//!   `k̃(r) = clamp(√n · 2^(−r/(τ·log₂ n)), 2, √n)` with τ = 1, so `k̃`
+//!   halves every `log₂ n` rounds from `√n` down to 2. Both are
+//!   constants, not knobs; `hh_core::adaptive` says why two other forms
+//!   fail.
+//! * **Site:** `AdaptivePolicy::{THETA, TAU}` (`hh_core::adaptive`).
 //! * **Test:** `adaptive::tests::early_schedule_saturates_fair_shares`
 //!   and `late_schedule_degenerates_to_the_simple_rule`; experiment F18
 //!   runs all three forms against the simple rule.

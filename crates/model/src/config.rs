@@ -22,11 +22,11 @@ use crate::error::ModelError;
 use crate::nest::Quality;
 use crate::noise::NoiseModel;
 
-/// A declarative description of the `k` candidate-nest qualities.
+/// A declarative description of the `k` candidate-nest qualities: the
+/// habitat a colony faces.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum QualitySpec {
-    /// All `k` nests are good (`q = 1`).
+    /// All `k` nests are good (`q = 1`): pure symmetry breaking.
     AllGood {
         /// Number of candidate nests.
         k: usize,
@@ -48,6 +48,15 @@ pub enum QualitySpec {
         k: usize,
         /// Number of good nests.
         good: usize,
+    },
+    /// An adversarial non-binary tie: nests 1 and 2 are rivals of quality
+    /// 0.9 and the other `k − 2` are mediocre decoys at 0.45. Non-binary
+    /// agents must both break the tie and reject the decoys (Section 6's
+    /// quality extension). Below `k = 2` the rivals are the first `k`
+    /// nests.
+    AdversarialTie {
+        /// Number of candidate nests.
+        k: usize,
     },
     /// Explicit per-nest qualities, index 0 ↦ nest `n₁`.
     Explicit(Vec<Quality>),
@@ -72,14 +81,37 @@ impl QualitySpec {
         QualitySpec::GoodPrefix { k, good }
     }
 
+    /// The number of candidate nests.
+    #[must_use]
+    pub fn k(&self) -> usize {
+        match self {
+            QualitySpec::AllGood { k }
+            | QualitySpec::SingleGood { k, .. }
+            | QualitySpec::GoodPrefix { k, .. }
+            | QualitySpec::AdversarialTie { k } => *k,
+            QualitySpec::Explicit(qualities) => qualities.len(),
+        }
+    }
+
+    /// `true` for habitats whose qualities are not binary 0/1, which need
+    /// the "assessing go" model extension and quality-aware agents to be
+    /// meaningful.
+    #[must_use]
+    pub fn is_non_binary(&self) -> bool {
+        matches!(
+            self,
+            QualitySpec::AdversarialTie { .. } | QualitySpec::Explicit(_)
+        )
+    }
+
     /// Materializes the per-nest quality vector (index 0 ↦ nest `n₁`).
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NoCandidateNests`] for `k = 0` and
-    /// [`ModelError::UnknownNest`]-free variants validate their own
-    /// parameters: a `SingleGood` index outside `1..=k` or a `GoodPrefix`
-    /// count above `k` yields [`ModelError::NoGoodNest`].
+    /// Returns [`ModelError::NoCandidateNests`] for `k = 0` (every
+    /// variant, the tie included), and [`ModelError::NoGoodNest`] for a
+    /// `SingleGood` index outside `1..=k` or a `GoodPrefix` count above
+    /// `k`.
     pub fn materialize(&self) -> Result<Vec<Quality>, ModelError> {
         let qualities = match self {
             QualitySpec::AllGood { k } => vec![Quality::GOOD; *k],
@@ -98,6 +130,15 @@ impl QualitySpec {
                 let mut q = vec![Quality::BAD; *k];
                 for slot in q.iter_mut().take(*good) {
                     *slot = Quality::GOOD;
+                }
+                q
+            }
+            QualitySpec::AdversarialTie { k } => {
+                let rival = Quality::new(0.9).expect("valid quality");
+                let decoy = Quality::new(0.45).expect("valid quality");
+                let mut q = vec![decoy; *k];
+                for slot in q.iter_mut().take(2) {
+                    *slot = rival;
                 }
                 q
             }
@@ -311,5 +352,38 @@ mod tests {
         let q = vec![Quality::new(0.2).unwrap(), Quality::new(0.9).unwrap()];
         let spec = QualitySpec::Explicit(q.clone());
         assert_eq!(spec.materialize().unwrap(), q);
+    }
+
+    #[test]
+    fn adversarial_tie_fills_at_most_two_rivals() {
+        use crate::{Environment, Nest};
+        let (rival, decoy) = (Quality::new(0.9).unwrap(), Quality::new(0.45).unwrap());
+        for (k, expected) in [
+            (4, Ok(vec![rival, rival, decoy, decoy])),
+            (2, Ok(vec![rival, rival])),
+            (1, Ok(vec![rival])),
+            (0, Err(ModelError::NoCandidateNests)),
+        ] {
+            let spec = QualitySpec::AdversarialTie { k };
+            assert_eq!(spec.materialize(), expected, "k = {k}");
+            let built = Environment::new(&ColonyConfig::new(8, spec))
+                .map(|env| env.nests().iter().map(Nest::quality).collect());
+            assert_eq!(built, expected, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn k_and_non_binary_cover_every_variant() {
+        let half = Quality::new(0.5).unwrap();
+        for (spec, k, non_binary) in [
+            (QualitySpec::all_good(3), 3, false),
+            (QualitySpec::single_good(4, 2), 4, false),
+            (QualitySpec::good_prefix(5, 2), 5, false),
+            (QualitySpec::AdversarialTie { k: 6 }, 6, true),
+            (QualitySpec::Explicit(vec![half; 7]), 7, true),
+        ] {
+            assert_eq!(spec.k(), k, "{spec:?}");
+            assert_eq!(spec.is_non_binary(), non_binary, "{spec:?}");
+        }
     }
 }

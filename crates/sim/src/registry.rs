@@ -6,8 +6,8 @@
 //! members of those families. This module turns them into data instead of
 //! code: a [`Scenario`] is assembled from three composable axes,
 //!
-//! * [`QualityProfile`] — all-good, good-prefix, single-good, or an
-//!   adversarial non-binary tie;
+//! * [`QualitySpec`] — all-good, good-prefix, single-good, an
+//!   adversarial non-binary tie, or explicit qualities;
 //! * [`FaultSchedule`] — none, crash, delay, or mixed perturbations;
 //! * [`ColonyMix`] — a uniform colony of one [`Algorithm`], an
 //!   idle-fraction colony (Afek–Gordon–Sulamy's idle ants), a colony with
@@ -34,11 +34,12 @@
 //! assert!(!registry::with_tag(Tag::Crash).is_empty());
 //!
 //! // Or compose a custom scenario from the same axes.
-//! use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, QualityProfile, Scenario};
+//! use hh_model::QualitySpec;
+//! use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, Scenario};
 //! let custom = Scenario::custom(
 //!     "my-workload",
 //!     64,
-//!     QualityProfile::GoodPrefix { k: 4, good: 2 },
+//!     QualitySpec::GoodPrefix { k: 4, good: 2 },
 //!     FaultSchedule::None,
 //!     ColonyMix::Uniform(Algorithm::Simple),
 //! );
@@ -49,7 +50,7 @@
 use hh_core::{colony, Colony, SpreadStrategy};
 use hh_model::faults::{CrashPlan, CrashStyle, DelayPlan};
 use hh_model::seeding::{derive_seed, StreamKind};
-use hh_model::{ColonyConfig, NoiseModel, Quality, QualitySpec};
+use hh_model::{ColonyConfig, NoiseModel, QualitySpec};
 
 use crate::convergence::ConvergenceRule;
 use crate::error::SimError;
@@ -138,89 +139,10 @@ impl Algorithm {
     }
 }
 
-/// The nest-quality axis: which `k`-nest habitat the colony faces.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum QualityProfile {
-    /// All `k` nests good: pure symmetry breaking, the hardest race.
-    AllGood {
-        /// Number of candidate nests.
-        k: usize,
-    },
-    /// The first `good` of `k` nests good, the rest bad.
-    GoodPrefix {
-        /// Number of candidate nests.
-        k: usize,
-        /// Number of good nests.
-        good: usize,
-    },
-    /// Exactly one good nest among `k` — the needle-in-a-haystack
-    /// lower-bound setting of Section 3.
-    SingleGood {
-        /// Number of candidate nests.
-        k: usize,
-        /// 1-based index of the unique good nest.
-        good: usize,
-    },
-    /// An adversarial non-binary tie: two rival nests of quality 0.9 and
-    /// `k − 2` mediocre decoys at 0.45. Non-binary agents must both break
-    /// the tie and reject the decoys (Section 6's quality extension).
-    AdversarialTie {
-        /// Number of candidate nests (≥ 2).
-        k: usize,
-    },
-    /// Explicit per-nest qualities (non-binary).
-    Explicit(Vec<Quality>),
-}
-
-impl QualityProfile {
-    /// The number of candidate nests.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        match self {
-            QualityProfile::AllGood { k }
-            | QualityProfile::GoodPrefix { k, .. }
-            | QualityProfile::SingleGood { k, .. }
-            | QualityProfile::AdversarialTie { k } => *k,
-            QualityProfile::Explicit(qualities) => qualities.len(),
-        }
-    }
-
-    /// `true` for profiles whose qualities are not binary 0/1, which need
-    /// the "assessing go" model extension and quality-aware agents to be
-    /// meaningful.
-    #[must_use]
-    pub fn is_non_binary(&self) -> bool {
-        matches!(
-            self,
-            QualityProfile::AdversarialTie { .. } | QualityProfile::Explicit(_)
-        )
-    }
-
-    /// Materializes the profile into the model's [`QualitySpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an `AdversarialTie` has `k < 2` (catalog-definition bug).
-    #[must_use]
-    pub fn spec(&self) -> QualitySpec {
-        match self {
-            QualityProfile::AllGood { k } => QualitySpec::all_good(*k),
-            QualityProfile::GoodPrefix { k, good } => QualitySpec::good_prefix(*k, *good),
-            QualityProfile::SingleGood { k, good } => QualitySpec::single_good(*k, *good),
-            QualityProfile::AdversarialTie { k } => {
-                assert!(*k >= 2, "an adversarial tie needs at least two nests");
-                let rival = Quality::new(0.9).expect("valid quality");
-                let decoy = Quality::new(0.45).expect("valid quality");
-                let mut qualities = vec![decoy; *k];
-                qualities[0] = rival;
-                qualities[1] = rival;
-                QualitySpec::Explicit(qualities)
-            }
-            QualityProfile::Explicit(qualities) => QualitySpec::Explicit(qualities.clone()),
-        }
-    }
-}
+/// The nest-quality axis under its former name, kept only because the
+/// benchmark harness in `perfbench/` names it. The axis is the model's
+/// own [`QualitySpec`]; new code names that.
+pub use hh_model::QualitySpec as QualityProfile;
 
 /// The fault/asynchrony axis: which Section 6 perturbations apply.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -503,7 +425,7 @@ pub struct Scenario {
     name: String,
     summary: String,
     n: usize,
-    profile: QualityProfile,
+    profile: QualitySpec,
     faults: FaultSchedule,
     mix: ColonyMix,
     noise: NoiseModel,
@@ -526,7 +448,7 @@ impl Scenario {
     pub fn custom(
         name: impl Into<String>,
         n: usize,
-        profile: QualityProfile,
+        profile: QualitySpec,
         faults: FaultSchedule,
         mix: ColonyMix,
     ) -> Self {
@@ -556,7 +478,7 @@ impl Scenario {
     /// under faults, and plain commitment consensus otherwise.
     #[must_use]
     pub fn default_rule(
-        profile: &QualityProfile,
+        profile: &QualitySpec,
         faults: &FaultSchedule,
         mix: &ColonyMix,
     ) -> ConvergenceRule {
@@ -673,7 +595,7 @@ impl Scenario {
 
     /// The quality axis.
     #[must_use]
-    pub fn profile(&self) -> &QualityProfile {
+    pub fn profile(&self) -> &QualitySpec {
         &self.profile
     }
 
@@ -725,11 +647,11 @@ impl Scenario {
             _ => Tag::Large,
         };
         let quality = match self.profile {
-            QualityProfile::AllGood { .. } => Tag::AllGood,
-            QualityProfile::GoodPrefix { .. } => Tag::GoodPrefix,
-            QualityProfile::SingleGood { .. } => Tag::SingleGood,
-            QualityProfile::AdversarialTie { .. } => Tag::Tie,
-            QualityProfile::Explicit(_) => Tag::NonBinary,
+            QualitySpec::AllGood { .. } => Tag::AllGood,
+            QualitySpec::GoodPrefix { .. } => Tag::GoodPrefix,
+            QualitySpec::SingleGood { .. } => Tag::SingleGood,
+            QualitySpec::AdversarialTie { .. } => Tag::Tie,
+            QualitySpec::Explicit(_) => Tag::NonBinary,
         };
         let fault = match self.faults {
             FaultSchedule::None => Tag::Clean,
@@ -753,21 +675,15 @@ impl Scenario {
     }
 
     /// Materializes the declarative spec for one trial seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an `AdversarialTie` with `k < 2`, as
-    /// [`QualityProfile::spec`] does; [`build`](Self::build) returns
-    /// [`SimError::InvalidScenario`] for it instead.
     #[must_use]
     pub fn spec_for(&self, seed: u64) -> ScenarioSpec {
-        let mut config = ColonyConfig::new(self.n, self.profile.spec())
+        let mut config = ColonyConfig::new(self.n, self.profile.clone())
             .seed(seed)
             .noise(self.noise);
         if self.profile.is_non_binary() || self.mix.needs_quality_on_go() {
             config = config.reveal_quality_on_go();
         }
-        if matches!(self.profile, QualityProfile::Explicit(_)) {
+        if matches!(self.profile, QualitySpec::Explicit(_)) {
             // Explicit habitats may legitimately contain no binary-good
             // nest; the registry does not second-guess them.
             config = config.allow_no_good();
@@ -818,19 +734,18 @@ impl Scenario {
     }
 
     /// Rejects the out-of-range axis values listed under
-    /// [`build`](Self::build) before anything is built, including the
-    /// `AdversarialTie` that [`spec_for`](Self::spec_for) would panic on.
+    /// [`build`](Self::build) before anything is built.
     fn check_axes(&self) -> Result<(), SimError> {
         let invalid = |axis, reason| Err(SimError::InvalidScenario { axis, reason });
         let unit = |value: f64| (0.0..=1.0).contains(&value);
         match self.profile {
-            QualityProfile::AdversarialTie { k } if k < 2 => {
+            QualitySpec::AdversarialTie { k } if k < 2 => {
                 return invalid("profile", "an adversarial tie needs at least two nests");
             }
-            QualityProfile::GoodPrefix { k, good } if !(1..=k).contains(&good) => {
+            QualitySpec::GoodPrefix { k, good } if !(1..=k).contains(&good) => {
                 return invalid("profile", "a good prefix must hold between 1 and k nests");
             }
-            QualityProfile::SingleGood { k, good } if !(1..=k).contains(&good) => {
+            QualitySpec::SingleGood { k, good } if !(1..=k).contains(&good) => {
                 return invalid("profile", "the single good nest must be one of nests 1..=k");
             }
             _ => {}
@@ -949,7 +864,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "baseline-16",
             16,
-            QualityProfile::GoodPrefix { k: 2, good: 1 },
+            QualitySpec::GoodPrefix { k: 2, good: 1 },
             FaultSchedule::None,
             ColonyMix::Uniform(Simple),
         )
@@ -958,7 +873,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "baseline-128",
             128,
-            QualityProfile::GoodPrefix { k: 6, good: 2 },
+            QualitySpec::GoodPrefix { k: 6, good: 2 },
             FaultSchedule::None,
             ColonyMix::Uniform(Simple),
         )
@@ -967,7 +882,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "all-good-race-256",
             256,
-            QualityProfile::AllGood { k: 4 },
+            QualitySpec::AllGood { k: 4 },
             FaultSchedule::None,
             ColonyMix::Uniform(Simple),
         )
@@ -976,7 +891,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "single-good-needle-128",
             128,
-            QualityProfile::SingleGood { k: 8, good: 5 },
+            QualitySpec::SingleGood { k: 8, good: 5 },
             FaultSchedule::None,
             ColonyMix::Uniform(Simple),
         )
@@ -985,7 +900,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "optimal-1024",
             1024,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::None,
             ColonyMix::Uniform(Optimal),
         )
@@ -995,7 +910,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "mega-colony-4096",
             4096,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::None,
             ColonyMix::Uniform(Optimal),
         )
@@ -1005,7 +920,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "adaptive-many-nests-512",
             512,
-            QualityProfile::AllGood { k: 16 },
+            QualitySpec::AllGood { k: 16 },
             FaultSchedule::None,
             ColonyMix::Uniform(Adaptive),
         )
@@ -1014,7 +929,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "quality-tie-128",
             128,
-            QualityProfile::AdversarialTie { k: 4 },
+            QualitySpec::AdversarialTie { k: 4 },
             FaultSchedule::None,
             ColonyMix::Uniform(Algorithm::Quality { gamma: 2.0 }),
         )
@@ -1023,7 +938,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "spreader-rumor-512",
             512,
-            QualityProfile::SingleGood { k: 4, good: 2 },
+            QualitySpec::SingleGood { k: 4, good: 2 },
             FaultSchedule::None,
             ColonyMix::Uniform(Algorithm::Spreader {
                 strategy: SpreadStrategy::WaitAtHome,
@@ -1035,7 +950,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "crash-quarter-128",
             128,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::Crash {
                 fraction: 0.25,
                 round: 10,
@@ -1048,7 +963,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "crash-at-home-64",
             64,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::Crash {
                 fraction: 0.15,
                 round: 8,
@@ -1061,7 +976,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "delay-light-128",
             128,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::Delay { probability: 0.10 },
             ColonyMix::Uniform(Simple),
         )
@@ -1070,7 +985,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "mixed-faults-128",
             128,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::Mixed {
                 crash_fraction: 0.10,
                 crash_round: 10,
@@ -1083,7 +998,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "idle-quarter-128",
             128,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::None,
             ColonyMix::IdleFraction {
                 algorithm: Simple,
@@ -1095,7 +1010,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "idle-third-256",
             256,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::None,
             ColonyMix::IdleFraction {
                 algorithm: Simple,
@@ -1107,7 +1022,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "idle-half-256",
             256,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::None,
             ColonyMix::IdleFraction {
                 algorithm: Simple,
@@ -1119,7 +1034,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "idle-seventy-256",
             256,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::None,
             ColonyMix::IdleFraction {
                 algorithm: Simple,
@@ -1132,7 +1047,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "byzantine-handful-96",
             96,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             FaultSchedule::None,
             ColonyMix::Byzantine {
                 algorithm: Simple,
@@ -1144,7 +1059,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "hetero-simple-adaptive-256",
             256,
-            QualityProfile::AllGood { k: 8 },
+            QualitySpec::AllGood { k: 8 },
             FaultSchedule::None,
             ColonyMix::Heterogeneous {
                 a: Simple,
@@ -1157,7 +1072,7 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario::custom(
             "all-crash-collapse-32",
             32,
-            QualityProfile::GoodPrefix { k: 2, good: 1 },
+            QualitySpec::GoodPrefix { k: 2, good: 1 },
             FaultSchedule::Crash {
                 fraction: 1.0,
                 round: 1,
@@ -1243,7 +1158,7 @@ mod tests {
         let clean = Scenario::custom(
             "t-clean",
             32,
-            QualityProfile::AllGood { k: 2 },
+            QualitySpec::AllGood { k: 2 },
             FaultSchedule::None,
             ColonyMix::Uniform(Algorithm::Simple),
         );
@@ -1251,7 +1166,7 @@ mod tests {
         let faulty = Scenario::custom(
             "t-faulty",
             32,
-            QualityProfile::AllGood { k: 2 },
+            QualitySpec::AllGood { k: 2 },
             FaultSchedule::Delay { probability: 0.1 },
             ColonyMix::Uniform(Algorithm::Simple),
         );
@@ -1262,7 +1177,7 @@ mod tests {
         let byz = Scenario::custom(
             "t-byz",
             32,
-            QualityProfile::AllGood { k: 2 },
+            QualitySpec::AllGood { k: 2 },
             FaultSchedule::None,
             ColonyMix::Byzantine {
                 algorithm: Algorithm::Simple,
@@ -1328,10 +1243,13 @@ mod tests {
             let scenario = Scenario::custom(
                 format!("tie-{k}"),
                 32,
-                QualityProfile::AdversarialTie { k },
+                QualitySpec::AdversarialTie { k },
                 FaultSchedule::None,
                 ColonyMix::Uniform(Algorithm::Simple),
             );
+            // The spec itself materializes nothing, so it cannot panic.
+            let spec = scenario.spec_for(1);
+            assert_eq!(spec.config().qualities(), scenario.profile(), "k = {k}");
             assert_eq!(scenario.build(1).err(), Some(expected.clone()), "k = {k}");
             assert_eq!(scenario.run(1).err(), Some(expected.clone()), "k = {k}");
             assert_eq!(
@@ -1345,8 +1263,8 @@ mod tests {
     #[test]
     fn hostile_axis_values_are_errors_not_silent_runs() {
         use Algorithm::Simple;
-        let prefix = |k, good| QualityProfile::GoodPrefix { k, good };
-        let single = |k, good| QualityProfile::SingleGood { k, good };
+        let prefix = |k, good| QualitySpec::GoodPrefix { k, good };
+        let single = |k, good| QualitySpec::SingleGood { k, good };
         let delay = |probability| FaultSchedule::Delay { probability };
         let crash = |fraction| FaultSchedule::Crash {
             fraction,
@@ -1479,7 +1397,7 @@ mod tests {
         let scenario = Scenario::custom(
             "nan-gamma",
             8,
-            QualityProfile::GoodPrefix { k: 2, good: 1 },
+            QualitySpec::GoodPrefix { k: 2, good: 1 },
             FaultSchedule::None,
             ColonyMix::Uniform(Algorithm::Quality { gamma: f64::NAN }),
         );
@@ -1488,11 +1406,27 @@ mod tests {
 
     #[test]
     fn adversarial_tie_materializes_two_rivals() {
-        let spec = QualityProfile::AdversarialTie { k: 4 }.spec();
-        let qualities = spec.materialize().unwrap();
+        let qualities = QualitySpec::AdversarialTie { k: 4 }.materialize().unwrap();
         assert_eq!(qualities.iter().filter(|q| q.is_good()).count(), 2);
         assert!(qualities[0].is_good() && qualities[1].is_good());
         assert!(!qualities[2].is_good() && !qualities[3].is_good());
+    }
+
+    #[test]
+    fn quality_profile_is_the_model_quality_spec() {
+        let axes = |profile| {
+            Scenario::custom(
+                "alias",
+                16,
+                profile,
+                FaultSchedule::None,
+                ColonyMix::Uniform(Algorithm::Simple),
+            )
+        };
+        assert_eq!(
+            axes(crate::registry::QualityProfile::GoodPrefix { k: 4, good: 2 }),
+            axes(QualitySpec::GoodPrefix { k: 4, good: 2 })
+        );
     }
 
     #[test]

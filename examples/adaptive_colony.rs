@@ -24,7 +24,7 @@ fn measure(
     let scenario = Scenario::custom(
         format!("adaptive-sweep-{}-k{k}", algorithm.label()),
         n,
-        QualityProfile::AllGood { k },
+        QualitySpec::AllGood { k },
         FaultSchedule::None,
         ColonyMix::Uniform(algorithm),
     )

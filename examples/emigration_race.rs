@@ -23,7 +23,7 @@ fn race_scenario(n: usize, k: usize, algorithm: Algorithm) -> Scenario {
     Scenario::custom(
         format!("race-{}-{n}", algorithm.label()),
         n,
-        QualityProfile::GoodPrefix { k, good: k / 2 },
+        QualitySpec::GoodPrefix { k, good: k / 2 },
         FaultSchedule::None,
         ColonyMix::Uniform(algorithm),
     )

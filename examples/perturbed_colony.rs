@@ -63,7 +63,7 @@ impl Setup {
                 mix.primary_algorithm().label()
             ),
             n,
-            QualityProfile::GoodPrefix { k: 4, good: 2 },
+            QualitySpec::GoodPrefix { k: 4, good: 2 },
             faults,
             mix,
         )

@@ -22,7 +22,7 @@ fn main() -> Result<(), SimError> {
     let qualities = [0.9, 0.6];
     println!("speed/accuracy trade-off: n = {n}, nest qualities {qualities:?}, {trials} trials\n");
 
-    let profile = QualityProfile::Explicit(
+    let profile = QualitySpec::Explicit(
         qualities
             .iter()
             .map(|&q| Quality::new(q).expect("valid quality"))

@@ -60,9 +60,7 @@ pub mod prelude {
         Action, AntId, ColonyConfig, Environment, ModelError, NestId, NoiseModel, Outcome, Quality,
         QualitySpec,
     };
-    pub use hh_sim::registry::{
-        self, Algorithm, ColonyMix, FaultSchedule, QualityProfile, Scenario, Tag,
-    };
+    pub use hh_sim::registry::{self, Algorithm, ColonyMix, FaultSchedule, Scenario, Tag};
     pub use hh_sim::{
         ConvergenceRule, EngineKind, Perturbations, RoundSnapshot, RunOutcome, ScenarioSpec,
         SeriesRecorder, SimError, Simulation, Solved, TrialOutcome,

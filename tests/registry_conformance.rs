@@ -322,11 +322,11 @@ proptest! {
         let float = |idx: usize| HOSTILE_FLOATS[idx];
         let good = good % (k + 2);
         let profile = match profile {
-            0 => QualityProfile::AllGood { k },
-            1 => QualityProfile::GoodPrefix { k, good },
-            2 => QualityProfile::SingleGood { k, good },
-            3 => QualityProfile::AdversarialTie { k },
-            _ => QualityProfile::Explicit(
+            0 => QualitySpec::AllGood { k },
+            1 => QualitySpec::GoodPrefix { k, good },
+            2 => QualitySpec::SingleGood { k, good },
+            3 => QualitySpec::AdversarialTie { k },
+            _ => QualitySpec::Explicit(
                 explicit.iter().filter_map(|&idx| Quality::new(float(idx)).ok()).collect(),
             ),
         };
