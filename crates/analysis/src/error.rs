@@ -23,6 +23,11 @@ pub enum AnalysisError {
     },
     /// The x values were all identical, so no slope is defined.
     DegenerateX,
+    /// A sample held a NaN, which has no place in an order.
+    NotANumber {
+        /// Index of the first NaN in the sample.
+        index: usize,
+    },
 }
 
 impl fmt::Display for AnalysisError {
@@ -39,6 +44,9 @@ impl fmt::Display for AnalysisError {
             }
             AnalysisError::DegenerateX => {
                 write!(f, "all x values are identical; slope is undefined")
+            }
+            AnalysisError::NotANumber { index } => {
+                write!(f, "sample value {index} is NaN")
             }
         }
     }
@@ -59,6 +67,7 @@ mod tests {
                 required: 2,
             },
             AnalysisError::DegenerateX,
+            AnalysisError::NotANumber { index: 3 },
         ] {
             let msg = err.to_string();
             assert!(msg.chars().next().unwrap().is_lowercase());

@@ -21,7 +21,7 @@ use crate::error::AnalysisError;
 /// assert!((summary.mean() - 5.0).abs() < 1e-12);
 /// assert!((summary.population_std_dev() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -153,6 +153,14 @@ impl Summary {
     }
 }
 
+impl Default for Summary {
+    /// The empty accumulator of [`Summary::new`], whose `min` and `max`
+    /// start at `+∞` and `−∞`.
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FromIterator<f64> for Summary {
     fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
         let mut summary = Summary::new();
@@ -194,7 +202,9 @@ impl Quantiles {
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError::TooFewPoints`] for an empty sample.
+    /// Returns [`AnalysisError::TooFewPoints`] for an empty sample and
+    /// [`AnalysisError::NotANumber`], naming the first NaN's index, for a
+    /// sample that holds a NaN.
     pub fn new(mut sample: Vec<f64>) -> Result<Self, AnalysisError> {
         if sample.is_empty() {
             return Err(AnalysisError::TooFewPoints {
@@ -202,7 +212,10 @@ impl Quantiles {
                 required: 1,
             });
         }
-        sample.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in quantile data"));
+        if let Some(index) = sample.iter().position(|value| value.is_nan()) {
+            return Err(AnalysisError::NotANumber { index });
+        }
+        sample.sort_by(|a, b| a.partial_cmp(b).expect("NaN was rejected above"));
         Ok(Self { sorted: sample })
     }
 
@@ -322,6 +335,29 @@ mod tests {
                 got: 0,
                 required: 1
             })
+        );
+    }
+
+    #[test]
+    fn default_summary_is_the_new_one() {
+        assert_eq!(Summary::default(), Summary::new());
+        let mut s = Summary::default();
+        s.extend([5.0, 7.0]);
+        assert_eq!((s.min(), s.max()), (5.0, 7.0));
+        let mut s = Summary::default();
+        s.push(-3.0);
+        assert_eq!((s.min(), s.max()), (-3.0, -3.0));
+    }
+
+    #[test]
+    fn quantiles_reject_nan_by_index() {
+        assert_eq!(
+            Quantiles::new(vec![1.0, f64::NAN, 2.0, f64::NAN]),
+            Err(AnalysisError::NotANumber { index: 1 })
+        );
+        assert_eq!(
+            Quantiles::new(vec![f64::NAN]),
+            Err(AnalysisError::NotANumber { index: 0 })
         );
     }
 

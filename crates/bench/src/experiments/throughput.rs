@@ -10,7 +10,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use hh_analysis::{fmt_f64, Table};
-use hh_model::recruitment::{pair_ants_into, Pairing, RecruitCall};
+use hh_model::recruitment::{pair_chunks_into, Pairing, RecruitCall};
 use hh_model::{AntId, NestId, QualitySpec};
 use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, Scenario};
 use hh_sim::EngineKind;
@@ -100,11 +100,13 @@ pub fn measure_throughput(n: usize, rounds: u64, cell: u64) -> ([Throughput; 2],
     (totals, ratio_range)
 }
 
-/// Measures Algorithm 1 alone: nanoseconds per participant of
-/// [`pair_ants_into`] over `m` participants, every other one active,
-/// with the pairing and permutation scratch reused across calls as
-/// `Environment::pair_round` reuses them. Runs about `participants`
-/// participants in total.
+/// Measures Algorithm 1 alone: nanoseconds per participant of the
+/// kernel the engine runs every round, [`pair_chunks_into`], over `m`
+/// participants in one chunk (as at one round thread), every other one
+/// active, with the pairing and permutation scratch reused across calls
+/// as `SharedRound::pair_round` reuses them. The id-level pairs, which
+/// only a reporting round builds, are not timed. Runs about
+/// `participants` participants in total.
 #[must_use]
 #[allow(clippy::disallowed_methods)] // wall clock, as in `measure_throughput`
 pub fn measure_pairing(m: usize, participants: usize) -> f64 {
@@ -115,11 +117,16 @@ pub fn measure_pairing(m: usize, participants: usize) -> f64 {
     let mut pairing = Pairing::default();
     let mut perm = Vec::new();
     // Warm-up: grows the scratch to size, as the executor's first round does.
-    pair_ants_into(&calls, &mut rng, &mut pairing, &mut perm);
+    pair_chunks_into([calls.as_slice()], &mut rng, &mut pairing, &mut perm);
     let calls_run = (participants / m).max(1);
     let start = Instant::now();
     for _ in 0..calls_run {
-        pair_ants_into(black_box(&calls), &mut rng, &mut pairing, &mut perm);
+        pair_chunks_into(
+            [black_box(calls.as_slice())],
+            &mut rng,
+            &mut pairing,
+            &mut perm,
+        );
         black_box(pairing.matched_count());
     }
     let elapsed = start.elapsed().as_secs_f64();
@@ -177,8 +184,10 @@ pub fn run(mode: Mode) -> ExperimentReport {
          the per-block range is the lowest and highest fast/scalar ratio of \
          one block, and a difference inside it is unresolved (perfbench is \
          the benchmark of record)\n\n{table}\n\
-         Algorithm 1 alone (pair_ants_into, reused scratch, every other \
-         participant active), about {participants} participants per row\n\n{pairing}"
+         Algorithm 1 alone (pair_chunks_into, the kernel the engine runs \
+         every round, without the id-level pairs; reused scratch, every \
+         other participant active), about {participants} participants per \
+         row\n\n{pairing}"
     );
     ExperimentReport {
         id: "T2",

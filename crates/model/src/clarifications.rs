@@ -39,7 +39,8 @@
 //! * **Open:** whether a recruiter's random target may be itself.
 //! * **Choice:** yes, as Lemma 3.1 assumes; a self-pair counts as a
 //!   successful recruitment and returns the ant's own nest.
-//! * **Site:** [`recruitment::pair_ants_into`](crate::recruitment::pair_ants_into).
+//! * **Site:** the match loop of
+//!   [`recruitment::pair_chunks_into`](crate::recruitment::pair_chunks_into).
 //! * **Test:** `recruitment::tests::lone_active_ant_self_recruits` and the
 //!   exact law in `tests/property_model.rs`.
 //!

@@ -58,7 +58,7 @@ use crate::error::ModelError;
 use crate::ids::{AntId, NestId};
 use crate::nest::{Nest, Quality};
 use crate::noise::NoiseModel;
-use crate::recruitment::{pair_ants_into, Pairing, RecruitCall};
+use crate::recruitment::{pair_chunks_into, Pairing, RecruitCall};
 use crate::seeding::{derive_seed, SeedPrefix, StreamKind};
 use crate::util::{BitMatrix, RowBandMut};
 
@@ -328,13 +328,14 @@ impl Environment {
         let (mut chunk, mut shared) = self.split_round();
         chunk.apply_all(actions, &mut counts, &mut report.recruitment.calls);
         shared.merge_counts(std::iter::once(counts.as_slice()));
-        shared.pair_round(&report.recruitment.calls);
+        shared.pair_round([report.recruitment.calls.as_slice()]);
         let mut call_cursor = 0usize;
         report.outcomes = actions
             .iter()
             .enumerate()
             .map(|(idx, action)| chunk.outcome(&shared, idx, *action, &mut call_cursor))
             .collect();
+        self.build_pairs(&report.recruitment.calls);
         self.export_pairs(&mut report);
         Ok(report)
     }
@@ -347,8 +348,9 @@ impl Environment {
     /// ant's action exactly once, into per-chunk population tallies and
     /// recruit-call vectors (in chunk order the calls are in ant order).
     /// Fold the tallies with [`SharedRound::merge_counts`], which nothing
-    /// reads them before, and run [`SharedRound::pair_round`]. Then
-    /// compute every ant's [`outcome`](AntChunk::outcome).
+    /// reads them before, and run [`SharedRound::pair_round`] over the
+    /// call vectors in chunk order. Then compute every ant's
+    /// [`outcome`](AntChunk::outcome).
     pub fn split_round(&mut self) -> (AntChunk<'_>, SharedRound<'_>) {
         (
             AntChunk {
@@ -390,13 +392,37 @@ impl Environment {
         self.split_round().1.merge_counts(deltas);
     }
 
-    /// [`SharedRound::pair_round`] on this environment.
+    /// [`SharedRound::pair_round`] on this environment over one chunk,
+    /// `calls` in ant order, followed by [`build_pairs`](Self::build_pairs):
+    /// the round's matched pairs are then ready for
+    /// [`export_pairs`](Self::export_pairs).
     pub fn pair_round(&mut self, calls: &[RecruitCall]) {
-        self.split_round().1.pair_round(calls);
+        self.split_round().1.pair_round([calls]);
+        self.build_pairs(calls);
     }
 
-    /// Copies the just-paired round's matched pairs into the report —
-    /// shared tail of [`step`](Self::step) and the executor's rounds.
+    /// Builds the id-level view of the just-paired round's matching, its
+    /// pairs as ant ids, from the round's `calls` in ant order. Only a
+    /// round that reports its pairs needs it:
+    /// [`pair_round`](Self::pair_round) and [`step`](Self::step) build it,
+    /// and the `hh-sim` executor calls it on the rounds it materializes
+    /// (see the `hh_model::recruitment` module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `calls` holds fewer calls than the round was paired over.
+    pub fn build_pairs(&mut self, calls: &[RecruitCall]) {
+        self.scratch_pairing.build_pairs(calls);
+    }
+
+    /// Copies the just-paired round's matched pairs into the report, as
+    /// ant ids — shared tail of [`step`](Self::step) and the executor's
+    /// materialized rounds. The pairs are those the last
+    /// [`build_pairs`](Self::build_pairs) (through
+    /// [`pair_round`](Self::pair_round) or [`step`](Self::step)) built
+    /// for this round; after a round paired by
+    /// [`SharedRound::pair_round`] alone, such as every unmaterialized
+    /// round of the executor, there are none.
     pub fn export_pairs(&self, report: &mut StepReport) {
         report.recruitment.pairs.clear();
         report
@@ -786,13 +812,22 @@ impl<'a> SharedRound<'a> {
         }
     }
 
-    /// The serial middle of a round: runs Algorithm 1 over the collected
-    /// recruit calls (which must be in ant order) on the shared stream
-    /// and advances the round counter. Call between the relocation and
-    /// outcome phases; recruited ants learn their new nest in the
-    /// outcome phase.
-    pub fn pair_round(&mut self, calls: &[RecruitCall]) {
-        pair_ants_into(calls, self.rng, self.pairing, self.perm);
+    /// The serial middle of a round: runs Algorithm 1's kernel
+    /// ([`pair_chunks_into`]) on the shared stream over the round's
+    /// recruit calls, read in place from the per-chunk call vectors in
+    /// chunk order (so in ant order), and advances the round counter.
+    /// Call between the relocation and outcome phases; recruited ants
+    /// learn their new nest in the outcome phase.
+    ///
+    /// The kernel builds what the outcomes read, not the pairs as ant
+    /// ids: [`Environment::build_pairs`] adds those for a round that
+    /// reports them.
+    pub fn pair_round<'c, I>(&mut self, chunks: I)
+    where
+        I: IntoIterator<Item = &'c [RecruitCall]>,
+        I::IntoIter: Clone,
+    {
+        pair_chunks_into(chunks, self.rng, self.pairing, self.perm);
         *self.round += 1;
     }
 }

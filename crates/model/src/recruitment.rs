@@ -48,6 +48,28 @@
 //! target was free, what to record) are computed as data rather than
 //! taken as branches.
 //!
+//! # The kernel and the id-level view
+//!
+//! [`pair_chunks_into`] is the kernel, the engine's entry point. It reads
+//! the round's calls as consecutive chunks in ant order, in place, so the
+//! executor pairs its round workers' call vectors without first copying
+//! them into one; a call's index is its rank across the chunks, the same
+//! rank it has in the concatenation, so every draw is the same. The
+//! kernel builds what every round's outcomes read: the state words, the
+//! matched pairs as call indices ([`Pairing::matched_indices`]) and each
+//! participant's returned nest ([`Pairing::assigned_nest`]) — its own
+//! nest, then its recruiter's for every matched pair, which reads no call
+//! because a recruiter is never recruited.
+//!
+//! The id-level view, [`Pairing::pairs`], is built only by the callers
+//! that report it: [`pair_ants`] (the kernel on one chunk, then the view)
+//! and the environment's reporting paths,
+//! [`Environment::pair_round`](crate::Environment::pair_round),
+//! [`Environment::step`](crate::Environment::step) and
+//! [`Environment::build_pairs`](crate::Environment::build_pairs), which
+//! the `hh-sim` executor calls only on the rounds it materializes. The
+//! kernel leaves it empty.
+//!
 //! # Examples
 //!
 //! ```
@@ -98,8 +120,8 @@ impl RecruitCall {
 /// The result of one round's recruitment pairing.
 ///
 /// Indices throughout refer to positions in the `calls` slice passed to
-/// [`pair_ants`], not to ant ids; use [`Pairing::pairs`] for an id-level
-/// view.
+/// [`pair_ants`] (ranks across the chunks passed to [`pair_chunks_into`]),
+/// not to ant ids; use [`Pairing::pairs`] for an id-level view.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Pairing {
     /// One word per participant: [`FREE`], [`WON`], or the call index of
@@ -107,7 +129,8 @@ pub struct Pairing {
     state: Vec<u32>,
     /// The nest id each participant's call returns.
     assigned: Vec<NestId>,
-    /// Matched pairs `(recruiter, recruited)` in match order, as ant ids.
+    /// Matched pairs `(recruiter, recruited)` in match order, as ant ids:
+    /// the view, empty after the kernel alone (see the module docs).
     pairs: Vec<(AntId, AntId)>,
     /// The same pairs as call indices, for consumers that need to index
     /// back into the call slice without an ant-id lookup.
@@ -176,6 +199,9 @@ impl Pairing {
 
     /// Returns the matched pairs `(recruiter, recruited)` as ant ids, in
     /// match order. Self-pairs appear as `(a, a)`.
+    ///
+    /// This is the id-level view: [`pair_ants`] builds it, and the kernel
+    /// alone, [`pair_chunks_into`], leaves it empty.
     #[must_use]
     pub fn pairs(&self) -> &[(AntId, AntId)] {
         &self.pairs
@@ -192,46 +218,72 @@ impl Pairing {
     /// Returns the number of pairs in the matching `M`.
     #[must_use]
     pub fn matched_count(&self) -> usize {
-        self.pairs.len()
+        self.matched.len()
+    }
+
+    /// Builds the id-level view, [`pairs`](Self::pairs), from the matched
+    /// call indices and the calls they index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a matched index is out of range for `calls`, which must
+    /// be the calls this pairing was built from.
+    pub(crate) fn build_pairs(&mut self, calls: &[RecruitCall]) {
+        self.pairs.clear();
+        self.pairs
+            .extend(self.matched.iter().map(|&(recruiter, recruited)| {
+                (calls[recruiter as usize].ant, calls[recruited as usize].ant)
+            }));
     }
 }
 
 /// Runs the paper's Algorithm 1 over one round's `recruit` calls.
 ///
 /// Returns the matching and, for each participant, the nest id its call
-/// returns. The function is deterministic given `rng`'s state.
-#[must_use]
-pub fn pair_ants<R: Rng + ?Sized>(calls: &[RecruitCall], rng: &mut R) -> Pairing {
-    let mut pairing = Pairing::default();
-    let mut perm = Vec::new();
-    pair_ants_into(calls, rng, &mut pairing, &mut perm);
-    pairing
-}
-
-/// [`pair_ants`] into caller-owned buffers: `pairing` and the permutation
-/// scratch `perm` are cleared and refilled, so a caller that runs the
-/// pairing every round (the executor) allocates nothing after warm-up.
-///
-/// Draws exactly the same random values in the same order as
-/// [`pair_ants`], so the two are interchangeable mid-stream.
+/// returns: the kernel, [`pair_chunks_into`], on one chunk, then the
+/// id-level view. The function is deterministic given `rng`'s state, and
+/// draws exactly what the kernel draws on the same calls.
 ///
 /// # Panics
 ///
 /// Panics if `calls.len() >= u32::MAX − 1`: call indices share the state
 /// word with its two sentinels.
-pub fn pair_ants_into<R: Rng + ?Sized>(
-    calls: &[RecruitCall],
+#[must_use]
+pub fn pair_ants<R: Rng + ?Sized>(calls: &[RecruitCall], rng: &mut R) -> Pairing {
+    let mut pairing = Pairing::default();
+    pair_chunks_into([calls], rng, &mut pairing, &mut Vec::new());
+    pairing.build_pairs(calls);
+    pairing
+}
+
+/// Algorithm 1's kernel over one round's calls, given as consecutive
+/// chunks whose concatenation is the calls in ant order; the engine's
+/// round workers each hand in their own call vector. A call's index is
+/// its rank across the chunks, so any split of the same calls gives the
+/// same draws and the same pairing.
+///
+/// Fills everything but the id-level view, which it clears: see the
+/// module docs. `pairing` and the permutation scratch `perm` are cleared
+/// and refilled, so a caller that pairs every round allocates nothing
+/// after warm-up, and the stream ends where [`pair_ants`]'s does.
+///
+/// # Panics
+///
+/// Panics if the chunks hold `u32::MAX − 1` calls or more: call indices
+/// share the state word with its two sentinels.
+pub fn pair_chunks_into<'c, R, I>(
+    chunks: I,
     rng: &mut R,
     pairing: &mut Pairing,
     perm: &mut Vec<u32>,
-) {
-    let m = calls.len();
+) where
+    R: Rng + ?Sized,
+    I: IntoIterator<Item = &'c [RecruitCall]>,
+    I::IntoIter: Clone,
+{
+    let chunks = chunks.into_iter();
+    let m: usize = chunks.clone().map(<[RecruitCall]>::len).sum();
     assert!(m < WON as usize, "too many recruit participants");
-    let state = &mut pairing.state;
-    state.clear();
-    state.resize(m, FREE);
-    let matched = &mut pairing.matched;
-    matched.clear();
 
     // Line 2: process ants in a uniform random permutation P. Passive
     // ants never attempt to recruit (line 3) and their positions in P
@@ -240,18 +292,31 @@ pub fn pair_ants_into<R: Rng + ?Sized>(
     // matching exactly as a full-colony permutation would. Shuffling only
     // the actives is therefore the identical stochastic process, at a
     // fraction of the cost when most participants wait passively. The
-    // actives are compacted without a branch: every index is stored, and
-    // the cursor only moves past an active one.
+    // actives are compacted without a branch: every rank is stored, and
+    // the cursor only moves past an active one. The same pass gives each
+    // participant its own nest, the default of lines 7–12.
+    let assigned = &mut pairing.assigned;
+    assigned.clear();
     perm.clear();
     perm.resize(m, 0);
     let mut active = 0;
-    for (idx, call) in calls.iter().enumerate() {
-        perm[active] = idx as u32;
-        active += usize::from(call.active);
+    let mut rank = 0u32;
+    for chunk in chunks {
+        assigned.extend(chunk.iter().map(|call| call.nest));
+        for call in chunk {
+            perm[active] = rank;
+            active += usize::from(call.active);
+            rank += 1;
+        }
     }
     perm.truncate(active);
     perm.shuffle(rng);
 
+    let state = &mut pairing.state;
+    state.clear();
+    state.resize(m, FREE);
+    let matched = &mut pairing.matched;
+    matched.clear();
     let bound = u128::from(m as u64);
     for &idx in perm.iter() {
         // Line 3: an active ant that has already been recruited by an
@@ -279,18 +344,14 @@ pub fn pair_ants_into<R: Rng + ?Sized>(
         matched.truncate(len + usize::from(free));
     }
 
-    // Lines 7–12: each recruited ant receives its recruiter's nest input;
-    // everyone else receives its own input. Only matched pairs differ
-    // from the default, so walk those instead of every participant.
-    pairing.assigned.clear();
-    pairing.assigned.extend(calls.iter().map(|call| call.nest));
-    pairing.pairs.clear();
+    // Lines 7–12: each recruited ant receives its recruiter's nest input.
+    // Only matched pairs differ from the default, so walk those. A
+    // recruiter was free when it recruited and is never recruited after,
+    // so its entry still holds its own nest.
     for &(recruiter, recruited) in matched.iter() {
-        let recruiter = &calls[recruiter as usize];
-        let recruited = recruited as usize;
-        pairing.assigned[recruited] = recruiter.nest;
-        pairing.pairs.push((recruiter.ant, calls[recruited].ant));
+        assigned[recruited as usize] = assigned[recruiter as usize];
     }
+    pairing.pairs.clear();
 }
 
 #[cfg(test)]
@@ -436,13 +497,18 @@ mod tests {
         let mut perm = Vec::new();
         for seed in 0..8 {
             let fresh = pair_ants(&calls, &mut rng(seed));
-            pair_ants_into(&calls, &mut rng(seed), &mut pairing, &mut perm);
+            pair_chunks_into([&calls[..]], &mut rng(seed), &mut pairing, &mut perm);
+            assert!(pairing.pairs().is_empty(), "the kernel builds no pairs");
+            pairing.build_pairs(&calls);
             assert_eq!(fresh, pairing, "seed {seed}: reuse diverged");
         }
-        // A shrinking participant set must not leak stale state.
+        // A shrinking participant set must not leak stale state, the
+        // previous round's pairs included.
         let fewer: Vec<RecruitCall> = (0..5).map(|i| call(i, true, 1)).collect();
         let fresh = pair_ants(&fewer, &mut rng(99));
-        pair_ants_into(&fewer, &mut rng(99), &mut pairing, &mut perm);
+        pair_chunks_into([&fewer[..]], &mut rng(99), &mut pairing, &mut perm);
+        assert!(pairing.pairs().is_empty());
+        pairing.build_pairs(&fewer);
         assert_eq!(fresh, pairing);
         assert_eq!(pairing.len(), 5);
     }

@@ -44,8 +44,12 @@
 //!   are merged in chunk order at the barrier — so every thread count,
 //!   including the serial `round_threads = 1` default, produces
 //!   **bit-identical** results. Only the Algorithm 1 pairing stays
-//!   serial, as the paper's one colony-level process; it reads and
-//!   writes no per-ant state.
+//!   serial, as the paper's one colony-level process; it reads the
+//!   chunks' recruit calls in place, in chunk order, and writes no
+//!   per-ant state. It builds only what the outcomes read: the calls
+//!   and the pairs as ant ids go into the [`StepReport`] only on the
+//!   rounds that return it ([`Simulation::step`],
+//!   [`Simulation::step_in_place`], [`Simulation::run_observed`]).
 //! * **Fault state only where there are faults.** An unperturbed
 //!   simulation holds no fault plan and makes no per-ant fault query.
 //!   A perturbed one runs every round on the serial scalar path,
@@ -289,7 +293,8 @@ impl LiveTally {
 struct WorkerScratch {
     /// Phase 1: this chunk's population tally (length `k + 1`).
     counts: Vec<usize>,
-    /// Phase 1: this chunk's recruit calls, in ant order.
+    /// Phase 1: this chunk's recruit calls, in ant order, which the
+    /// serial middle pairs in place.
     calls: Vec<RecruitCall>,
     /// Phase 1: illegal actions sandboxed in this chunk.
     illegal: u64,
@@ -576,14 +581,14 @@ impl Simulation {
 
     /// Executes one synchronous round into the persistent scratch.
     ///
-    /// With `materialize` set, the report (including the per-ant outcome
-    /// vector and the matched pairs) is readable as `self.scratch.report`
-    /// afterwards; without it, each outcome is handed straight to its
-    /// agent as it is computed and `report.outcomes` and
-    /// `report.recruitment.pairs` stay empty — the convergence loop
-    /// reads neither. Both modes run the **same** delivering round pass;
-    /// materializing only adds the per-slot copy into the (persistent)
-    /// report buffer, so instrumented and convergence runs are one code
+    /// With `materialize` set, the report (the per-ant outcomes, the
+    /// recruit calls and the matched pairs) is readable as
+    /// `self.scratch.report` afterwards; without it, each outcome is
+    /// handed straight to its agent as it is computed and the report
+    /// stays empty — the convergence loop reads none of it. Both modes
+    /// run the **same** delivering round pass and the same pairing
+    /// kernel; materializing only adds the copies into the (persistent)
+    /// report buffers, so instrumented and convergence runs are one code
     /// path and report identical [`RunOutcome`]s.
     fn step_round(&mut self, materialize: bool) {
         if self.runs_fast_path() {
@@ -591,10 +596,18 @@ impl Simulation {
         } else {
             self.step_round_scalar(materialize);
         }
+        let report = &mut self.scratch.report;
         if materialize {
-            self.env.export_pairs(&mut self.scratch.report);
+            // The inline chunk's calls are the round's, in ant order.
+            report
+                .recruitment
+                .calls
+                .clone_from(&self.worker_scratch[0].calls);
+            self.env.build_pairs(&report.recruitment.calls);
+            self.env.export_pairs(report);
         } else {
-            self.scratch.report.recruitment.pairs.clear();
+            report.recruitment.calls.clear();
+            report.recruitment.pairs.clear();
         }
     }
 
@@ -646,12 +659,7 @@ impl Simulation {
         };
         let ws = &mut worker_scratch[0];
         chunk.relocate(k1, ws);
-        serial_middle(
-            &mut shared,
-            &mut [&mut *ws],
-            &mut scratch.report.recruitment.calls,
-            illegal_actions,
-        );
+        serial_middle(&mut shared, &mut [&mut *ws], illegal_actions);
         // In the eliding mode each outcome lives only for the instant
         // its agent consumes it; materializing adds a copy into the
         // report's persistent buffer.
@@ -765,15 +773,14 @@ impl Simulation {
         // Every action was either checked above or is a
         // location-preserving no-op, legal by construction. Resolve the
         // round over one full-range chunk.
-        let calls = &mut scratch.report.recruitment.calls;
-        calls.clear();
         let ws = &mut self.worker_scratch[0];
         ws.counts.clear();
         ws.counts.resize(self.env.k() + 1, 0);
+        ws.calls.clear();
         let (mut chunk, mut shared) = self.env.split_round();
-        chunk.apply_all(&scratch.actions, &mut ws.counts, calls);
+        chunk.apply_all(&scratch.actions, &mut ws.counts, &mut ws.calls);
         shared.merge_counts(std::iter::once(ws.counts.as_slice()));
-        shared.pair_round(calls);
+        shared.pair_round([ws.calls.as_slice()]);
 
         // Outcome + observe + refresh, fused per ant. Refresh covers
         // every agent whose `choose` ran — observe or not, choosing
@@ -955,7 +962,6 @@ impl Simulation {
             .collect();
         let shared = RwLock::new(shared);
         let handshake = Handshake::default();
-        let calls = &mut scratch.report.recruitment.calls;
         let mut detector = Detector::new(rule);
 
         let solved = std::thread::scope(|scope| {
@@ -993,7 +999,6 @@ impl Simulation {
                 serial_middle(
                     &mut shared.write().expect("no chunk holds the shared state"),
                     &mut held,
-                    calls,
                     illegal_actions,
                 );
                 held.clear();
@@ -1015,6 +1020,7 @@ impl Simulation {
             *ws = slot.into_inner().expect("every chunk finished");
         }
         scratch.report.outcomes.clear();
+        scratch.report.recruitment.calls.clear();
         scratch.report.recruitment.pairs.clear();
         solved
     }
@@ -1169,23 +1175,25 @@ impl<'a> Chunk<'a> {
 }
 
 /// The serial middle of a fast-path round: folds the chunks' population
-/// tallies, recruit calls and illegal counts in chunk order (chunk order
-/// reproduces ant order), gives each chunk the call cursor its outcome
-/// pass starts at, and runs Algorithm 1. It touches no per-ant state.
+/// tallies and illegal counts in chunk order, gives each chunk the call
+/// cursor its outcome pass starts at (its first call's rank among the
+/// round's calls), and runs Algorithm 1's kernel over the chunks' recruit
+/// calls in place. In chunk order the calls are in ant order, so their
+/// ranks, and with them the draws, are those of one colony-wide call
+/// vector, which is never built. It touches no per-ant state.
 fn serial_middle<W: DerefMut<Target = WorkerScratch>>(
     shared: &mut SharedRound<'_>,
     parts: &mut [W],
-    calls: &mut Vec<RecruitCall>,
     illegal_actions: &mut u64,
 ) {
     shared.merge_counts(parts.iter().map(|ws| ws.counts.as_slice()));
-    calls.clear();
+    let mut rank = 0;
     for ws in parts.iter_mut() {
         *illegal_actions += ws.illegal;
-        ws.cursor = calls.len();
-        calls.extend_from_slice(&ws.calls);
+        ws.cursor = rank;
+        rank += ws.calls.len();
     }
-    shared.pair_round(calls);
+    shared.pair_round(parts.iter().map(|ws| ws.calls.as_slice()));
 }
 
 /// Locks a chunk's scratch. Only a chunk that panicked can poison it,
@@ -1628,6 +1636,50 @@ mod tests {
                     ref other => panic!("{engine:?}: recruited ant has outcome {other:?}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn unobserved_rounds_build_no_recruitment_report() {
+        // A fast-path segment pairs the chunks' calls in place and builds
+        // no id-level pairs; the next `step` builds both for its own
+        // round. For these optimal ants rounds 20 and 21 both match
+        // pairs, as the stepped twin shows.
+        let build = |threads| {
+            Simulation::new(env(64, 3, 61), colony::optimal(64))
+                .unwrap()
+                .with_round_threads(threads)
+        };
+        let mut twin = build(1);
+        let mut reports: Vec<StepReport> = (0..21).map(|_| twin.step().unwrap()).collect();
+        let next = reports.pop().unwrap();
+        assert!(!reports[19].recruitment.pairs.is_empty());
+        assert!(!next.recruitment.pairs.is_empty());
+        for threads in [1, 2] {
+            let mut sim = build(threads);
+            let segment = sim
+                .run_to_convergence(ConvergenceRule::commitment(), 20)
+                .unwrap();
+            assert_eq!(segment.rounds_run, 20);
+            assert_eq!(sim.scratch.report.recruitment.calls.capacity(), 0);
+            let mut exported = StepReport::default();
+            sim.env().export_pairs(&mut exported);
+            assert!(exported.recruitment.pairs.is_empty(), "{threads} threads");
+
+            let report = sim.step().unwrap();
+            let call = |ant| {
+                report
+                    .recruitment
+                    .calls
+                    .iter()
+                    .find(|call| call.ant == ant)
+                    .expect("every paired ant made a call this round")
+            };
+            for &(recruiter, recruited) in &report.recruitment.pairs {
+                assert!(call(recruiter).active, "{threads} threads");
+                call(recruited);
+            }
+            assert_eq!(report, next, "{threads} threads");
         }
     }
 

@@ -1,19 +1,20 @@
 //! Property-based tests on the model substrate: the recruitment pairing
-//! process (including the kernel against a textbook transcription of
-//! Algorithm 1 and against Algorithm 1's exact law at small m), the
-//! environment's invariants under arbitrary legal action sequences, seed
-//! derivation, and the bit set.
+//! process (both of the kernel's entry points, on one call vector and on
+//! the engine's call chunks, against a textbook transcription of
+//! Algorithm 1, and the kernel against Algorithm 1's exact law at small
+//! m), the environment's invariants under arbitrary legal action
+//! sequences, seed derivation, and the bit set.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use house_hunting::model::recruitment::{pair_ants, pair_ants_into, Pairing, RecruitCall};
+use house_hunting::model::recruitment::{pair_ants, pair_chunks_into, Pairing, RecruitCall};
 use house_hunting::model::seeding::{derive_seed, StreamKind};
 use house_hunting::model::util::BitMatrix;
 use house_hunting::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngExt, SeedableRng};
 
 /// Algorithm 1 transcribed line by line with one array per predicate —
 /// `recruited_by` and `succeeded` — the way the paper states it. It
@@ -89,24 +90,71 @@ fn reference_pairing<R: Rng + ?Sized>(calls: &[RecruitCall], rng: &mut R) -> Ref
     pairing
 }
 
-/// Runs the kernel (into the reused `pairing`/`perm` buffers) and the
-/// reference from the same seed, and asserts they agree on every
-/// accessor and leave their streams at the same point.
+/// Runs the kernel and the reference from the same seed, and asserts
+/// they agree on every accessor and leave their streams at the same
+/// point. Both entry points run: [`pair_ants`], which also builds the
+/// id-level pairs, and the engine's [`pair_chunks_into`] (into the reused
+/// `pairing`/`perm` buffers) on the same calls cut at random points into
+/// 1–16 chunks (empty ones included), which builds no pairs.
 fn assert_kernel_matches_reference(
     calls: &[RecruitCall],
     seed: u64,
     pairing: &mut Pairing,
     perm: &mut Vec<u32>,
 ) {
-    let mut kernel_rng = SmallRng::seed_from_u64(seed);
     let mut reference_rng = SmallRng::seed_from_u64(seed);
-    pair_ants_into(calls, &mut kernel_rng, pairing, perm);
     let reference = reference_pairing(calls, &mut reference_rng);
+    let reference_next = reference_rng.next_u64();
 
-    assert_eq!(pairing.len(), calls.len());
+    let mut kernel_rng = SmallRng::seed_from_u64(seed);
+    let fresh = pair_ants(calls, &mut kernel_rng);
+    assert_eq!(fresh.pairs(), reference.pairs.as_slice());
+    assert_pairing_matches_reference(&fresh, &reference);
+    assert_eq!(
+        kernel_rng.next_u64(),
+        reference_next,
+        "the kernel and the reference drew a different number of values"
+    );
+
+    let mut cut_rng = SmallRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+    let mut cuts: Vec<usize> = (1..cut_rng.random_range(1..=16usize))
+        .map(|_| cut_rng.random_range(0..=calls.len()))
+        .collect();
+    cuts.sort_unstable();
+    let chunks: Vec<&[RecruitCall]> = [0]
+        .into_iter()
+        .chain(cuts.iter().copied())
+        .zip(cuts.iter().copied().chain([calls.len()]))
+        .map(|(start, end)| &calls[start..end])
+        .collect();
+    // The reused buffers start from the one-vector result, pairs
+    // included, so a kernel that leaves a stale view is caught.
+    pairing.clone_from(&fresh);
+    let mut engine_rng = SmallRng::seed_from_u64(seed);
+    pair_chunks_into(chunks.iter().copied(), &mut engine_rng, pairing, perm);
+    assert!(
+        pairing.pairs().is_empty(),
+        "the engine's kernel builds no id-level pairs ({} chunks)",
+        chunks.len()
+    );
+    assert_pairing_matches_reference(pairing, &reference);
+    assert_eq!(
+        engine_rng.next_u64(),
+        reference_next,
+        "the engine's kernel over {} chunks drew a different number of values",
+        chunks.len()
+    );
+}
+
+/// Asserts that `pairing` holds the reference's matching as call indices,
+/// its assigned nests, and the recruiter of every participant, which is
+/// what a state word says.
+fn assert_pairing_matches_reference(pairing: &Pairing, reference: &ReferencePairing) {
+    let m = reference.assigned.len();
+    assert_eq!(pairing.len(), m);
     assert_eq!(pairing.matched_indices(), reference.matched.as_slice());
-    assert_eq!(pairing.pairs(), reference.pairs.as_slice());
-    for idx in 0..calls.len() {
+    assert_eq!(pairing.matched_count(), reference.matched.len());
+    for idx in 0..m {
         let recruiter = reference.recruited_by[idx];
         let expected_by = (recruiter != NOT_RECRUITED).then_some(recruiter as usize);
         assert_eq!(
@@ -126,11 +174,6 @@ fn assert_kernel_matches_reference(
             "was_recruited_by_other {idx}"
         );
     }
-    assert_eq!(
-        kernel_rng.next_u64(),
-        reference_rng.next_u64(),
-        "the kernel and the reference drew a different number of values"
-    );
 }
 
 /// A call vector with ant ids that differ from call indices, so a kernel
@@ -172,7 +215,7 @@ fn all_passive_round_consumes_no_randomness() {
     let mut perm = Vec::new();
     assert_kernel_matches_reference(&calls, 7, &mut pairing, &mut perm);
     let mut rng = SmallRng::seed_from_u64(7);
-    pair_ants_into(&calls, &mut rng, &mut pairing, &mut perm);
+    pair_chunks_into([&calls[..]], &mut rng, &mut pairing, &mut perm);
     assert_eq!(rng.next_u64(), SmallRng::seed_from_u64(7).next_u64());
     assert_eq!(pairing.matched_count(), 0);
 }
