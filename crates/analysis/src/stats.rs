@@ -219,9 +219,13 @@ impl Quantiles {
         Ok(Self { sorted: sample })
     }
 
-    /// The `q`-quantile by linear interpolation, `q ∈ [0, 1]` (clamped).
+    /// The `q`-quantile by linear interpolation, `q ∈ [0, 1]` (clamped;
+    /// a NaN `q` returns NaN).
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
+        if q.is_nan() {
+            return f64::NAN;
+        }
         let q = q.clamp(0.0, 1.0);
         let position = q * (self.sorted.len() - 1) as f64;
         let lower = position.floor() as usize;
@@ -377,6 +381,12 @@ mod tests {
         let q = Quantiles::new(vec![1.0, 2.0, 3.0]).unwrap();
         assert_eq!(q.quantile(-3.0), 1.0);
         assert_eq!(q.quantile(42.0), 3.0);
+    }
+
+    #[test]
+    fn nan_quantile_is_nan_not_the_minimum() {
+        let q = Quantiles::new(vec![1.0, 2.0, 3.0]).unwrap();
+        assert!(q.quantile(f64::NAN).is_nan());
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub fn cell_seed(experiment: u64, cell: u64, trial: usize) -> u64 {
 /// Aggregated result of one sweep cell.
 #[derive(Debug, Clone)]
 pub struct CellResult {
-    /// Convergence rounds over the solved trials.
-    pub rounds: Summary,
     /// Raw per-trial convergence rounds (solved trials only).
     pub rounds_list: Vec<f64>,
     /// Fraction of trials that solved.
@@ -37,10 +35,11 @@ impl CellResult {
     /// Mean rounds of the solved trials (`NaN`-free: 0 when none solved).
     #[must_use]
     pub fn mean_rounds(&self) -> f64 {
-        if self.rounds.is_empty() {
+        let rounds: Summary = self.rounds_list.iter().copied().collect();
+        if rounds.is_empty() {
             0.0
         } else {
-            self.rounds.mean()
+            rounds.mean()
         }
     }
 
@@ -75,10 +74,8 @@ pub fn measure_cell(
         scenario(seed).seed(seed).build_simulation(colony(seed))
     })
     .expect("experiment cell must be a valid configuration");
-    let rounds_list = solved_rounds(&outcomes);
     CellResult {
-        rounds: rounds_list.iter().copied().collect(),
-        rounds_list,
+        rounds_list: solved_rounds(&outcomes),
         success: success_rate(&outcomes),
     }
 }
@@ -102,10 +99,8 @@ pub fn measure_scenario(trials: usize, scenario: &Scenario) -> CellResult {
     let outcomes = scenario
         .run_trials(trials)
         .expect("registry scenario must be a valid configuration");
-    let rounds_list = solved_rounds(&outcomes);
     CellResult {
-        rounds: rounds_list.iter().copied().collect(),
-        rounds_list,
+        rounds_list: solved_rounds(&outcomes),
         success: success_rate(&outcomes),
     }
 }

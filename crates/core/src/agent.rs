@@ -18,8 +18,8 @@
 //! the paper's points), and derails gracefully instead of panicking.
 //!
 //! The introspection methods ([`committed_nest`](Agent::committed_nest),
-//! [`is_final`](Agent::is_final), [`is_honest`](Agent::is_honest)) are for
-//! the measurement harness only — they are *not* part of the formal model
+//! [`is_honest`](Agent::is_honest), [`role`](Agent::role)) are for the
+//! measurement harness only — they are *not* part of the formal model
 //! and no agent behaviour may depend on another agent's introspection.
 
 use hh_model::{Action, NestId, Outcome};
@@ -52,13 +52,6 @@ pub trait Agent {
     /// "`nest`" variable. Harness introspection only.
     fn committed_nest(&self) -> Option<NestId>;
 
-    /// `true` once the agent has irrevocably settled on its committed nest
-    /// (the optimal algorithm's `final` state, or a settled simple agent).
-    /// Harness introspection only.
-    fn is_final(&self) -> bool {
-        false
-    }
-
     /// `false` for adversarial (Byzantine) agents; the harness evaluates
     /// consensus over honest agents only.
     fn is_honest(&self) -> bool {
@@ -85,7 +78,10 @@ pub enum AgentRole {
     Active,
     /// Committed to a bad or dropped-out nest, waiting to be recruited.
     Passive,
-    /// Irrevocably settled (the optimal algorithm's `final` state).
+    /// Irrevocably settled on the committed nest: the optimal
+    /// algorithm's `final` state, or an informed spreader. An agent is
+    /// final exactly when it reports this role; the `AllFinal`
+    /// convergence rule counts it.
     Final,
     /// Anything else (adversaries, custom agents).
     Other,
@@ -106,10 +102,6 @@ impl Agent for BoxedAgent {
 
     fn committed_nest(&self) -> Option<NestId> {
         (**self).committed_nest()
-    }
-
-    fn is_final(&self) -> bool {
-        (**self).is_final()
     }
 
     fn is_honest(&self) -> bool {
@@ -240,7 +232,7 @@ mod tests {
             },
         );
         assert_eq!(boxed.committed_nest(), Some(NestId::candidate(3)));
-        assert!(!boxed.is_final());
+        assert_eq!(boxed.role(), AgentRole::Other);
         assert!(boxed.is_honest());
         assert_eq!(boxed.label(), "probe");
     }

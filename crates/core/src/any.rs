@@ -48,19 +48,18 @@ use crate::spreader::SpreaderAnt;
 /// ```
 #[non_exhaustive]
 pub enum AnyAgent {
-    /// The simple `O(k log n)` algorithm (Section 5), including the
-    /// hardened/settling option sets.
+    /// The simple `O(k log n)` algorithm (Section 5), with or without
+    /// arrival re-assessment.
     Simple(SimpleAnt),
     /// The optimal `O(log n)` algorithm (Section 4).
     Optimal(OptimalAnt),
     /// The adaptive-recruitment-rate variant (Section 6).
     Adaptive(AdaptiveAnt),
-    /// The non-binary quality-weighted variant (Section 6). Boxed: it is
-    /// the largest agent by a factor of ~2, and leaving it inline would
-    /// pad *every* colony's agent stride to its size — the enum stays a
-    /// compact 48 bytes on 64-bit targets this way, and quality agents
-    /// pay one extra pointer hop that their (rare) workloads never
-    /// notice.
+    /// The non-binary quality-weighted variant (Section 6). Boxed: at 56
+    /// bytes on 64-bit targets it is the largest agent, and leaving it
+    /// inline would pad *every* colony's agent stride to its size — the
+    /// enum stays a compact 48 bytes this way, and quality agents pay one
+    /// extra pointer hop that their (rare) workloads never notice.
     Quality(Box<QualityAnt>),
     /// A lower-bound spreading process (Section 3).
     Spreader(SpreaderAnt),
@@ -104,9 +103,9 @@ impl AnyAgent {
     }
 
     /// Reads the agent's harness-observable state in **one** dispatch —
-    /// the executor refreshes every stepped agent every round, and four
-    /// separate trait calls (honest/role/committed/final) would re-read
-    /// the discriminant four times.
+    /// the executor refreshes every stepped agent every round, and three
+    /// separate trait calls (honest/role/committed) would re-read the
+    /// discriminant three times.
     #[inline]
     #[must_use]
     pub fn snapshot(&self) -> crate::colony::AgentSnapshot {
@@ -162,11 +161,6 @@ impl Agent for AnyAgent {
     #[inline]
     fn committed_nest(&self) -> Option<NestId> {
         dispatch!(self, agent => agent.committed_nest())
-    }
-
-    #[inline]
-    fn is_final(&self) -> bool {
-        dispatch!(self, agent => agent.is_final())
     }
 
     #[inline]
@@ -286,7 +280,6 @@ mod tests {
         assert_eq!(ant.committed_nest(), Some(NestId::candidate(1)));
         assert_eq!(ant.role(), AgentRole::Active);
         assert!(ant.is_honest());
-        assert!(!ant.is_final());
         assert!(!ant.is_custom());
         assert_eq!(ant.label(), "simple");
     }

@@ -4,12 +4,12 @@
 //! one per ant, indexed by [`AntId`](hh_model::AntId). [`Colony`] stores
 //! the agents as one contiguous `Vec<AnyAgent>` (static dispatch, cache
 //! friendly) and caches each agent's harness-observable state — honesty,
-//! [`AgentRole`], committed nest, finality — as one [`AgentSnapshot`]
-//! per ant in a parallel `Vec<AgentSnapshot>`. The executor in `hh-sim`
-//! refreshes exactly the agents it stepped each round
-//! ([`Colony::refresh`]), so reading the colony's state — a
-//! [`RoleCensus`], a commitment histogram — is a pass over plain
-//! snapshots with no dispatch into the agents.
+//! [`AgentRole`], committed nest — as one [`AgentSnapshot`] per ant in a
+//! parallel `Vec<AgentSnapshot>`. The executor in `hh-sim` refreshes
+//! exactly the agents it stepped each round ([`Colony::refresh`]), so
+//! reading the colony's state — a [`RoleCensus`], a commitment
+//! histogram — is a pass over plain snapshots with no dispatch into the
+//! agents.
 //!
 //! The free functions build the standard homogeneous colonies (one per
 //! algorithm) with per-ant seeds derived deterministically from a single
@@ -47,7 +47,7 @@ pub struct RoleCensus {
     pub active: usize,
     /// Passive (waiting) agents.
     pub passive: usize,
-    /// Final/settled agents.
+    /// Final agents ([`AgentRole::Final`]).
     pub final_count: usize,
     /// Everything else (adversaries report `Other`).
     pub other: usize,
@@ -87,8 +87,6 @@ pub struct AgentSnapshot {
     pub role: AgentRole,
     /// [`Agent::committed_nest`] at the last refresh.
     pub committed: Option<NestId>,
-    /// [`Agent::is_final`] at the last refresh.
-    pub is_final: bool,
 }
 
 /// Builds an [`AgentSnapshot`] from any agent expression via
@@ -101,7 +99,6 @@ macro_rules! snapshot_of {
             honest: $agent.is_honest(),
             role: $agent.role(),
             committed: $agent.committed_nest(),
-            is_final: $agent.is_final(),
         }
     };
 }

@@ -336,10 +336,6 @@ impl Agent for OptimalAnt {
         self.nest
     }
 
-    fn is_final(&self) -> bool {
-        self.state == State::Final
-    }
-
     fn label(&self) -> &'static str {
         "optimal"
     }
@@ -366,7 +362,6 @@ mod tests {
         assert_eq!(ant.choose(1), Action::Search);
         assert_eq!(ant.committed_nest(), None);
         assert_eq!(ant.role(), AgentRole::Searching);
-        assert!(!ant.is_final());
         assert_eq!(ant.label(), "optimal");
     }
 
@@ -554,7 +549,6 @@ mod tests {
                 home_count: 4,
             },
         );
-        assert!(ant.is_final());
         assert_eq!(ant.role(), AgentRole::Final);
         // Final ants recruit actively every round.
         for round in 6..10 {
@@ -586,7 +580,7 @@ mod tests {
                 home_count: 7,
             },
         );
-        assert!(ant.is_final());
+        assert_eq!(ant.role(), AgentRole::Final);
         assert_eq!(ant.committed_nest(), Some(winner));
         // Remaining padding rounds walk to the new nest, then recruit.
         assert_eq!(ant.choose(4), Action::recruit_active(winner));
@@ -638,7 +632,7 @@ mod tests {
             .collect();
         for round in 1..=200u64 {
             step_once(&mut env, &mut agents);
-            let any_final = agents.iter().any(|a| a.is_final());
+            let any_final = agents.iter().any(|a| a.role() == AgentRole::Final);
             if any_final {
                 break;
             }

@@ -12,8 +12,8 @@
 //! to) one good nest and the agreement is absorbing — because as written
 //! neither algorithm parks ants at the nest (Section 4.2's "we consider
 //! the algorithm to terminate once all ants have reached the final
-//! state"). The physical-location form is additionally achievable with
-//! the settlement option of [`UrnOptions`](crate::UrnOptions).
+//! state"): simple ants are all home on every even round, and final
+//! optimal ants recruit from home every round.
 //!
 //! This module provides the predicate helpers the harness uses; the full
 //! detection machinery (windows, perturbation-aware variants) lives in

@@ -25,11 +25,6 @@
 //! ([`ColonyConfig::reveal_quality_on_go`]); without it the ant keeps its
 //! previous quality estimate — a documented degraded mode.
 //!
-//! The optional *downgrade rejection* hardening models real Temnothorax
-//! choosiness: an ant carried from a clearly better nest to a clearly
-//! worse one (quality gap above a tolerance) walks back to its previous
-//! nest instead of amplifying the worse one.
-//!
 //! [`ColonyConfig::reveal_quality_on_go`]: hh_model::ColonyConfig::reveal_quality_on_go
 
 use hh_model::seeding::DrawKey;
@@ -55,8 +50,6 @@ pub struct QualityAnt {
     n: usize,
     key: DrawKey,
     gamma: f64,
-    /// Reject recruitments that downgrade quality by more than this.
-    rejection_tolerance: Option<f64>,
     nest: Option<NestId>,
     /// Last observed population of the committed nest, in the outcome
     /// field width.
@@ -67,15 +60,10 @@ pub struct QualityAnt {
     /// `set_quality` whenever `quality` changes, so that a recruit round
     /// takes no power.
     weight: f64,
-    /// Previous commitment, kept for downgrade rejection.
-    previous: Option<(NestId, f64, u32)>,
-    /// Assess the new nest at the next `go` observation.
-    pending_assessment: bool,
 }
 
 impl QualityAnt {
-    /// Creates a quality-weighted ant with exponent `gamma` and no
-    /// downgrade rejection.
+    /// Creates a quality-weighted ant with exponent `gamma`.
     ///
     /// # Panics
     ///
@@ -90,23 +78,11 @@ impl QualityAnt {
             n,
             key: DrawKey::from_seed(seed),
             gamma,
-            rejection_tolerance: None,
             nest: None,
             count: 0,
             quality: 0.0,
             weight: 0.0f64.powf(gamma),
-            previous: None,
-            pending_assessment: false,
         }
-    }
-
-    /// Enables downgrade rejection: a recruitment that drops the observed
-    /// quality by more than `tolerance` is undone by walking back to the
-    /// previous nest.
-    #[must_use]
-    pub fn with_rejection(mut self, tolerance: f64) -> Self {
-        self.rejection_tolerance = Some(tolerance.max(0.0));
-        self
     }
 
     /// Returns the quality exponent `γ`.
@@ -165,37 +141,15 @@ impl Agent for QualityAnt {
                 self.set_quality(quality.value());
             }
             Outcome::Recruit { nest, .. } => {
-                if Some(*nest) != self.nest {
-                    self.previous = self.nest.map(|old| (old, self.quality, self.count));
-                    self.nest = Some(*nest);
-                    self.pending_assessment = true;
-                    // Quality of the new nest is unknown until assessed;
-                    // keep the previous estimate meanwhile (degraded mode
-                    // when the environment does not reveal quality on go).
-                }
+                // Quality of the new nest is unknown until assessed; keep
+                // the previous estimate meanwhile (degraded mode when the
+                // environment does not reveal quality on go).
+                self.nest = Some(*nest);
             }
             Outcome::Go { count, quality } => {
                 self.count = *count;
                 if let Some(q) = quality {
-                    let value = q.value();
-                    if self.pending_assessment {
-                        self.pending_assessment = false;
-                        if let (Some(tolerance), Some((old_nest, old_quality, old_count))) =
-                            (self.rejection_tolerance, self.previous)
-                        {
-                            if value + tolerance < old_quality {
-                                // Carried somewhere clearly worse: go back.
-                                self.nest = Some(old_nest);
-                                self.set_quality(old_quality);
-                                self.count = old_count;
-                                self.previous = None;
-                                return;
-                            }
-                        }
-                    }
-                    self.set_quality(value);
-                } else {
-                    self.pending_assessment = false;
+                    self.set_quality(q.value());
                 }
             }
         }
@@ -346,7 +300,7 @@ mod tests {
             quality: q.map(quality),
         };
         for gamma in [0.0, 0.5, 1.0, 3.0] {
-            let mut ant = QualityAnt::new(10, 8, gamma).with_rejection(0.2);
+            let mut ant = QualityAnt::new(10, 8, gamma);
             assert_weight_is_fresh(&ant);
             // Search.
             ant.observe(1, &search(a, 0.6, 4));
@@ -361,18 +315,8 @@ mod tests {
             ant.observe(4, &recruit(a));
             ant.observe(5, &go(7, None));
             assert_weight_is_fresh(&ant);
-            // Downgrade-rejection walk-back. A search between the
-            // recruitment and the assessment (a lost round-1 observation
-            // re-searched) moves the quality, so walking back to b must
-            // restore b's weight, not keep c's: 0.3 + 0.2 < 0.7.
-            ant.observe(6, &recruit(b));
-            ant.observe(7, &go(6, Some(0.7)));
-            ant.observe(8, &recruit(a));
-            ant.observe(9, &search(c, 0.95, 3));
-            assert_weight_is_fresh(&ant);
-            ant.observe(11, &go(8, Some(0.3)));
-            assert_eq!(ant.committed_nest(), Some(b), "walked back");
-            assert!((ant.observed_quality() - 0.7).abs() < 1e-7);
+            // A second search (a lost round-1 observation re-searched).
+            ant.observe(7, &search(c, 0.95, 3));
             assert_weight_is_fresh(&ant);
             // A run of changing (noisy) qualities, repeats included.
             for (i, q) in [0.7, 0.65, 0.65, 0.8, 0.0, 0.0, 1.0, 0.4, 0.4]
@@ -446,68 +390,6 @@ mod tests {
         );
         assert!((ant.observed_quality() - 0.9).abs() < 1e-7);
         assert_eq!(ant.last_observed_count_for_tests(), 6);
-    }
-
-    #[test]
-    fn downgrade_rejection_walks_back() {
-        let mut ant = QualityAnt::new(10, 5, 1.0).with_rejection(0.2);
-        let good = NestId::candidate(1);
-        let worse = NestId::candidate(2);
-        ant.observe(
-            1,
-            &Outcome::Search {
-                nest: good,
-                quality: Quality::new(0.9).unwrap(),
-                count: 3,
-            },
-        );
-        ant.observe(
-            2,
-            &Outcome::Recruit {
-                nest: worse,
-                home_count: 4,
-            },
-        );
-        ant.observe(
-            3,
-            &Outcome::Go {
-                count: 5,
-                quality: Some(Quality::new(0.3).unwrap()),
-            },
-        );
-        // 0.3 + 0.2 < 0.9: rejected, back to the original commitment.
-        assert_eq!(ant.committed_nest(), Some(good));
-        assert!((ant.observed_quality() - 0.9).abs() < 1e-7);
-    }
-
-    #[test]
-    fn small_downgrades_are_tolerated() {
-        let mut ant = QualityAnt::new(10, 6, 1.0).with_rejection(0.3);
-        let a = NestId::candidate(1);
-        let b = NestId::candidate(2);
-        ant.observe(
-            1,
-            &Outcome::Search {
-                nest: a,
-                quality: Quality::new(0.8).unwrap(),
-                count: 3,
-            },
-        );
-        ant.observe(
-            2,
-            &Outcome::Recruit {
-                nest: b,
-                home_count: 4,
-            },
-        );
-        ant.observe(
-            3,
-            &Outcome::Go {
-                count: 5,
-                quality: Some(Quality::new(0.7).unwrap()),
-            },
-        );
-        assert_eq!(ant.committed_nest(), Some(b), "0.1 drop within tolerance");
     }
 
     #[test]

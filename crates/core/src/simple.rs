@@ -17,19 +17,14 @@
 //! variant (`hh-core::adaptive`) reuses the identical state machine with a
 //! different rule. [`SimpleAnt`] is the paper's `count / n` instantiation.
 //!
-//! ## Optional hardenings (off by default, see [`UrnOptions`])
+//! ## Optional hardening (off by default, see [`UrnOptions`])
 //!
-//! * **Arrival re-assessment** — the paper's pseudocode never re-checks
-//!   quality after a recruitment, which is safe in the honest setting
-//!   (only good nests recruit) but exploitable by Byzantine recruiters.
-//!   When the environment runs the "assessing go" extension, this option
-//!   makes a recruited ant verify its new nest's quality on arrival and
-//!   turn passive if bad.
-//! * **Settlement** — the paper's algorithm never terminates (committed
-//!   ants keep bouncing between nest and home). With settlement, an ant
-//!   that counts the full colony at its nest parks there forever, which
-//!   literally satisfies the problem statement's `ℓ(a, r) = i` for all
-//!   `r ≥ T`.
+//! **Arrival re-assessment** — the paper's pseudocode never re-checks
+//! quality after a recruitment, which is safe in the honest setting (only
+//! good nests recruit) but exploitable by Byzantine recruiters. When the
+//! environment runs the "assessing go" extension, this option makes a
+//! recruited ant verify its new nest's quality on arrival and turn
+//! passive if bad.
 
 use hh_model::seeding::DrawKey;
 use hh_model::{Action, NestId, Outcome};
@@ -74,14 +69,12 @@ impl RecruitPolicy for LinearPolicy {
 }
 
 /// Behavioural options for [`UrnAnt`]; the default is paper-faithful
-/// (no re-assessment, no settlement).
+/// (no re-assessment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UrnOptions {
     /// Re-check quality on arrival after being recruited (requires the
     /// environment's "assessing go" extension; inert otherwise).
     pub reassess_on_arrival: bool,
-    /// Park at the nest forever once the whole colony is counted there.
-    pub settle_at_full_count: bool,
 }
 
 impl UrnOptions {
@@ -89,15 +82,6 @@ impl UrnOptions {
     #[must_use]
     pub fn paper() -> Self {
         Self::default()
-    }
-
-    /// Both hardenings enabled.
-    #[must_use]
-    pub fn hardened() -> Self {
-        Self {
-            reassess_on_arrival: true,
-            settle_at_full_count: true,
-        }
     }
 }
 
@@ -109,8 +93,6 @@ enum State {
     Active,
     /// Committed to a bad nest; waiting to be recruited.
     Passive,
-    /// Parked at the winning nest (settlement option).
-    Settled,
 }
 
 /// The urn-style agent skeleton shared by the simple algorithm and its
@@ -230,7 +212,6 @@ impl<P: RecruitPolicy> Agent for UrnAnt<P> {
         };
         match self.state {
             State::Searching => Action::Search,
-            State::Settled => Action::Go(nest),
             State::Active | State::Passive => {
                 if round.is_multiple_of(2) {
                     // Recruitment round at home.
@@ -282,22 +263,12 @@ impl<P: RecruitPolicy> Agent for UrnAnt<P> {
                         }
                     }
                 }
-                if self.options.settle_at_full_count
-                    && self.state == State::Active
-                    && *count >= self.n
-                {
-                    self.state = State::Settled;
-                }
             }
         }
     }
 
     fn committed_nest(&self) -> Option<NestId> {
         self.committed()
-    }
-
-    fn is_final(&self) -> bool {
-        self.state == State::Settled
     }
 
     fn label(&self) -> &'static str {
@@ -309,7 +280,6 @@ impl<P: RecruitPolicy> Agent for UrnAnt<P> {
             State::Searching => AgentRole::Searching,
             State::Active => AgentRole::Active,
             State::Passive => AgentRole::Passive,
-            State::Settled => AgentRole::Final,
         }
     }
 }
@@ -502,38 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn settlement_parks_at_full_count() {
-        let mut ant = SimpleAnt::with_options(
-            10,
-            6,
-            UrnOptions {
-                settle_at_full_count: true,
-                ..UrnOptions::default()
-            },
-        );
-        let nest = NestId::candidate(1);
-        ant.observe(
-            1,
-            &Outcome::Search {
-                nest,
-                quality: Quality::GOOD,
-                count: 10,
-            },
-        );
-        ant.observe(
-            3,
-            &Outcome::Go {
-                count: 10,
-                quality: None,
-            },
-        );
-        assert!(ant.is_final());
-        for round in 4..8 {
-            assert_eq!(ant.choose(round), Action::Go(nest));
-        }
-    }
-
-    #[test]
     fn paper_options_never_settle() {
         let mut ant = SimpleAnt::new(10, 7);
         let nest = NestId::candidate(1);
@@ -552,7 +490,11 @@ mod tests {
                 quality: None,
             },
         );
-        assert!(!ant.is_final());
+        // The whole colony counted at the nest: the ant still keeps
+        // returning home to recruit, it never parks.
+        assert_eq!(ant.role(), AgentRole::Active);
+        assert_eq!(ant.choose(4), Action::recruit_active(nest));
+        assert_eq!(ant.choose(5), Action::Go(nest));
     }
 
     #[test]
@@ -562,7 +504,6 @@ mod tests {
             8,
             UrnOptions {
                 reassess_on_arrival: true,
-                ..UrnOptions::default()
             },
         );
         let good = NestId::candidate(1);
@@ -641,45 +582,17 @@ mod tests {
         }
     }
 
-    /// With settlement enabled every ant eventually *stands* at the winner
-    /// forever — the literal `ℓ(a, r) = i` for all `r ≥ T` of the problem
-    /// statement.
-    #[test]
-    fn colony_with_settlement_physically_relocates() {
-        let mut env = make_env(32, QualitySpec::all_good(2), 11);
-        let mut agents = boxed_colony(32, |i| {
-            SimpleAnt::with_options(
-                32,
-                i as u64,
-                UrnOptions {
-                    settle_at_full_count: true,
-                    ..UrnOptions::default()
-                },
-            )
-        });
-        let mut settled_round = None;
-        for round in 1..=4_000u64 {
-            step_once(&mut env, &mut agents);
-            if agents.iter().all(|a| a.is_final()) {
-                settled_round = Some(round);
-                break;
-            }
-        }
-        let settled_round = settled_round.expect("all ants should settle");
-        let winner = agents[0].committed_nest().unwrap();
-        // After settlement, location is pinned at the winner in every
-        // subsequent round.
-        for _ in 0..10 {
-            step_once(&mut env, &mut agents);
-            assert_eq!(env.count(winner), 32, "settled at round {settled_round}");
-        }
-    }
-
     #[test]
     fn hardened_colony_converges_with_revealing_go() {
         let env = make_env_revealing(48, QualitySpec::good_prefix(3, 1), 13);
         let agents = boxed_colony(48, |i| {
-            SimpleAnt::with_options(48, 5_000 + i as u64, UrnOptions::hardened())
+            SimpleAnt::with_options(
+                48,
+                5_000 + i as u64,
+                UrnOptions {
+                    reassess_on_arrival: true,
+                },
+            )
         });
         let (solved, env) = drive_to_consensus(env, agents, 3_000);
         let (_, winner) = solved.expect("hardened colony must still converge");

@@ -156,10 +156,6 @@ impl Agent for SpreaderAnt {
         self.informed
     }
 
-    fn is_final(&self) -> bool {
-        self.informed.is_some()
-    }
-
     fn label(&self) -> &'static str {
         self.strategy.label()
     }
@@ -315,7 +311,7 @@ mod tests {
             let mut informed_at = None;
             for round in 1..=2_000u64 {
                 step_once(&mut env, &mut agents);
-                if agents.iter().all(|a| a.is_final()) {
+                if agents.iter().all(|a| a.role() == AgentRole::Final) {
                     informed_at = Some(round);
                     break;
                 }

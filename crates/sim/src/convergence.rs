@@ -1,22 +1,23 @@
 //! Convergence detection: when has the colony solved HouseHunting?
 //!
 //! The problem statement (Section 2) requires all ants located at one good
-//! nest for all `r ≥ T`. The paper evaluates its algorithms on absorbing
-//! commitment states instead (Section 4.2's "we consider the algorithm to
-//! terminate once all ants have reached the final state"), and perturbed
-//! executions can flicker in and out of agreement — so detection is a
-//! *rule*:
+//! nest for all `r ≥ T`. Neither of the paper's algorithms parks its ants
+//! (simple ants are all home on every even round, final optimal ants
+//! recruit from home every round), so the paper evaluates them on
+//! absorbing commitment states instead (Section 4.2's "we consider the
+//! algorithm to terminate once all ants have reached the final state"),
+//! and perturbed executions can flicker in and out of agreement — so
+//! detection is a *rule*:
 //!
 //! * [`ConvergenceRule::commitment`] — every honest agent committed to the
 //!   same good nest (the standard rule for both algorithms; absorbing in
 //!   unperturbed runs);
 //! * [`ConvergenceRule::commitment_any`] — same without the binary "good"
 //!   requirement (for non-binary-quality colonies);
-//! * [`ConvergenceRule::all_final`] — additionally every honest agent is
-//!   in its final/settled state (Algorithm 2's termination point);
-//! * [`ConvergenceRule::location`] — the literal problem statement:
-//!   every honest ant physically at the same good nest for a window of
-//!   consecutive rounds.
+//! * [`ConvergenceRule::all_final`] — additionally every honest agent
+//!   reports [`AgentRole::Final`] (Algorithm 2's termination point);
+//! * [`ConvergenceRule::quorum`] — a fraction of the honest agents
+//!   committed to one good nest, the robustness experiments' rule.
 //!
 //! Crashed ants are excluded from every rule: a crash-stop ant's state
 //! machine is frozen, so the Section 6 fault-tolerance claim — the colony
@@ -25,14 +26,12 @@
 //!
 //! The detector is fed by the executor's incrementally maintained
 //! live-honest tally (commitment counts per nest, uncommitted/final
-//! counters), so a per-round check reads O(k) cached state instead of
-//! re-dispatching into all n agents. Only the [`Location`]
-//! (`ConvergenceRule::Location`) rule still walks the colony — it asks
-//! about physical positions, which live in the environment, and even
-//! there the honest/live membership test comes from cached honesty and
-//! the crash plan.
+//! counters), so every rule is answered from O(k) cached state instead of
+//! re-dispatching into all n agents.
+//!
+//! [`AgentRole::Final`]: hh_core::AgentRole::Final
 
-use hh_model::{AntId, Nest, NestId};
+use hh_model::{Nest, NestId};
 
 use crate::executor::{LiveTally, Simulation};
 
@@ -51,12 +50,6 @@ pub enum ConvergenceRule {
     },
     /// Commitment consensus on a good nest with every honest agent final.
     AllFinal,
-    /// All honest ants physically located at the same good candidate nest
-    /// for `stable_rounds` consecutive rounds.
-    Location {
-        /// Consecutive rounds the co-location must hold (≥ 1).
-        stable_rounds: u64,
-    },
     /// A quorum of the live honest colony committed to one good nest —
     /// the biological success notion (the paper's introduction describes
     /// real Temnothorax deciding by quorum thresholds). Under active
@@ -105,14 +98,6 @@ impl ConvergenceRule {
     #[must_use]
     pub fn all_final() -> Self {
         ConvergenceRule::AllFinal
-    }
-
-    /// The literal problem statement over a stability window.
-    #[must_use]
-    pub fn location(stable_rounds: u64) -> Self {
-        ConvergenceRule::Location {
-            stable_rounds: stable_rounds.max(1),
-        }
     }
 
     /// Quorum commitment on a good nest over a stability window.
@@ -180,22 +165,15 @@ impl Detector {
     /// Checks the simulation's current state; returns the detection once
     /// the rule's window is satisfied.
     pub fn check(&mut self, sim: &Simulation) -> Option<Solved> {
-        let colocated = match self.rule {
-            ConvergenceRule::Location { .. } => honest_colocation(sim),
-            _ => None,
-        };
-        self.check_tally(sim.live_tally(), colocated, sim.round(), sim.env().nests())
+        self.check_tally(sim.live_tally(), sim.round(), sim.env().nests())
     }
 
     /// [`check`](Self::check) after completed round `round`, from the
-    /// live tally and, for [`ConvergenceRule::Location`], the nest every
-    /// live honest ant stands at. The executor's round workers call it
-    /// directly: they hold the per-ant state while a segment runs, so a
-    /// segment never runs the `Location` rule.
+    /// live tally. The executor's round workers call it directly: they
+    /// hold the simulation's per-ant state while a segment runs.
     pub(crate) fn check_tally(
         &mut self,
         tally: &LiveTally,
-        colocated: Option<NestId>,
         round: u64,
         nests: &[Nest],
     ) -> Option<Solved> {
@@ -220,9 +198,6 @@ impl Detector {
                     .filter(|&nest| is_good(nest))
                     .filter(|_| tally.all_final());
                 (nest, 1)
-            }
-            ConvergenceRule::Location { stable_rounds } => {
-                (colocated.filter(|&nest| is_good(nest)), stable_rounds)
             }
             ConvergenceRule::Quorum {
                 fraction,
@@ -264,34 +239,11 @@ impl Detector {
     }
 }
 
-/// The candidate nest all live honest ants stand at, if they all stand
-/// at one. Membership comes from cached honesty and the crash plan;
-/// locations from the environment.
-fn honest_colocation(sim: &Simulation) -> Option<NestId> {
-    let mut at: Option<NestId> = None;
-    for idx in 0..sim.env().n() {
-        if !sim.is_live_honest(idx) {
-            continue;
-        }
-        let loc = sim.env().location_of(AntId::new(idx));
-        if loc.is_home() {
-            return None;
-        }
-        match at {
-            None => at = Some(loc),
-            Some(existing) if existing == loc => {}
-            Some(_) => return None,
-        }
-    }
-    at
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::Simulation;
     use hh_core::colony;
-    use hh_core::UrnOptions;
     use hh_model::{ColonyConfig, Environment, QualitySpec};
 
     fn sim(n: usize, spec: QualitySpec, seed: u64, agents: hh_core::Colony) -> Simulation {
@@ -307,10 +259,6 @@ mod tests {
                 stable_rounds: 1,
                 require_good: true
             }
-        );
-        assert_eq!(
-            ConvergenceRule::location(0),
-            ConvergenceRule::Location { stable_rounds: 1 }
         );
     }
 
@@ -348,48 +296,14 @@ mod tests {
 
     #[test]
     fn all_final_requires_final_states() {
-        // Simple ants without settlement never report final, so the
-        // AllFinal rule must not fire for them even after consensus.
-        let mut s = sim(16, QualitySpec::all_good(2), 5, colony::simple(16, 5));
-        let outcome = s
-            .run_to_convergence(ConvergenceRule::all_final(), 400)
-            .unwrap();
-        assert!(outcome.solved.is_none());
-
-        // With settlement they do settle.
-        let agents = colony::simple_with_options(
-            16,
-            5,
-            UrnOptions {
-                settle_at_full_count: true,
-                ..UrnOptions::default()
-            },
-        );
-        let mut s = sim(16, QualitySpec::all_good(2), 5, agents);
-        let outcome = s
-            .run_to_convergence(ConvergenceRule::all_final(), 5_000)
-            .unwrap();
-        assert!(outcome.solved.is_some());
-    }
-
-    #[test]
-    fn location_rule_detects_physical_consensus() {
-        let agents = colony::simple_with_options(
-            16,
-            7,
-            UrnOptions {
-                settle_at_full_count: true,
-                ..UrnOptions::default()
-            },
-        );
-        let mut s = sim(16, QualitySpec::all_good(2), 7, agents);
-        let outcome = s
-            .run_to_convergence(ConvergenceRule::location(5), 5_000)
-            .unwrap();
-        let solved = outcome.solved.expect("settled colony co-locates");
-        assert!(solved.good);
-        // And it is genuinely stable: all ants remain there.
-        assert_eq!(s.env().count(solved.nest), 16);
+        // Simple ants never report final, so the AllFinal rule must not
+        // fire for them even after consensus.
+        let run = |rule| {
+            let mut s = sim(16, QualitySpec::all_good(2), 5, colony::simple(16, 5));
+            s.run_to_convergence(rule, 400).unwrap().solved
+        };
+        assert!(run(ConvergenceRule::commitment()).is_some());
+        assert!(run(ConvergenceRule::all_final()).is_none());
     }
 
     #[test]
@@ -472,7 +386,6 @@ mod tests {
                 stable_rounds: 0,
                 require_good: true,
             },
-            ConvergenceRule::Location { stable_rounds: 0 },
         ] {
             let mut fresh = sim(8, QualitySpec::good_prefix(2, 1), 5, colony::simple(8, 5));
             let mut detector = Detector::new(rule);

@@ -18,9 +18,9 @@
 //! * **Zero allocation at steady state.** The per-round action buffer,
 //!   the chose/ran bitmasks, and the environment's [`StepReport`] live in
 //!   a persistent [`RoundScratch`]; the environment resolves each round
-//!   in place through its chunk views ([`Environment::relocation_view`],
-//!   [`Environment::outcome_view`]) and reuses its pairing scratch.
-//!   After the first round, stepping allocates nothing.
+//!   in place through the two halves of [`Environment::split_round`] (the
+//!   per-ant chunk view and the colony-level state) and reuses its
+//!   pairing scratch. After the first round, stepping allocates nothing.
 //! * **Static dispatch.** Agents are [`AnyAgent`](hh_core::AnyAgent)
 //!   variants in one contiguous vector; only the `Custom` escape hatch
 //!   pays a vtable call.
@@ -64,7 +64,7 @@ use std::ops::DerefMut;
 use std::sync::{Mutex, MutexGuard, RwLock};
 
 use hh_core::colony::AgentSnapshot;
-use hh_core::{AnyAgent, Colony};
+use hh_core::{AgentRole, AnyAgent, Colony};
 use hh_model::faults::{noop_action, CrashPlan, CrashStyle, DelayPlan};
 use hh_model::recruitment::RecruitCall;
 use hh_model::{Action, AntChunk, AntId, Environment, NestId, Outcome, SharedRound, StepReport};
@@ -169,7 +169,7 @@ pub(crate) struct LiveTally {
     total: isize,
     /// Of those, agents with no committed nest.
     uncommitted: isize,
-    /// Of those, agents reporting the final/settled state.
+    /// Of those, agents whose role is [`AgentRole::Final`].
     finals: isize,
     /// Commitments per raw nest id (grown on demand).
     commits: Vec<isize>,
@@ -204,7 +204,7 @@ impl LiveTally {
     #[inline]
     fn shift(&mut self, snapshot: &AgentSnapshot, sign: isize) {
         self.total += sign;
-        self.finals += isize::from(snapshot.is_final) * sign;
+        self.finals += isize::from(snapshot.role == AgentRole::Final) * sign;
         match snapshot.committed {
             None => self.uncommitted += sign,
             Some(nest) => {
@@ -436,9 +436,8 @@ impl Simulation {
     ///
     /// Each [`run_to_convergence`](Self::run_to_convergence) call spawns
     /// `threads - 1` round workers that live for that call only and runs
-    /// chunk 0 on the calling thread. The stepping APIs and the
-    /// [`ConvergenceRule::Location`] rule, which reads per-ant locations
-    /// every round, run the same chunk code inline.
+    /// chunk 0 on the calling thread. The stepping APIs run the same
+    /// chunk code inline.
     ///
     /// **Determinism contract:** every thread count produces
     /// bit-identical executions — inline and on workers the rounds run
@@ -856,10 +855,7 @@ impl Simulation {
         max_rounds: u64,
     ) -> Result<RunOutcome, SimError> {
         let start = self.env.round();
-        let solved = if self.round_threads() > 1
-            && self.runs_fast_path()
-            && !matches!(rule, ConvergenceRule::Location { .. })
-        {
+        let solved = if self.round_threads() > 1 && self.runs_fast_path() {
             self.run_segment(rule, max_rounds)
         } else {
             let mut detector = Detector::new(rule);
@@ -1009,7 +1005,7 @@ impl Simulation {
                 for slot in &slots {
                     live.merge(&lock(slot).tally);
                 }
-                let solved = detector.check_tally(live, None, start + rounds_run, nests);
+                let solved = detector.check_tally(live, start + rounds_run, nests);
                 if solved.is_some() {
                     return solved;
                 }
@@ -1051,13 +1047,6 @@ impl Simulation {
     /// The live-honest tally the convergence detector reads.
     pub(crate) fn live_tally(&self) -> &LiveTally {
         &self.live
-    }
-
-    /// `true` if ant `idx` is honest and not yet crashed — the detector's
-    /// membership predicate, answered from the crash plan and the cached
-    /// snapshot.
-    pub(crate) fn is_live_honest(&self, idx: usize) -> bool {
-        self.is_live(AntId::new(idx)) && self.colony.snapshot(idx).honest
     }
 }
 
@@ -1369,9 +1358,8 @@ mod tests {
         // snapshot-cache census must equal a recount from scratch over
         // the agents. Every third ant is a `Custom` turncoat whose
         // honesty flips in `observe` every few rounds, mostly on rounds
-        // where its commitment and finality stay put — so a tally update
+        // where its commitment and role stay put — so a tally update
         // that skips honesty-only transitions drifts from the recount.
-        use hh_core::AgentRole;
         use hh_model::faults::{CrashPlan, CrashStyle};
 
         struct Turncoat<A> {
@@ -1391,9 +1379,6 @@ mod tests {
             }
             fn committed_nest(&self) -> Option<NestId> {
                 self.inner.committed_nest()
-            }
-            fn is_final(&self) -> bool {
-                self.inner.is_final()
             }
             fn is_honest(&self) -> bool {
                 self.honest
@@ -1445,7 +1430,7 @@ mod tests {
                     continue;
                 }
                 total += 1;
-                finals += usize::from(agent.is_final());
+                finals += usize::from(agent.role() == AgentRole::Final);
                 match agent.committed_nest() {
                     None => uncommitted += 1,
                     Some(nest) => commits[nest.raw()] += 1,
@@ -1530,8 +1515,10 @@ mod tests {
             sim.step().unwrap();
         }
         assert_eq!(sim.live_tally().total(), 12, "4 of 16 ants crashed");
-        let live_honest = (0..n).filter(|&idx| sim.is_live_honest(idx)).count();
-        assert_eq!(live_honest, 12);
+        let recount = (0..n)
+            .filter(|&idx| sim.is_live(AntId::new(idx)) && sim.agents()[idx].is_honest())
+            .count();
+        assert_eq!(recount, 12);
     }
 
     #[test]
@@ -1784,10 +1771,7 @@ mod tests {
             fn committed_nest(&self) -> Option<NestId> {
                 self.inner.committed_nest()
             }
-            fn is_final(&self) -> bool {
-                self.inner.is_final()
-            }
-            fn role(&self) -> hh_core::AgentRole {
+            fn role(&self) -> AgentRole {
                 self.inner.role()
             }
             fn label(&self) -> &'static str {

@@ -6,8 +6,8 @@
 //!   perturbations ([`Perturbations`]) and sandboxing of illegal agent
 //!   actions;
 //! * [`ConvergenceRule`] / [`Detector`] — when is HouseHunting solved
-//!   (commitment, all-final, or literal location consensus, each with
-//!   stability windows);
+//!   (commitment, all-final, or quorum consensus, answered from the
+//!   executor's live tally);
 //! * [`SeriesRecorder`] — per-round metrics for the experiment figures;
 //! * [`run_trials`] — the parallel multi-trial runner behind every
 //!   "with high probability" measurement;

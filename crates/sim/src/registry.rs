@@ -123,7 +123,6 @@ impl Algorithm {
                 seed,
                 hh_core::UrnOptions {
                     reassess_on_arrival: true,
-                    ..hh_core::UrnOptions::default()
                 },
             ),
             Algorithm::Adaptive => colony::adaptive(n, seed),

@@ -74,29 +74,6 @@ fn bad_nests_never_win_without_noise() {
 }
 
 #[test]
-fn settled_simple_colony_reaches_location_consensus() {
-    let n = 40;
-    let agents = colony::simple_with_options(
-        n,
-        5,
-        UrnOptions {
-            settle_at_full_count: true,
-            ..UrnOptions::default()
-        },
-    );
-    let solved = solve(
-        n,
-        QualitySpec::all_good(3),
-        5,
-        agents,
-        ConvergenceRule::location(10),
-        20_000,
-    )
-    .expect("settled colony parks at the winner");
-    assert!(solved.good);
-}
-
-#[test]
 fn single_ant_colony_solves_single_nest() {
     // Degenerate but legal: one ant, one good nest.
     let solved = solve(

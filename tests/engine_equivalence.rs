@@ -14,12 +14,14 @@ use house_hunting::prelude::*;
 use house_hunting::sim::run_trials_with_workers;
 use proptest::prelude::*;
 
-/// Runs `trials` trials of `scenario` with the colony passed through
-/// `wrap`, under the scenario's own rule and budget.
+/// Runs `trials` trials of `scenario` on `round_threads` intra-round
+/// threads with the colony passed through `wrap`, under the scenario's
+/// own rule and budget.
 fn run_wrapped(
     scenario: &Scenario,
     trials: usize,
     workers: usize,
+    round_threads: usize,
     wrap: fn(AnyAgent) -> AnyAgent,
 ) -> Vec<TrialOutcome> {
     run_trials_with_workers(
@@ -30,7 +32,12 @@ fn run_wrapped(
         |trial| {
             let seed = scenario.trial_seed(trial);
             let colony: Colony = scenario.colony_for(seed).into_iter().map(wrap).collect();
-            scenario.spec_for(seed).build_simulation(colony)
+            let sim = scenario
+                .spec_for(seed)
+                .build_simulation(colony)?
+                .with_round_threads(round_threads);
+            assert_eq!(sim.round_threads(), round_threads, "{}", scenario.name());
+            Ok(sim)
         },
     )
     .expect("valid scenario")
@@ -56,8 +63,8 @@ fn dispatch_scenarios() -> Vec<Scenario> {
 #[test]
 fn static_and_custom_dispatch_are_bit_identical() {
     for scenario in dispatch_scenarios() {
-        let stat = run_wrapped(&scenario, 2, 1, |agent| agent);
-        let boxed = run_wrapped(&scenario, 2, 1, AnyAgent::custom);
+        let stat = run_wrapped(&scenario, 2, 1, 1, |agent| agent);
+        let boxed = run_wrapped(&scenario, 2, 1, 1, AnyAgent::custom);
         assert_eq!(
             stat,
             boxed,
@@ -70,12 +77,12 @@ fn static_and_custom_dispatch_are_bit_identical() {
 #[test]
 fn dispatch_equivalence_holds_under_round_threads() {
     // The chunked parallel engine must preserve the dispatch-equivalence
-    // guarantee: a Custom-boxed colony on 8 intra-round threads matches
-    // the static-dispatch colony on the serial engine bit for bit.
+    // guarantee: a Custom-boxed colony on 8 intra-round threads (round
+    // workers, for the unperturbed scenarios) matches the static-dispatch
+    // colony on the serial engine bit for bit.
     for scenario in dispatch_scenarios() {
-        let serial_static = run_wrapped(&scenario, 2, 1, |agent| agent);
-        let threaded = scenario.clone().round_threads(8);
-        let threaded_boxed = run_wrapped(&threaded, 2, 1, AnyAgent::custom);
+        let serial_static = run_wrapped(&scenario, 2, 1, 1, |agent| agent);
+        let threaded_boxed = run_wrapped(&scenario, 2, 1, 8, AnyAgent::custom);
         assert_eq!(
             serial_static,
             threaded_boxed,
@@ -125,8 +132,8 @@ proptest! {
             // Cap the budget so non-converging seeds stay cheap; both
             // dispatch routes share the cap, so equivalence is unaffected.
             .max_rounds(2_000);
-        let stat = run_wrapped(&scenario, trials, workers, |agent| agent);
-        let boxed = run_wrapped(&scenario, trials, 1, AnyAgent::custom);
+        let stat = run_wrapped(&scenario, trials, workers, 1, |agent| agent);
+        let boxed = run_wrapped(&scenario, trials, 1, 1, AnyAgent::custom);
         prop_assert_eq!(stat, boxed, "{}: dispatch divergence", scenario.name());
     }
 }

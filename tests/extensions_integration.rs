@@ -1,8 +1,8 @@
 //! Integration: the Section 6 extension agents through the full stack —
-//! adaptive rate, non-binary quality (with downgrade rejection), the
-//! lower-bound spreaders, and mixed adversarial colonies.
+//! adaptive rate, non-binary quality, the lower-bound spreaders, and
+//! mixed adversarial colonies.
 
-use house_hunting::core::{OscillatorAnt, QualityAnt, SleeperAnt};
+use house_hunting::core::{OscillatorAnt, SleeperAnt};
 use house_hunting::model::Quality;
 use house_hunting::prelude::*;
 use house_hunting::sim::{run_trials, success_rate, SeriesRecorder};
@@ -45,24 +45,6 @@ fn quality_colony_picks_the_best_of_three_graded_nests() {
         }
     }
     assert!(best_wins >= 7, "best nest won only {best_wins}/{trials}");
-}
-
-#[test]
-fn downgrade_rejection_does_not_break_convergence() {
-    let spec = QualitySpec::Explicit(vec![Quality::new(0.9).unwrap(), Quality::new(0.4).unwrap()]);
-    let agents = colony::from_factory(64, 9, |_, seed| {
-        QualityAnt::new(64, seed, 2.0).with_rejection(0.2)
-    });
-    let solved = ScenarioSpec::new(64, spec)
-        .seed(9)
-        .reveal_quality_on_go()
-        .build_simulation(agents)
-        .unwrap()
-        .run_to_convergence(ConvergenceRule::commitment_any(), 30_000)
-        .unwrap()
-        .solved
-        .expect("rejecting colony still converges");
-    assert_eq!(solved.nest, NestId::candidate(1), "and on the better nest");
 }
 
 #[test]

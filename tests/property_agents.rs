@@ -68,7 +68,7 @@ proptest! {
         hardened in any::<bool>(),
     ) {
         let good = good.clamp(1, k);
-        let options = if hardened { UrnOptions::hardened() } else { UrnOptions::paper() };
+        let options = UrnOptions { reassess_on_arrival: hardened };
         assert_always_legal(
             n,
             QualitySpec::good_prefix(k, good),

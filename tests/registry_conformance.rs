@@ -312,7 +312,7 @@ proptest! {
         algorithms in (0usize..8, 0usize..8, 0usize..8, 0usize..8),
         mix_fraction in 0usize..8,
         adversaries in 0usize..=65,
-        rule in 0usize..7,
+        rule in 0usize..6,
         quorum in 0usize..8,
         window in 0u64..=20,
         threads in 0usize..=2,
@@ -357,7 +357,6 @@ proptest! {
             2 => ConvergenceRule::commitment_any(),
             3 => ConvergenceRule::stable_commitment(window),
             4 => ConvergenceRule::all_final(),
-            5 => ConvergenceRule::location(window),
             _ => ConvergenceRule::quorum(float(quorum), window),
         };
         // Most hostile noise values are errors, so each case also runs
