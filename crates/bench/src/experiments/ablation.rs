@@ -121,7 +121,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
                         n,
                         ant_seed,
                         ConcavePolicy { theta: 0.5 },
-                        UrnOptions::paper(),
+                        UrnOptions::default(),
                     ))
                 })
             }),
@@ -134,7 +134,7 @@ pub fn run(mode: Mode) -> ExperimentReport {
                         n,
                         ant_seed,
                         HardCapGrowingPolicy { theta: 0.5 },
-                        UrnOptions::paper(),
+                        UrnOptions::default(),
                     ))
                 })
             }),

@@ -10,7 +10,6 @@
 use hh_analysis::{fmt_f64, Table};
 use hh_core::{colony, SleeperAnt};
 use hh_model::faults::CrashStyle;
-use hh_model::noise::CountNoise;
 use hh_model::{NoiseModel, QualitySpec};
 use hh_sim::registry::{Algorithm, ColonyMix, FaultSchedule, Scenario};
 use hh_sim::{ConvergenceRule, ScenarioSpec};
@@ -59,10 +58,7 @@ pub fn run_f10(mode: Mode) -> ExperimentReport {
     let mut baseline_rounds = 0.0;
     let mut optimal_degrades = false;
     for (si, &sigma) in sigmas.iter().enumerate() {
-        let noise = NoiseModel {
-            count: CountNoise::multiplicative(sigma).expect("valid sigma"),
-            quality: Default::default(),
-        };
+        let noise = NoiseModel::multiplicative(sigma).expect("valid sigma");
         let optimal = measure_scenario(
             trials,
             &cell(

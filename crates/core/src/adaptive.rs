@@ -151,7 +151,7 @@ impl AdaptiveAnt {
     /// Panics if `n` exceeds `u32::MAX`.
     #[must_use]
     pub fn new(n: usize, seed: u64) -> Self {
-        Self::with_policy(n, seed, AdaptivePolicy, UrnOptions::paper())
+        Self::with_policy(n, seed, AdaptivePolicy, UrnOptions::default())
     }
 }
 

@@ -21,7 +21,7 @@ use hh_model::{Action, NestId, Outcome};
 
 use crate::adaptive::AdaptiveAnt;
 use crate::agent::{Agent, AgentRole, BoxedAgent};
-use crate::byzantine::{BadNestRecruiter, OscillatorAnt, SleeperAnt};
+use crate::byzantine::{BadNestRecruiter, SleeperAnt};
 use crate::idle::IdlerAnt;
 use crate::optimal::OptimalAnt;
 use crate::quality::QualityAnt;
@@ -67,8 +67,6 @@ pub enum AnyAgent {
     Idler(IdlerAnt),
     /// The bad-nest-recruiting Byzantine adversary.
     BadRecruiter(BadNestRecruiter),
-    /// The churn-injecting Byzantine adversary.
-    Oscillator(OscillatorAnt),
     /// The honest-until-triggered Byzantine adversary.
     Sleeper(SleeperAnt),
     /// The escape hatch: any other [`Agent`], dispatched dynamically.
@@ -88,7 +86,6 @@ macro_rules! dispatch {
             AnyAgent::Spreader($agent) => $body,
             AnyAgent::Idler($agent) => $body,
             AnyAgent::BadRecruiter($agent) => $body,
-            AnyAgent::Oscillator($agent) => $body,
             AnyAgent::Sleeper($agent) => $body,
             AnyAgent::Custom($agent) => $body,
         }
@@ -189,7 +186,6 @@ impl std::fmt::Debug for AnyAgent {
             AnyAgent::Spreader(_) => "Spreader",
             AnyAgent::Idler(_) => "Idler",
             AnyAgent::BadRecruiter(_) => "BadRecruiter",
-            AnyAgent::Oscillator(_) => "Oscillator",
             AnyAgent::Sleeper(_) => "Sleeper",
             AnyAgent::Custom(_) => "Custom",
         };
@@ -242,12 +238,6 @@ impl From<BadNestRecruiter> for AnyAgent {
     }
 }
 
-impl From<OscillatorAnt> for AnyAgent {
-    fn from(agent: OscillatorAnt) -> Self {
-        AnyAgent::Oscillator(agent)
-    }
-}
-
 impl From<SleeperAnt> for AnyAgent {
     fn from(agent: SleeperAnt) -> Self {
         AnyAgent::Sleeper(agent)
@@ -287,9 +277,8 @@ mod tests {
     #[test]
     fn adversary_variants_report_dishonest() {
         let bad: AnyAgent = BadNestRecruiter::new().into();
-        let osc: AnyAgent = OscillatorAnt::new().into();
         let sleeper: AnyAgent = SleeperAnt::new(8, 0, 10).into();
-        for agent in [&bad, &osc, &sleeper] {
+        for agent in [&bad, &sleeper] {
             assert!(!agent.is_honest(), "{}", agent.label());
         }
     }

@@ -4,15 +4,13 @@
 //! A Byzantine ant is still bound by the model: it makes exactly one legal
 //! call per round and cannot forge recruitment (the pairing is run by the
 //! environment). Its only attack surface is *what* it advocates and
-//! *when*. The adversaries here exercise that surface:
+//! *when*. The two adversaries here exercise that surface:
 //!
 //! * [`BadNestRecruiter`] — hunts for a bad nest, then recruits honest
 //!   ants to it forever. Against the paper-faithful simple algorithm
 //!   (which never re-checks quality after a tandem run) this is the
 //!   strongest practical attack: every hijacked ant starts amplifying the
 //!   bad nest itself.
-//! * [`OscillatorAnt`] — advocates a different known nest every round,
-//!   injecting churn that slows convergence without a fixed target.
 //! * [`SleeperAnt`] — runs the honest simple algorithm until a trigger
 //!   round, then turns into a [`BadNestRecruiter`]: tests whether a
 //!   near-converged colony can be destabilized.
@@ -92,56 +90,6 @@ impl Agent for BadNestRecruiter {
     }
 }
 
-/// An adversary that advocates a different known nest every round,
-/// maximizing churn.
-#[derive(Debug, Clone, Default)]
-pub struct OscillatorAnt {
-    known: Vec<NestId>,
-    cursor: usize,
-}
-
-impl OscillatorAnt {
-    /// Creates an oscillator with no known nests yet.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// How many distinct nests the oscillator cycles between. It keeps
-    /// searching until it knows this many.
-    const TARGET_REPERTOIRE: usize = 2;
-}
-
-impl Agent for OscillatorAnt {
-    fn choose(&mut self, _round: u64) -> Action {
-        if self.known.len() < Self::TARGET_REPERTOIRE {
-            return Action::Search;
-        }
-        self.cursor = (self.cursor + 1) % self.known.len();
-        Action::recruit_active(self.known[self.cursor])
-    }
-
-    fn observe(&mut self, _round: u64, outcome: &Outcome) {
-        if let Outcome::Search { nest, .. } = outcome {
-            if !self.known.contains(nest) {
-                self.known.push(*nest);
-            }
-        }
-    }
-
-    fn committed_nest(&self) -> Option<NestId> {
-        None
-    }
-
-    fn is_honest(&self) -> bool {
-        false
-    }
-
-    fn label(&self) -> &'static str {
-        "byz-oscillator"
-    }
-}
-
 /// An adversary that behaves honestly until `trigger_round`, then attacks
 /// like a [`BadNestRecruiter`].
 #[derive(Debug, Clone)]
@@ -157,7 +105,7 @@ impl SleeperAnt {
     #[must_use]
     pub fn new(n: usize, seed: u64, trigger_round: u64) -> Self {
         Self {
-            inner: SimpleAnt::with_options(n, seed, UrnOptions::paper()),
+            inner: SimpleAnt::with_options(n, seed, UrnOptions::default()),
             trigger_round,
             bad_target: None,
         }
@@ -247,49 +195,6 @@ mod tests {
         }
         assert!(!ant.is_honest());
         assert_eq!(ant.committed_nest(), None);
-    }
-
-    #[test]
-    fn oscillator_builds_repertoire_then_cycles() {
-        let mut ant = OscillatorAnt::new();
-        assert_eq!(ant.choose(1), Action::Search);
-        for (round, idx) in [(1u64, 1usize), (2, 2)] {
-            ant.observe(
-                round,
-                &Outcome::Search {
-                    nest: NestId::candidate(idx),
-                    quality: Quality::BAD,
-                    count: 1,
-                },
-            );
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for round in 3..7 {
-            match ant.choose(round) {
-                Action::Recruit { active: true, nest } => {
-                    seen.insert(nest);
-                }
-                other => panic!("expected active recruit, got {other}"),
-            }
-        }
-        assert_eq!(seen.len(), 2, "oscillator must alternate between nests");
-    }
-
-    #[test]
-    fn oscillator_dedupes_known_nests() {
-        let mut ant = OscillatorAnt::new();
-        for round in 1..5 {
-            ant.observe(
-                round,
-                &Outcome::Search {
-                    nest: NestId::candidate(1),
-                    quality: Quality::BAD,
-                    count: 1,
-                },
-            );
-        }
-        // Only one distinct nest known: keeps searching.
-        assert_eq!(ant.choose(9), Action::Search);
     }
 
     #[test]

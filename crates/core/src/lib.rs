@@ -80,7 +80,7 @@ pub(crate) mod testutil;
 pub use adaptive::{AdaptiveAnt, AdaptivePolicy};
 pub use agent::{Agent, AgentRole, BoxedAgent, CyclePhase};
 pub use any::AnyAgent;
-pub use byzantine::{BadNestRecruiter, OscillatorAnt, SleeperAnt};
+pub use byzantine::{BadNestRecruiter, SleeperAnt};
 pub use colony::{AgentSnapshot, Colony, RoleCensus};
 pub use idle::IdlerAnt;
 pub use optimal::OptimalAnt;

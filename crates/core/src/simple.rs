@@ -77,14 +77,6 @@ pub struct UrnOptions {
     pub reassess_on_arrival: bool,
 }
 
-impl UrnOptions {
-    /// Paper-faithful behaviour (same as `Default`).
-    #[must_use]
-    pub fn paper() -> Self {
-        Self::default()
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// Pre-search.
@@ -146,12 +138,6 @@ impl<P: RecruitPolicy> UrnAnt<P> {
         }
     }
 
-    /// Returns the behavioural options.
-    #[must_use]
-    pub fn options(&self) -> UrnOptions {
-        self.options
-    }
-
     fn committed(&self) -> Option<NestId> {
         if self.nest.is_home() {
             None
@@ -186,7 +172,7 @@ impl SimpleAnt {
     /// Panics if `n` exceeds `u32::MAX`.
     #[must_use]
     pub fn new(n: usize, seed: u64) -> Self {
-        Self::with_policy(n, seed, LinearPolicy, UrnOptions::paper())
+        Self::with_policy(n, seed, LinearPolicy, UrnOptions::default())
     }
 
     /// Creates a simple ant with explicit options.

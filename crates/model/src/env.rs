@@ -699,23 +699,17 @@ impl<'a> AntChunk<'a> {
         match action {
             Action::Search => {
                 let nest = self.locations[local];
-                let true_quality =
-                    shared.nests[nest.candidate_index().expect("searched nest")].quality();
                 Outcome::Search {
                     nest,
-                    quality: observe.quality(true_quality),
+                    quality: shared.nests[nest.candidate_index().expect("searched nest")].quality(),
                     count: observe.count(shared.counts[nest.raw()]),
                 }
             }
             Action::Go(nest) => Outcome::Go {
                 count: observe.count(shared.counts[nest.raw()]),
-                quality: if shared.reveal_quality_on_go {
-                    let true_quality =
-                        shared.nests[nest.candidate_index().expect("candidate nest")].quality();
-                    Some(observe.quality(true_quality))
-                } else {
-                    None
-                },
+                quality: shared.reveal_quality_on_go.then(|| {
+                    shared.nests[nest.candidate_index().expect("candidate nest")].quality()
+                }),
             },
             Action::Recruit { .. } => {
                 let assigned = shared.pairing.assigned_nest(*call_cursor);
@@ -730,32 +724,23 @@ impl<'a> AntChunk<'a> {
     }
 }
 
-/// One ant's observations in [`AntChunk::outcome`]: the round's noise
-/// model and the ant's noise stream, which only a noisy model has. Without
-/// a stream the model is exact and every observation is the true value.
+/// One ant's count observations in [`AntChunk::outcome`]: the round's
+/// noise model and the ant's noise stream, which only a noisy model has.
+/// Without a stream the model is exact and every count is the true value.
 struct Observer<'r> {
     noise: NoiseModel,
     rng: Option<&'r mut SmallRng>,
 }
 
 impl Observer<'_> {
-    /// A population count through the count channel, narrowed for the
+    /// A population count through the noise model, narrowed for the
     /// outcome.
     #[inline]
     fn count(&mut self, true_count: usize) -> u32 {
         Outcome::narrow_count(match self.rng.as_deref_mut() {
-            Some(rng) => self.noise.count.observe(true_count, rng),
+            Some(rng) => self.noise.observe(true_count, rng),
             None => true_count,
         })
-    }
-
-    /// A nest quality through the quality channel.
-    #[inline]
-    fn quality(&mut self, true_quality: Quality) -> Quality {
-        match self.rng.as_deref_mut() {
-            Some(rng) => self.noise.quality.observe(true_quality, rng),
-            None => true_quality,
-        }
     }
 }
 
@@ -836,7 +821,6 @@ impl<'a> SharedRound<'a> {
 mod tests {
     use super::*;
     use crate::config::QualitySpec;
-    use crate::noise::{CountNoise, NoiseModel, QualityNoise};
 
     fn env(n: usize, k: usize, seed: u64) -> Environment {
         let config = ColonyConfig::new(n, QualitySpec::all_good(k)).seed(seed);
@@ -1113,17 +1097,14 @@ mod tests {
 
     #[test]
     fn noisy_counts_flow_through_outcomes() {
-        let noise = NoiseModel {
-            count: CountNoise::uniform_relative(0.5).unwrap(),
-            quality: Default::default(),
-        };
+        let noise = NoiseModel::multiplicative(0.5).unwrap();
         let config = ColonyConfig::new(1000, QualitySpec::all_good(1))
             .seed(3)
             .noise(noise);
         let mut env = Environment::new(&config).unwrap();
         let report = env.step(&vec![Action::Search; 1000]).unwrap();
-        // All ants are in the single nest (true count 1000); with ±50 %
-        // uniform noise some observation should differ from the truth.
+        // All ants are in the single nest (true count 1000); with σ = 0.5
+        // log-normal noise some observation should differ from the truth.
         let distinct = report.outcomes.iter().any(|o| o.count() != 1000);
         assert!(distinct, "noise should perturb at least one observation");
         // But the true state is unaffected.
@@ -1139,44 +1120,25 @@ mod tests {
         let (head, tail) = exact.relocation_view().split_at(5);
         assert_eq!((head.len(), tail.len()), (5, 11));
         assert!(head.noise_rngs.is_empty() && tail.noise_rngs.is_empty());
-        for noise in [
-            NoiseModel {
-                count: CountNoise::subsample(0.5).unwrap(),
-                quality: QualityNoise::Exact,
-            },
-            NoiseModel {
-                count: CountNoise::Exact,
-                quality: QualityNoise::flip(0.1).unwrap(),
-            },
-        ] {
-            let config = ColonyConfig::new(16, QualitySpec::all_good(2)).noise(noise);
-            let mut noisy = Environment::new(&config).unwrap();
-            assert_eq!(noisy.noise_rngs.len(), 16, "{noise:?}");
-            let (head, tail) = noisy.relocation_view().split_at(5);
-            assert_eq!((head.noise_rngs.len(), tail.noise_rngs.len()), (5, 11));
-        }
+        let noise = NoiseModel::multiplicative(0.5).unwrap();
+        let config = ColonyConfig::new(16, QualitySpec::all_good(2)).noise(noise);
+        let mut noisy = Environment::new(&config).unwrap();
+        assert_eq!(noisy.noise_rngs.len(), 16);
+        let (head, tail) = noisy.relocation_view().split_at(5);
+        assert_eq!((head.noise_rngs.len(), tail.noise_rngs.len()), (5, 11));
     }
 
     #[test]
     fn out_of_range_noise_is_an_error() {
-        for count in [
-            CountNoise::Subsample { p: 0.0 },
-            CountNoise::Multiplicative {
-                sigma: f64::INFINITY,
-            },
-            CountNoise::UniformRelative { delta: f64::NAN },
-        ] {
-            let noise = NoiseModel {
-                count,
-                quality: QualityNoise::Exact,
-            };
+        for sigma in [f64::NAN, -1.0, f64::INFINITY] {
+            let noise = NoiseModel::Multiplicative { sigma };
             let config = ColonyConfig::new(4, QualitySpec::all_good(2)).noise(noise);
             assert!(
                 matches!(
                     Environment::new(&config),
                     Err(ModelError::InvalidNoise { .. })
                 ),
-                "{count:?}"
+                "{noise:?}"
             );
         }
     }

@@ -18,10 +18,9 @@ pub enum ModelError {
         value: f64,
     },
     /// An observation-noise parameter was outside the range its
-    /// [`CountNoise`](crate::noise::CountNoise) or
-    /// [`QualityNoise`](crate::noise::QualityNoise) variant documents.
+    /// [`NoiseModel`](crate::NoiseModel) variant documents.
     InvalidNoise {
-        /// The variant and field, e.g. `"Subsample::p"`.
+        /// The variant and field, e.g. `"Multiplicative::sigma"`.
         parameter: &'static str,
         /// The offending value.
         value: f64,
@@ -113,8 +112,8 @@ mod tests {
         let cases: Vec<ModelError> = vec![
             ModelError::InvalidQuality { value: 1.5 },
             ModelError::InvalidNoise {
-                parameter: "Subsample::p",
-                value: 0.0,
+                parameter: "Multiplicative::sigma",
+                value: -1.0,
             },
             ModelError::EmptyColony,
             ModelError::NoCandidateNests,

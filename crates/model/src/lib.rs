@@ -11,7 +11,8 @@
 //!
 //! The crate also provides the Section 6 extension knobs:
 //!
-//! * [`noise`] — unbiased noisy population counts and quality sensing;
+//! * [`noise`] — unbiased noisy population counts (qualities are sensed
+//!   exactly);
 //! * [`faults`] — crash-stop schedules and per-round delays (partial
 //!   asynchrony), applied by the executor in `hh-sim`.
 //!

@@ -14,14 +14,13 @@
 
 use house_hunting::analysis::{fmt_f64, Table};
 use house_hunting::model::faults::CrashStyle;
-use house_hunting::model::noise::CountNoise;
 use house_hunting::prelude::*;
 use house_hunting::sim::success_rate;
 
 #[derive(Clone, Copy)]
 enum Setup {
     Baseline,
-    CountNoise(f64),
+    NoisyCounts(f64),
     Crashes(f64),
     Delays(f64),
     Byzantine(usize),
@@ -31,7 +30,7 @@ impl Setup {
     fn label(self) -> String {
         match self {
             Setup::Baseline => "baseline".into(),
-            Setup::CountNoise(sigma) => format!("count noise σ={sigma}"),
+            Setup::NoisyCounts(sigma) => format!("count noise σ={sigma}"),
             Setup::Crashes(frac) => format!("{:.0}% crash at r=10", frac * 100.0),
             Setup::Delays(p) => format!("{:.0}% delays", p * 100.0),
             Setup::Byzantine(count) => format!("{count} byzantine"),
@@ -69,11 +68,8 @@ impl Setup {
         )
         .rule(ConvergenceRule::stable_commitment(8))
         .max_rounds(30_000);
-        if let Setup::CountNoise(sigma) = self {
-            scenario = scenario.noise(NoiseModel {
-                count: CountNoise::multiplicative(sigma).expect("valid sigma"),
-                quality: Default::default(),
-            });
+        if let Setup::NoisyCounts(sigma) = self {
+            scenario = scenario.noise(NoiseModel::multiplicative(sigma).expect("valid sigma"));
         }
         scenario
     }
@@ -94,7 +90,7 @@ fn main() -> Result<(), SimError> {
 
     let setups = [
         Setup::Baseline,
-        Setup::CountNoise(0.3),
+        Setup::NoisyCounts(0.3),
         Setup::Crashes(0.10),
         Setup::Delays(0.10),
         Setup::Byzantine(4),

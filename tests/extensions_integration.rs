@@ -1,8 +1,8 @@
 //! Integration: the Section 6 extension agents through the full stack —
 //! adaptive rate, non-binary quality, the lower-bound spreaders, and
-//! mixed adversarial colonies.
+//! sleeper adversaries.
 
-use house_hunting::core::{OscillatorAnt, SleeperAnt};
+use house_hunting::core::SleeperAnt;
 use house_hunting::model::Quality;
 use house_hunting::prelude::*;
 use house_hunting::sim::{run_trials, success_rate, SeriesRecorder};
@@ -85,17 +85,13 @@ fn spreader_strategies_all_inform_with_wait_fastest_at_scale() {
 }
 
 #[test]
-fn oscillators_and_sleepers_only_delay_the_honest_colony() {
+fn sleepers_only_delay_the_honest_colony() {
     let n = 72;
     let outcomes = run_trials(8, 30_000, ConvergenceRule::quorum(0.9, 8), |trial| {
         let seed = 60 + trial as u64;
         let mut agents = colony::simple(n, seed);
-        colony::plant_adversaries(&mut agents, 4, |slot| {
-            if slot % 2 == 0 {
-                Box::new(OscillatorAnt::new()) as BoxedAgent
-            } else {
-                Box::new(SleeperAnt::new(n, seed + slot as u64, 30)) as BoxedAgent
-            }
+        colony::plant_adversaries(&mut agents, 2, |slot| {
+            SleeperAnt::new(n, seed + slot as u64, 30)
         });
         ScenarioSpec::new(n, QualitySpec::good_prefix(4, 2))
             .seed(seed)

@@ -144,14 +144,10 @@ fn environment_executions_are_reproducible() {
 
 #[test]
 fn noise_affects_observations_not_state() {
-    use house_hunting::model::noise::{CountNoise, NoiseModel};
     let n = 500;
     let config = ColonyConfig::new(n, QualitySpec::all_good(1))
         .seed(9)
-        .noise(NoiseModel {
-            count: CountNoise::subsample(0.2).unwrap(),
-            quality: Default::default(),
-        });
+        .noise(NoiseModel::multiplicative(0.3).unwrap());
     let mut env = Environment::new(&config).unwrap();
     let report = env.step(&vec![Action::Search; n]).unwrap();
     // True state is exact.

@@ -133,13 +133,13 @@ proptest! {
         seed in any::<u64>(),
         byz in 1usize..4,
     ) {
-        use house_hunting::core::{AnyAgent, BadNestRecruiter, OscillatorAnt};
+        use house_hunting::core::{AnyAgent, BadNestRecruiter, SleeperAnt};
         let mut agents = colony::simple(n, seed);
         colony::plant_adversaries(&mut agents, byz, |slot| {
             if slot % 2 == 0 {
                 AnyAgent::from(BadNestRecruiter::new())
             } else {
-                AnyAgent::from(OscillatorAnt::new())
+                AnyAgent::from(SleeperAnt::new(n, seed.wrapping_add(slot as u64), 30))
             }
         });
         assert_always_legal(
@@ -167,7 +167,7 @@ proptest! {
         threads in 1usize..9,
         ops in proptest::collection::vec(0usize..3, 1..12),
     ) {
-        use house_hunting::core::{AgentSnapshot, AnyAgent, BadNestRecruiter, OscillatorAnt};
+        use house_hunting::core::{AgentSnapshot, AnyAgent, BadNestRecruiter, SleeperAnt};
 
         let mut agents = colony::simple(n, seed);
         match mix_pick {
@@ -176,7 +176,7 @@ proptest! {
                 if slot % 2 == 0 {
                     AnyAgent::from(BadNestRecruiter::new())
                 } else {
-                    AnyAgent::from(OscillatorAnt::new())
+                    AnyAgent::from(SleeperAnt::new(n, seed.wrapping_add(slot as u64), 5))
                 }
             }),
             _ => {}

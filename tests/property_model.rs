@@ -254,7 +254,7 @@ fn kernel_matches_reference_at_colony_scale() {
 // Every active participant's exact success probability must be at least
 // 1/16. The kernel's success frequency over the same draws must equal
 // it where it is 0 or 1, and otherwise lie within |z| ≤ 5 of it (normal
-// approximation to the binomial): a two-sided false-alarm rate of about
+// approximation to the success count): a two-sided false-alarm rate of about
 // 6·10⁻⁷ per participant. The seeds are fixed, so every run gives the
 // same z.
 

@@ -3,7 +3,6 @@
 //! never on scheduling — exercised over random colony sizes, habitats,
 //! seeds, and worker counts.
 
-use house_hunting::model::noise::{CountNoise, QualityNoise};
 use house_hunting::prelude::*;
 use house_hunting::sim::{run_trials, run_trials_with_workers};
 use proptest::prelude::*;
@@ -21,24 +20,12 @@ fn build(
         .build_simulation(colony::simple(n, seed))
 }
 
-/// The observation-noise axis: exact, then one valid value of each noisy
-/// channel with the other channel exact.
-fn noise_models() -> [NoiseModel; 6] {
-    let count = |count| NoiseModel {
-        count,
-        quality: QualityNoise::Exact,
-    };
-    let quality = |quality| NoiseModel {
-        count: CountNoise::Exact,
-        quality,
-    };
+/// The observation-noise axis: exact, then one valid value of the noisy
+/// count channel.
+fn noise_models() -> [NoiseModel; 2] {
     [
         NoiseModel::exact(),
-        count(CountNoise::multiplicative(0.3).unwrap()),
-        count(CountNoise::uniform_relative(0.4).unwrap()),
-        count(CountNoise::subsample(0.25).unwrap()),
-        quality(QualityNoise::flip(0.05).unwrap()),
-        quality(QualityNoise::jitter(0.1).unwrap()),
+        NoiseModel::multiplicative(0.3).unwrap(),
     ]
 }
 
@@ -121,7 +108,7 @@ proptest! {
     /// per-round state is a function of per-ant state only. Two distinct
     /// thread counts give two distinct boundary layouts over the same
     /// colony; both must match the serial engine round for round, under
-    /// exact observation and under each noisy channel.
+    /// exact observation and under the noisy count channel.
     #[test]
     fn chunk_boundaries_never_change_round_results(
         n in 2usize..96,
